@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit."""
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     """Bad user-supplied data or configuration (CLI exit code 1)."""
 
 

@@ -126,6 +126,24 @@ def matmul(tape: Tape, a: Node, b) -> Node:
     return out
 
 
+def linear(tape: Tape, x: Node, w: Node, b: Node) -> Node:
+    """Affine map ``x @ w + b`` over the last axis of x, recorded as one node."""
+    xv = x.value
+    flat = xv.reshape(-1, xv.shape[-1])
+    y = flat @ w.value
+    y += b.value
+    out = Node(y.reshape(*xv.shape[:-1], y.shape[-1]))
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        x.accumulate((g2 @ w.value.T).reshape(xv.shape))
+        w.accumulate(flat.T @ g2)
+        b.accumulate(g2.sum(axis=0))
+
+    tape.record(out, backward)
+    return out
+
+
 def reshape(tape: Tape, a: Node, shape) -> Node:
     out = Node(a.value.reshape(shape))
 
@@ -218,32 +236,35 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(tape: Tape, x: Node) -> Node:
     """Tanh-form GELU; the backward derivative matches this approximation exactly."""
     xv = x.value
-    inner = _GELU_C * (xv + 0.044715 * xv**3)
+    inner = _GELU_C * (xv + 0.044715 * (xv * xv * xv))
     tanh = np.tanh(inner)
     out = Node(0.5 * xv * (1.0 + tanh))
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * xv**2)
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (xv * xv))
         x.accumulate(g * (0.5 * (1.0 + tanh) + 0.5 * xv * (1.0 - tanh**2) * d_inner))
 
     tape.record(out, backward)
     return out
 
 
-def masked_softmax(tape: Tape, scores: Node, key_mask: np.ndarray) -> Node:
-    """Softmax over the last axis with masked positions forced to probability 0.
+def masked_softmax(tape: Tape, scores: Node, key_mask: np.ndarray, scale: float) -> Node:
+    """Softmax over the last axis of ``scores * scale``, masked positions forced to 0.
 
     key_mask broadcasts against scores; True marks attendable positions. Every
     row must keep at least one attendable key (the CLS position guarantees it).
+    The additive mask is built at key_mask's own (small) shape and every later
+    step runs in place on the one [..., S] probability buffer.
     """
-    z = np.where(key_mask, scores.value, -np.inf)
-    z_max = z.max(axis=-1, keepdims=True)
-    exp = np.exp(z - z_max)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
+    probs = scores.value * scale
+    probs += np.where(key_mask, 0.0, -np.inf)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     out = Node(probs)
 
     def backward(g):
-        scores.accumulate((g - (g * probs).sum(axis=-1, keepdims=True)) * probs)
+        scores.accumulate(((g - (g * probs).sum(axis=-1, keepdims=True)) * probs) * scale)
 
     tape.record(out, backward)
     return out

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ValidationError
 from . import autodiff as ad
 from .autodiff import Node, Tape
 
@@ -38,13 +39,13 @@ class EncoderConfig:
     def validate(self) -> None:
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            raise ValidationError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
+            raise ValidationError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         if self.head_kind not in HEAD_KINDS:
-            raise ValueError(f"unknown head_kind {self.head_kind!r}")
+            raise ValidationError(f"unknown head_kind {self.head_kind!r}")
 
 
 def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -121,13 +122,6 @@ def collect_grads(pnodes: dict[str, Node], params: Parameters) -> Parameters:
     }
 
 
-def _linear(tape: Tape, x: Node, w: Node, b: Node) -> Node:
-    batch_shape = x.value.shape[:-1]
-    flat = ad.reshape(tape, x, (-1, x.value.shape[-1]))
-    out = ad.add(tape, ad.matmul(tape, flat, w), b)
-    return ad.reshape(tape, out, (*batch_shape, w.value.shape[-1]))
-
-
 def forward(
     pnodes: dict[str, Node],
     cfg: EncoderConfig,
@@ -180,25 +174,25 @@ def forward(
             r = ad.reshape(tape, node, (batch, seq_len, n_heads, d_head))
             return ad.transpose(tape, r, (0, 2, 1, 3))  # [batch, heads, seq, d_head]
 
-        q = split_heads(_linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"]))
-        k = split_heads(_linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"]))
-        v = split_heads(_linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"]))
+        q = split_heads(ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"]))
+        k = split_heads(ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"]))
+        v = split_heads(ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"]))
 
-        scores = ad.mul(tape, ad.matmul(tape, q, ad.transpose(tape, k, (0, 1, 3, 2))), scale)
-        probs = ad.masked_softmax(tape, scores, attn_mask)
+        scores = ad.matmul(tape, q, ad.transpose(tape, k, (0, 1, 3, 2)))
+        probs = ad.masked_softmax(tape, scores, attn_mask, scale)
         if attn_sink is not None:
             attn_sink.append(probs.value.copy())
         probs = dropped(probs)
 
         ctx = ad.transpose(tape, ad.matmul(tape, probs, v), (0, 2, 1, 3))
         ctx = ad.reshape(tape, ctx, (batch, seq_len, cfg.d_model))
-        attn_out = dropped(_linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
+        attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
         x = ad.add(tape, x, attn_out)
 
         h = ad.layer_norm(tape, x, pnodes[p + "ff_norm.gain"], pnodes[p + "ff_norm.bias"])
-        f = _linear(tape, h, pnodes[p + "ff.w1"], pnodes[p + "ff.b1"])
+        f = ad.linear(tape, h, pnodes[p + "ff.w1"], pnodes[p + "ff.b1"])
         f = ad.gelu(tape, f)
-        f = _linear(tape, f, pnodes[p + "ff.w2"], pnodes[p + "ff.b2"])
+        f = ad.linear(tape, f, pnodes[p + "ff.w2"], pnodes[p + "ff.b2"])
         x = ad.add(tape, x, dropped(f))
 
     x = ad.layer_norm(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
@@ -215,14 +209,14 @@ def head_apply(pnodes: dict[str, Node], cfg: EncoderConfig, cls_vectors: Node, t
     batch = cls_vectors.value.shape[0]
 
     def scalar_head(prefix: str) -> Node:
-        out = ad.add(tape, ad.matmul(tape, cls_vectors, pnodes[prefix + ".w"]), pnodes[prefix + ".b"])
+        out = ad.linear(tape, cls_vectors, pnodes[prefix + ".w"], pnodes[prefix + ".b"])
         return ad.reshape(tape, out, (batch,))
 
     if cfg.head_kind == "regression_single":
         return scalar_head("head")
     if cfg.head_kind == "regression_dual":
         return scalar_head("head_empathy"), scalar_head("head_distress")
-    return ad.add(tape, ad.matmul(tape, cls_vectors, pnodes["head.w"]), pnodes["head.b"])
+    return ad.linear(tape, cls_vectors, pnodes["head.w"], pnodes["head.b"])
 
 
 def run_model(params: Parameters, cfg: EncoderConfig, ids: np.ndarray, lengths: np.ndarray):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class AdamWConfig:
@@ -27,13 +29,13 @@ class AdamWConfig:
 
     def validate(self) -> None:
         if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+            raise ValidationError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1): got ({self.beta1}, {self.beta2})")
+            raise ValidationError(f"betas must lie in [0, 1): got ({self.beta1}, {self.beta2})")
         if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+            raise ValidationError(f"eps must be positive, got {self.eps}")
         if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+            raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
 class AdamW:

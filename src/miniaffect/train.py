@@ -97,6 +97,8 @@ class TrainConfig:
                 f"snapshot metric {self.snapshot_metric!r} is incompatible with task {self.task!r}"
             )
         self.optimizer.validate()
+        # vocab_size 0 means train() fills it in from the built vocabulary.
+        replace(self.encoder, vocab_size=self.encoder.vocab_size or 1).validate()
 
     def to_dict(self) -> dict:
         return {
@@ -309,10 +311,11 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     checkpoint holds the untouched initialization and no metric.
     """
     cfg.validate()
+    if not dev_set.records:
+        raise ValidationError("dev set is empty: it is needed to pick the best epoch")
     _require_labels(train_set, cfg.task, "train")
     _require_labels(dev_set, cfg.task, "dev")
     enc_cfg = replace(cfg.encoder, vocab_size=len(vocab), head_kind=_HEAD_KIND[cfg.task])
-    enc_cfg.validate()
 
     started = time.perf_counter()
     ids, lengths = encode_dataset(train_set, vocab, enc_cfg.max_len)
@@ -374,6 +377,8 @@ def predict(
     """
     if vocab_hash(vocab) != ckpt.vocab_hash:
         raise ValidationError("vocabulary hash does not match the one used to train this checkpoint")
+    if not d.records:
+        raise ValidationError("cannot predict on an empty dataset")
     enc_cfg = ckpt.config.encoder
     ids, lengths = encode_dataset(d, vocab, enc_cfg.max_len)
     rec_ids = [r.id for r in d.records]

@@ -185,7 +185,7 @@ def test_masked_softmax_rows_sum_to_one_over_unmasked():
     scores = Node(rng.standard_normal((2, 1, 4, 4)))
     mask = np.array([[True, True, True, False], [True, True, False, False]])[:, None, None, :]
     tape = Tape()
-    probs = ad.masked_softmax(tape, scores, mask)
+    probs = ad.masked_softmax(tape, scores, mask, 1.0)
     sums = probs.value.sum(axis=-1)
     assert np.allclose(sums, 1.0, atol=1e-10)
     assert np.all(probs.value[0, :, :, 3] == 0.0)
@@ -194,22 +194,89 @@ def test_masked_softmax_rows_sum_to_one_over_unmasked():
 
 def test_masked_softmax_gradient_matches_fd():
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((2, 3))
-    mask = np.array([[True, True, False], [True, True, True]])
-    weights = rng.standard_normal((2, 3))  # fixed projection to a scalar
+    x = rng.standard_normal((2, 2, 3, 3))
+    mask = np.array([[True, True, False], [True, True, True]])[:, None, None, :]
+    weights = rng.standard_normal((2, 2, 3, 3))  # fixed projection to a scalar
+    scale = 1.0 / np.sqrt(2.0)
 
     def value(arr):
         tape = Tape()
-        probs = ad.masked_softmax(tape, Node(arr), mask)
+        probs = ad.masked_softmax(tape, Node(arr), mask, scale)
         return float(ad.mean_all(tape, ad.mul(tape, probs, weights)).value)
 
     tape = Tape()
     node = Node(x)
-    probs = ad.masked_softmax(tape, node, mask)
+    probs = ad.masked_softmax(tape, node, mask, scale)
     loss = ad.mean_all(tape, ad.mul(tape, probs, weights))
     tape.backward(loss)
     fd = scalar_fd(value, x.copy())
     assert np.abs(node.grad - fd).max() < 1e-7
+
+
+def test_masked_softmax_matches_unfused_scale_mask_softmax():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((3, 2, 5, 5))
+    mask = (np.arange(5)[None, :] < np.array([5, 3, 1])[:, None])[:, None, None, :]
+    g = rng.standard_normal(x.shape)
+    scale = 1.0 / np.sqrt(8.0)  # not a power of two, so operand order shows in the bits
+    tape = Tape()
+    node = Node(x)
+    probs = ad.masked_softmax(tape, node, mask, scale)
+    tape.backward(ad.mean_all(tape, ad.mul(tape, probs, g)))
+
+    # Reference: scale, then mask with -inf, then a plain max-shifted softmax.
+    z = np.where(mask, x * scale, -np.inf)
+    exp = np.exp(z - z.max(axis=-1, keepdims=True))
+    ref = exp / exp.sum(axis=-1, keepdims=True)
+    gp = np.full_like(g, 1.0 / g.size) * g  # the gradient mean_all and mul pass down
+    ref_grad = ((gp - (gp * ref).sum(axis=-1, keepdims=True)) * ref) * scale
+    assert np.array_equal(probs.value, ref)
+    assert np.array_equal(node.grad, ref_grad)
+
+
+def test_linear_gradients_match_fd():
+    rng = np.random.default_rng(12)
+    params = {
+        "x": rng.standard_normal((2, 3, 4)),
+        "w": rng.standard_normal((4, 5)),
+        "b": rng.standard_normal(5),
+    }
+    weights = rng.standard_normal((2, 3, 5))
+
+    def value(arrs):
+        tape = Tape()
+        out = ad.linear(tape, Node(arrs["x"]), Node(arrs["w"]), Node(arrs["b"]))
+        return float(ad.mean_all(tape, ad.mul(tape, out, weights)).value)
+
+    tape = Tape()
+    nodes = {k: Node(v.copy()) for k, v in params.items()}
+    out = ad.linear(tape, nodes["x"], nodes["w"], nodes["b"])
+    assert out.value.shape == (2, 3, 5)
+    tape.backward(ad.mean_all(tape, ad.mul(tape, out, weights)))
+    fd = fd_gradients(value, params, eps=1e-6)
+    assert max_relative_error({k: n.grad for k, n in nodes.items()}, fd) < 1e-7
+
+
+def test_linear_matches_unfused_chain_bit_for_bit():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((3, 7, 6))
+    w = rng.standard_normal((6, 4))
+    b = rng.standard_normal(4)
+    weights = rng.standard_normal((3, 7, 4))
+
+    def run(fused):
+        tape = Tape()
+        nx, nw, nb = Node(x.copy()), Node(w.copy()), Node(b.copy())
+        if fused:
+            out = ad.linear(tape, nx, nw, nb)
+        else:  # the reshape -> matmul -> add -> reshape chain linear replaces
+            flat = ad.reshape(tape, nx, (-1, 6))
+            out = ad.reshape(tape, ad.add(tape, ad.matmul(tape, flat, nw), nb), (3, 7, 4))
+        tape.backward(ad.mean_all(tape, ad.mul(tape, out, weights)))
+        return out.value, nx.grad, nw.grad, nb.grad
+
+    for fused, chain in zip(run(True), run(False)):
+        assert np.array_equal(fused, chain)
 
 
 def test_logsumexp_and_gather_grads():

@@ -14,6 +14,12 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _header_only(src, dst):
+    """Copy just the header line of a TSV: a valid file with no records."""
+    dst.write_text(src.read_text(encoding="utf-8").split("\n")[0] + "\n", encoding="utf-8")
+    return dst
+
+
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpora")
@@ -135,6 +141,38 @@ def test_ingest_train_predict_eval_pipeline(tmp_path, corpora):
 def test_train_missing_task_is_validation_error(tmp_path, corpora):
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
                "--epochs", 1, "--out", tmp_path / "x") == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"encoder": tiny_encoder_kwargs(n_heads=3)},
+    {"encoder": tiny_encoder_kwargs(), "optimizer": {"lr": -1}},
+], ids=["heads_do_not_divide_d_model", "negative_lr"])
+def test_train_bad_config_is_validation_error(tmp_path, corpora, config, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 1, "--config", cfg_path,
+               "--out", tmp_path / "x", "--quiet") == 1
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_train_empty_dev_is_validation_error(tmp_path, corpora, capsys):
+    empty_dev = _header_only(corpora / "dev.tsv", tmp_path / "dev.tsv")
+    assert run("train", "--train", corpora / "train.tsv", "--dev", empty_dev,
+               "--task", "emotion", "--epochs", 1, "--config", corpora / "tiny.json",
+               "--out", tmp_path / "x", "--quiet") == 1
+    assert "dev set is empty" in capsys.readouterr().err
+
+
+def test_predict_empty_input_is_validation_error(tmp_path, corpora, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+    empty = _header_only(corpora / "train.tsv", tmp_path / "empty.tsv")
+    assert run("predict", "--model", out / "model.ckpt", "--vocab", out / "vocab.tsv",
+               "--input", empty, "--split", "train", "--out", tmp_path / "preds", "--quiet") == 1
+    assert "empty dataset" in capsys.readouterr().err
 
 
 def test_train_seed_defaulting_noted(tmp_path, corpora):

@@ -250,3 +250,17 @@ def test_gradients_match_finite_differences(head_kind):
 
     fd = fd_gradients(lambda p: float(build_loss(p)[0].value), params)
     assert max_relative_error(ad_grads, fd) < 1e-4
+
+
+def test_classify7_training_step_tape_node_count():
+    # desk_scale shapes: d 64, 2 layers, 4 heads, d_ff 128, max_len 64, dropout
+    # on. Every projection is one linear node and the attention scale lives in
+    # masked_softmax; re-expanding either into a chain of ops changes this count.
+    cfg = EncoderConfig(vocab_size=50, head_kind="classify7")
+    params = init_params(cfg, seed=0)
+    ids, lengths = batch_inputs(seed=9, batch=8, cfg=cfg)
+    tape = Tape(rng=np.random.Generator(np.random.PCG64(0)))
+    pnodes = wrap_params(params)
+    logits = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
+    loss_cross_entropy(tape, logits, np.arange(8) % 7)
+    assert len(tape._ops) == 63

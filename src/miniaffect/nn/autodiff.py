@@ -56,6 +56,23 @@ class Tape:
                 fn(out.grad)
 
 
+class EvalTape(Tape):
+    """Tape for eval-mode forwards: ops run as usual but nothing is recorded.
+
+    No backward closure keeps an intermediate array alive, so each one is
+    freed as soon as the forward moves past it, instead of every array of the
+    whole forward being held until the tape is dropped. Freeing that much at
+    once let glibc hand it back to the OS, and on some runs every later eval
+    call page-faulted it in again.
+    """
+
+    def record(self, out: Node, backward) -> None:
+        pass
+
+    def backward(self, loss: Node) -> None:
+        raise RuntimeError("an EvalTape records nothing to backpropagate")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     while grad.ndim > len(shape):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from . import autodiff as ad
-from .autodiff import Node, Tape
+from .autodiff import EvalTape, Node, Tape
 
 HEAD_KINDS = ("regression_single", "regression_dual", "classify7")
 
@@ -221,7 +221,7 @@ def head_apply(pnodes: dict[str, Node], cfg: EncoderConfig, cls_vectors: Node, t
 
 def run_model(params: Parameters, cfg: EncoderConfig, ids: np.ndarray, lengths: np.ndarray):
     """Eval-mode forward + head on raw parameter arrays; returns plain ndarrays."""
-    tape = Tape()
+    tape = EvalTape()
     pnodes = wrap_params(params)
     cls = forward(pnodes, cfg, ids, lengths, tape, train_mode=False)
     out = head_apply(pnodes, cfg, cls, tape)

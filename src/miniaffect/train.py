@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import blas
 from . import metrics as M
 from .data import EMOTIONS, Dataset, emotion_id
 from .errors import FormatError, ValidationError
@@ -304,6 +305,7 @@ def _dev_metrics(params, enc_cfg, task, dev_ids, dev_lengths, dev_targets) -> di
     return {"macro_f1": macro, "accuracy": M.accuracy(pred_labels, dev_targets["emotion"])}
 
 
+@blas.single_thread()
 def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) -> tuple[Checkpoint, TrainReport]:
     """Run the configured number of epochs and keep the best-on-dev snapshot.
 
@@ -367,6 +369,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     return ckpt, report
 
 
+@blas.single_thread()
 def predict(
     ckpt: Checkpoint, d: Dataset, vocab: Vocab, clamp: bool = False
 ) -> RegressionPredictions | ClassificationPredictions:

@@ -334,6 +334,16 @@ def test_tape_consumed_twice_raises():
         tape.backward(loss)
 
 
+def test_eval_tape_records_nothing_and_refuses_backward():
+    tape = ad.EvalTape()
+    x = Node(np.array([1.0, 2.0]))
+    loss = ad.mean_all(tape, ad.mul(tape, x, 3.0))
+    assert loss.value == 4.5
+    assert tape._ops == []
+    with pytest.raises(RuntimeError):
+        tape.backward(loss)
+
+
 def test_backward_requires_scalar():
     tape = Tape()
     x = Node(np.ones(3))

@@ -109,6 +109,15 @@ def test_forward_eval_deterministic():
     assert np.array_equal(run_model(params, TINY, ids, lengths), run_model(params, TINY, ids, lengths))
 
 
+def test_run_model_matches_a_recorded_eval_forward():
+    params = init_params(TINY, seed=4)
+    ids, lengths = batch_inputs(seed=6)
+    tape = Tape()
+    pnodes = wrap_params(params)
+    recorded = head_apply(pnodes, TINY, forward(pnodes, TINY, ids, lengths, tape, train_mode=False), tape)
+    assert np.array_equal(run_model(params, TINY, ids, lengths), recorded.value)
+
+
 def test_forward_padding_trim_is_exact():
     # same example padded into a longer max_len gives identical outputs
     short_cfg = TINY

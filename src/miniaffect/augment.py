@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EMOTIONS, Dataset, EssayRecord
+from .data import EMOTIONS, Dataset, EssayRecord, require_labels
 from .errors import ValidationError
 
 
@@ -33,12 +33,6 @@ class AugmentationSpec:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def _require_labels(d: Dataset, role: str) -> None:
-    for r in d.records:
-        if r.emotion is None:
-            raise ValidationError(f"{role} record {r.id!r} has no emotion label")
 
 
 def _by_class(d: Dataset) -> dict[str, list[int]]:
@@ -80,8 +74,8 @@ def balanced_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Da
         raise ValidationError("balanced augmentation requires a positive total_target")
     if spec.total_target % 7 != 0:
         raise ValidationError(f"total_target {spec.total_target} is not divisible by 7")
-    _require_labels(base, "base")
-    _require_labels(pool, "pool")
+    require_labels(base, ("emotion",), "base")
+    require_labels(pool, ("emotion",), "pool")
 
     target = spec.total_target // 7
     rng = _rng(spec.seed)

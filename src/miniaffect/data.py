@@ -127,7 +127,8 @@ def _parse_score(raw: str, column: str, line_no: int) -> float | None:
     return value
 
 
-def _read_lines(path) -> list[str]:
+def read_lines(path) -> list[str]:
+    """A text file's lines without their LF or CRLF endings; no trailing empty line."""
     with open(path, encoding="utf-8", newline="") as fh:
         raw = fh.read()
     lines = raw.split("\n")
@@ -137,7 +138,7 @@ def _read_lines(path) -> list[str]:
 
 
 def _load_tsv(path, split: str, text_column: str) -> Dataset:
-    lines = _read_lines(path)
+    lines = read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty file, expected a header line")
     header = lines[0].split("\t")
@@ -251,11 +252,19 @@ def save_dataset(d: Dataset, path) -> None:
         fh.write(serialize_dataset(d))
 
 
+def require_labels(d: Dataset, fields, role: str) -> None:
+    """Raise ValidationError naming the first record that lacks any of ``fields``."""
+    for r in d.records:
+        for name in fields:
+            if getattr(r, name) is None:
+                kind = "label" if name == "emotion" else "score"
+                raise ValidationError(f"{role} record {r.id!r} has no {name} {kind}")
+
+
 def class_histogram(d: Dataset) -> dict[str, int]:
     """Count records per emotion label; all 7 labels appear as keys."""
+    require_labels(d, ("emotion",), d.split)
     counts = {name: 0 for name in EMOTIONS}
     for r in d.records:
-        if r.emotion is None:
-            raise ValidationError(f"record {r.id!r} has no emotion label")
         counts[r.emotion] += 1
     return counts

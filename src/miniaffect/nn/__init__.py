@@ -1,18 +1,1 @@
-from .autodiff import Node, Tape
-from .encoder import EncoderConfig, forward, head_apply, init_params, param_shapes, wrap_params
-from .losses import loss_cross_entropy, loss_mse, loss_multitask, softmax
-
-__all__ = [
-    "Node",
-    "Tape",
-    "EncoderConfig",
-    "forward",
-    "head_apply",
-    "init_params",
-    "param_shapes",
-    "wrap_params",
-    "loss_cross_entropy",
-    "loss_mse",
-    "loss_multitask",
-    "softmax",
-]
+"""Tape autodiff, the micro encoder and its losses; import the submodules directly."""

@@ -182,38 +182,13 @@ def transpose(tape: Tape, a: Node, axes) -> Node:
     return out
 
 
-def embedding(tape: Tape, table: Node, ids: np.ndarray) -> Node:
-    out = Node(table.value[ids])
-
-    def backward(g):
-        acc = np.zeros_like(table.value)
-        np.add.at(acc, ids, g)
-        table.accumulate(acc)
-
-    tape.record(out, backward)
-    return out
-
-
-def first_rows(tape: Tape, a: Node, n: int) -> Node:
-    """Rows 0..n-1 of a 2-D node (positional-embedding trim)."""
-    out = Node(a.value[:n])
+def take(tape: Tape, a: Node, index) -> Node:
+    """``a.value[index]`` for any numpy index; the ``np.add.at`` backward accumulates repeats."""
+    out = Node(a.value[index])
 
     def backward(g):
         acc = np.zeros_like(a.value)
-        acc[:n] += g
-        a.accumulate(acc)
-
-    tape.record(out, backward)
-    return out
-
-
-def select_cls(tape: Tape, a: Node) -> Node:
-    """Position-0 slice of a [batch, seq, dim] node."""
-    out = Node(a.value[:, 0, :])
-
-    def backward(g):
-        acc = np.zeros_like(a.value)
-        acc[:, 0, :] += g
+        np.add.at(acc, index, g)
         a.accumulate(acc)
 
     tape.record(out, backward)
@@ -324,20 +299,6 @@ def logsumexp_rows(tape: Tape, x: Node) -> Node:
 
     def backward(g):
         x.accumulate(g[..., None] * soft)
-
-    tape.record(out, backward)
-    return out
-
-
-def gather_rows(tape: Tape, x: Node, idx: np.ndarray) -> Node:
-    """Per-row element pick from a [batch, k] node: out[i] = x[i, idx[i]]."""
-    rows = np.arange(x.value.shape[0])
-    out = Node(x.value[rows, idx])
-
-    def backward(g):
-        acc = np.zeros_like(x.value)
-        np.add.at(acc, (rows, idx), g)
-        x.accumulate(acc)
 
     tape.record(out, backward)
     return out

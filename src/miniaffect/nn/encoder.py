@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_field_types
 from . import autodiff as ad
 from .autodiff import EvalTape, Node, Tape
 
@@ -37,6 +37,7 @@ class EncoderConfig:
     head_kind: str = "classify7"
 
     def validate(self) -> None:
+        check_field_types(self)
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
@@ -129,7 +130,6 @@ def forward(
     lengths: np.ndarray,
     tape: Tape,
     train_mode: bool = False,
-    attn_sink: list | None = None,
 ) -> Node:
     """Encode a [batch, max_len] id matrix to per-example CLS vectors [batch, d_model].
 
@@ -139,8 +139,7 @@ def forward(
 
     With train_mode, dropout (rate cfg.dropout_rate) is applied to the embedding
     sum, the attention probabilities and each sublayer output, drawing noise
-    from the tape's rng. attn_sink, when given, receives one [batch, heads,
-    seq, seq] probability array per layer.
+    from the tape's rng.
     """
     batch, width = ids.shape
     if width != cfg.max_len:
@@ -156,8 +155,8 @@ def forward(
 
     x = ad.add(
         tape,
-        ad.embedding(tape, pnodes["tok_emb"], ids),
-        ad.first_rows(tape, pnodes["pos_emb"], seq_len),
+        ad.take(tape, pnodes["tok_emb"], ids),
+        ad.take(tape, pnodes["pos_emb"], slice(0, seq_len)),
     )
     x = dropped(x)
 
@@ -180,8 +179,6 @@ def forward(
 
         scores = ad.matmul(tape, q, ad.transpose(tape, k, (0, 1, 3, 2)))
         probs = ad.masked_softmax(tape, scores, attn_mask, scale)
-        if attn_sink is not None:
-            attn_sink.append(probs.value.copy())
         probs = dropped(probs)
 
         ctx = ad.transpose(tape, ad.matmul(tape, probs, v), (0, 2, 1, 3))
@@ -196,7 +193,7 @@ def forward(
         x = ad.add(tape, x, dropped(f))
 
     x = ad.layer_norm(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
-    return ad.select_cls(tape, x)
+    return ad.take(tape, x, (slice(None), 0))
 
 
 def head_apply(pnodes: dict[str, Node], cfg: EncoderConfig, cls_vectors: Node, tape: Tape):

@@ -41,5 +41,5 @@ def loss_cross_entropy(tape: Tape, logits: Node, gold: np.ndarray) -> Node:
     if gold.size and (gold.min() < 0 or gold.max() >= n_classes):
         raise ValueError(f"gold label outside 0..{n_classes - 1}")
     lse = ad.logsumexp_rows(tape, logits)
-    picked = ad.gather_rows(tape, logits, gold)
+    picked = ad.take(tape, logits, (np.arange(gold.shape[0]), gold))
     return ad.mean_all(tape, ad.sub(tape, lse, picked))

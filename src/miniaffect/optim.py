@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,7 @@ class AdamWConfig:
     weight_decay: float = 0.0
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

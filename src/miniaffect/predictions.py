@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EMOTIONS, parse_emotion
+from .data import EMOTIONS, parse_emotion, read_lines
 from .errors import FormatError, RowError
 
 _PROB_COLUMNS = tuple(f"p_{label}" for label in EMOTIONS)
@@ -66,10 +66,7 @@ def write_predictions(preds, path) -> None:
 
 def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
     """Load a prediction TSV, inferring its kind from the header."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty prediction file")
     header = lines[0].split("\t")

@@ -13,7 +13,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 
-from .data import Dataset
+from .data import Dataset, read_lines
 from .errors import FormatError, ValidationError
 
 PAD_ID = 0
@@ -25,7 +25,6 @@ _PUNCT = set(string.punctuation)
 
 DEFAULT_MAX_SIZE = 8000
 DEFAULT_MIN_FREQ = 1
-DEFAULT_MAX_LEN = 128
 
 
 def tokenize(text: str) -> list[str]:
@@ -92,7 +91,7 @@ def build_vocab(train: Dataset, max_size: int = DEFAULT_MAX_SIZE, min_freq: int 
     return Vocab(token_to_id=token_to_id, id_to_token=id_to_token, max_size=max_size, min_freq=min_freq)
 
 
-def encode(text: str, vocab: Vocab, max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
+def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """Encode text as [CLS] + token ids, truncated and PAD-filled to max_len."""
     if max_len < 2:
         raise ValidationError(f"max_len {max_len} leaves no room after the CLS position")
@@ -129,11 +128,7 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, encoding="utf-8", newline="") as fh:
-        raw = fh.read()
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty vocabulary file")
     try:

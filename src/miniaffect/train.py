@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import blas
 from . import metrics as M
-from .data import EMOTIONS, Dataset, emotion_id
-from .errors import FormatError, ValidationError
+from .data import EMOTIONS, Dataset, emotion_id, require_labels
+from .errors import FormatError, ValidationError, check_field_types
 from .nn.autodiff import Tape
 from .nn.encoder import (
     EncoderConfig,
@@ -47,6 +47,14 @@ _HEAD_KIND = {
     "distress": "regression_single",
     "multitask": "regression_dual",
     "emotion": "classify7",
+}
+
+# Record fields each task trains on and evaluates against.
+_LABEL_FIELDS = {
+    "empathy": ("empathy",),
+    "distress": ("distress",),
+    "multitask": ("empathy", "distress"),
+    "emotion": ("emotion",),
 }
 
 _DEFAULT_SNAPSHOT = {
@@ -85,12 +93,15 @@ class TrainConfig:
     vocab_min_freq: int = 1
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r} (expected one of {', '.join(TASKS)})")
         if self.preset not in PRESETS:
             raise ValidationError(f"unknown preset {self.preset!r}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.snapshot_metric not in _COMPATIBLE_SNAPSHOTS[self.task]:
@@ -133,6 +144,17 @@ class TrainConfig:
         )
 
 
+def _config_section(cls, defaults: dict, overrides, section: str):
+    """Build a config dataclass from defaults plus the caller's overrides, rejecting unknown keys."""
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ValidationError(f"{section} config must be an object, got {overrides!r}")
+    unknown = sorted(set(overrides) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {section} key(s): {', '.join(unknown)}")
+    return cls(**{**defaults, **overrides})
+
+
 def make_config(
     task: str,
     epochs: int,
@@ -156,8 +178,6 @@ def make_config(
         raise ValidationError(f"unknown task {task!r} (expected one of {', '.join(TASKS)})")
     if preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
-    opt_kwargs = {"lr": _PRESET_LR[preset], **(optimizer or {})}
-    enc_kwargs = {"head_kind": _HEAD_KIND[task], **(encoder or {})}
     cfg = TrainConfig(
         task=task,
         epochs=epochs,
@@ -165,8 +185,8 @@ def make_config(
         seed=seed,
         shuffle=shuffle,
         snapshot_metric=snapshot_metric if snapshot_metric is not None else _DEFAULT_SNAPSHOT[task],
-        optimizer=AdamWConfig(**opt_kwargs),
-        encoder=EncoderConfig(**enc_kwargs),
+        optimizer=_config_section(AdamWConfig, {"lr": _PRESET_LR[preset]}, optimizer, "optimizer"),
+        encoder=_config_section(EncoderConfig, {"head_kind": _HEAD_KIND[task]}, encoder, "encoder"),
         preset=preset,
         vocab_max_size=vocab_max_size,
         vocab_min_freq=vocab_min_freq,
@@ -244,24 +264,13 @@ def encode_dataset(d: Dataset, vocab: Vocab, max_len: int) -> tuple[np.ndarray, 
     return ids, lengths
 
 
-def _require_labels(d: Dataset, task: str, role: str) -> None:
-    for r in d.records:
-        if task in ("empathy", "multitask") and r.empathy is None:
-            raise ValidationError(f"{role} record {r.id!r} has no empathy score (needed for {task})")
-        if task in ("distress", "multitask") and r.distress is None:
-            raise ValidationError(f"{role} record {r.id!r} has no distress score (needed for {task})")
-        if task == "emotion" and r.emotion is None:
-            raise ValidationError(f"{role} record {r.id!r} has no emotion label")
-
-
 def _targets(d: Dataset, task: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    if task in ("empathy", "multitask"):
-        out["empathy"] = np.array([r.empathy for r in d.records], dtype=np.float64)
-    if task in ("distress", "multitask"):
-        out["distress"] = np.array([r.distress for r in d.records], dtype=np.float64)
-    if task == "emotion":
-        out["emotion"] = np.array([emotion_id(r.emotion) for r in d.records], dtype=np.int64)
+    for name in _LABEL_FIELDS[task]:
+        if name == "emotion":
+            out[name] = np.array([emotion_id(r.emotion) for r in d.records], dtype=np.int64)
+        else:
+            out[name] = np.array([getattr(r, name) for r in d.records], dtype=np.float64)
     return out
 
 
@@ -315,8 +324,8 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     cfg.validate()
     if not dev_set.records:
         raise ValidationError("dev set is empty: it is needed to pick the best epoch")
-    _require_labels(train_set, cfg.task, "train")
-    _require_labels(dev_set, cfg.task, "dev")
+    require_labels(train_set, _LABEL_FIELDS[cfg.task], "train")
+    require_labels(dev_set, _LABEL_FIELDS[cfg.task], "dev")
     enc_cfg = replace(cfg.encoder, vocab_size=len(vocab), head_kind=_HEAD_KIND[cfg.task])
 
     started = time.perf_counter()

@@ -121,7 +121,7 @@ def test_embedding_gradient_accumulates_repeats():
     table = Node(np.arange(12, dtype=np.float64).reshape(4, 3))
     ids = np.array([[0, 1, 1], [2, 1, 0]])
     tape = Tape()
-    out = ad.embedding(tape, table, ids)
+    out = ad.take(tape, table, ids)
     loss = ad.mean_all(tape, out)
     tape.backward(loss)
     g = 1.0 / out.value.size
@@ -129,21 +129,23 @@ def test_embedding_gradient_accumulates_repeats():
     assert np.allclose(table.grad[3], 0.0)
 
 
-def test_first_rows_and_select_cls():
+def test_take_slice_and_cls_index():
     x = Node(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
     tape = Tape()
-    out = ad.select_cls(tape, x)
+    out = ad.take(tape, x, (slice(None), 0))
     assert out.value.shape == (2, 4)
     loss = ad.mean_all(tape, out)
     tape.backward(loss)
     assert np.count_nonzero(x.grad) == 8
+    assert np.all(x.grad[:, 0] == 1.0 / 8)
     rows = Node(np.arange(10, dtype=np.float64).reshape(5, 2))
     tape = Tape()
-    trimmed = ad.first_rows(tape, rows, 3)
+    trimmed = ad.take(tape, rows, slice(0, 3))
     assert trimmed.value.shape == (3, 2)
     loss = ad.mean_all(tape, trimmed)
     tape.backward(loss)
-    assert np.allclose(rows.grad[3:], 0.0)
+    assert np.all(rows.grad[:3] == 1.0 / 6)
+    assert np.all(rows.grad[3:] == 0.0)
 
 
 def test_layer_norm_gradients_match_fd():
@@ -288,12 +290,12 @@ def test_logsumexp_and_gather_grads():
         tape = Tape()
         node = Node(arr)
         lse = ad.logsumexp_rows(tape, node)
-        picked = ad.gather_rows(tape, node, idx)
+        picked = ad.take(tape, node, (np.arange(4), idx))
         return float(ad.mean_all(tape, ad.sub(tape, lse, picked)).value)
 
     tape = Tape()
     node = Node(x)
-    loss = ad.mean_all(tape, ad.sub(tape, ad.logsumexp_rows(tape, node), ad.gather_rows(tape, node, idx)))
+    loss = ad.mean_all(tape, ad.sub(tape, ad.logsumexp_rows(tape, node), ad.take(tape, node, (np.arange(4), idx))))
     tape.backward(loss)
     fd = scalar_fd(value, x.copy())
     assert np.abs(node.grad - fd).max() < 1e-7

@@ -156,6 +156,25 @@ def test_train_bad_config_is_validation_error(tmp_path, corpora, config, capsys)
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, config", [
+    ("n_layer", {"encoder": {"n_layer": 1}}),
+    ("lr", {"optimizer": {"lr": "fast"}}),
+    ("epochs", {"epochs": "2"}),
+    ("d_model", {"encoder": {"d_model": 32.0}}),
+    ("seed", {"seed": "x"}),
+    ("seed", {"seed": -1}),
+    ("weight_decay", {"optimizer": {"weight_decay": float("inf")}}),
+])
+def test_train_mistyped_config_exits_1(tmp_path, corpora, key, config, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"epochs": 1, **config}), encoding="utf-8")
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--config", cfg_path, "--out", tmp_path / "x", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert key in err
+
+
 def test_train_empty_dev_is_validation_error(tmp_path, corpora, capsys):
     empty_dev = _header_only(corpora / "dev.tsv", tmp_path / "dev.tsv")
     assert run("train", "--train", corpora / "train.tsv", "--dev", empty_dev,

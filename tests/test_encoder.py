@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from miniaffect.nn import autodiff as ad
 from miniaffect.nn.autodiff import Node, Tape
 from miniaffect.nn.encoder import (
     EncoderConfig,
@@ -69,12 +70,20 @@ def test_init_xavier_bounds():
             assert np.abs(params[name]).max() <= bound
 
 
-def test_forward_attention_rows_sum_to_one():
+def test_forward_attention_rows_sum_to_one(monkeypatch):
     params = init_params(TINY, seed=1)
     ids, lengths = batch_inputs()
     sink = []
+    masked_softmax = ad.masked_softmax
+
+    def capture(*args, **kwargs):
+        probs = masked_softmax(*args, **kwargs)
+        sink.append(probs.value.copy())
+        return probs
+
+    monkeypatch.setattr(ad, "masked_softmax", capture)
     tape = Tape()
-    forward(wrap_params(params), TINY, ids, lengths, tape, attn_sink=sink)
+    forward(wrap_params(params), TINY, ids, lengths, tape)
     assert len(sink) == TINY.n_layers
     for probs in sink:
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-10)

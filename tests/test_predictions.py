@@ -45,11 +45,14 @@ def test_classification_round_trip(tmp_path):
     preds = ClassificationPredictions(ids=[f"r{i}" for i in range(4)], scores=scores, labels=labels)
     path = tmp_path / "c.tsv"
     write_predictions(preds, path)
-    loaded = read_predictions(path)
-    assert isinstance(loaded, ClassificationPredictions)
-    assert loaded.ids == preds.ids
-    assert np.array_equal(loaded.scores, scores)
-    assert loaded.labels == labels
+    crlf = tmp_path / "c_crlf.tsv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for p in (path, crlf):
+        loaded = read_predictions(p)
+        assert isinstance(loaded, ClassificationPredictions)
+        assert loaded.ids == preds.ids
+        assert np.array_equal(loaded.scores, scores)
+        assert loaded.labels == labels
 
 
 def test_classification_header_layout():

@@ -5,8 +5,9 @@ is recorded after its inputs exist, the list order is already topological and
 the backward pass is a single reverse sweep. Each entry pairs the output node
 with a closure that routes the output gradient to the input nodes.
 
-All values are float64. Gradients accumulate with ``+=`` so a node feeding
-several consumers collects every contribution.
+All values are float64. A node's first gradient is stored as a copy and
+later ones accumulate with ``+=``, so a node feeding several consumers
+collects every contribution.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ class Node:
 
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # A copy, never g itself: add, reshape and transpose pass views of
+            # their output gradient through, and a later += must not reach it.
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
 
 class Tape:
@@ -187,9 +191,13 @@ def take(tape: Tape, a: Node, index) -> Node:
     out = Node(a.value[index])
 
     def backward(g):
-        acc = np.zeros_like(a.value)
-        np.add.at(acc, index, g)
-        a.accumulate(acc)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.value)
+            np.add.at(a.grad, index, g)
+        else:
+            acc = np.zeros_like(a.value)
+            np.add.at(acc, index, g)
+            a.accumulate(acc)
 
     tape.record(out, backward)
     return out

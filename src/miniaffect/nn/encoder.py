@@ -12,7 +12,8 @@ checkpoint code can stay shape-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from .autodiff import EvalTape, Node, Tape
 HEAD_KINDS = ("regression_single", "regression_dual", "classify7")
 
 Parameters = dict[str, np.ndarray]
+
+# Most float64 parameter values a config may ask for (2 GiB per copy; a
+# training run also holds the moments, gradients and the best snapshot).
+MAX_PARAMS = 2**28
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,16 @@ class EncoderConfig:
             raise ValidationError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         if self.head_kind not in HEAD_KINDS:
             raise ValidationError(f"unknown head_kind {self.head_kind!r}")
+        # Sized from a one-layer manifest so a huge n_layers costs nothing to check.
+        sizes = {name: shape for name, shape, _ in param_shapes(replace(self, n_layers=1))}
+        per_layer = sum(math.prod(s) for name, s in sizes.items() if name.startswith("layers."))
+        total = sum(math.prod(s) for s in sizes.values()) + (self.n_layers - 1) * per_layer
+        if total > MAX_PARAMS:
+            largest = max(sizes, key=lambda name: math.prod(sizes[name]))
+            raise ValidationError(
+                f"encoder config needs {total} parameter values, more than the limit of {MAX_PARAMS}"
+                f" (largest tensor: {largest} {sizes[largest]})"
+            )
 
 
 def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:

@@ -39,8 +39,17 @@ class AdamWConfig:
             raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
+# Elements per block of the in-place update. A block's theta, g, m, v and the
+# two scratch buffers (6 x 128 KB) stay in L2 across the whole ufunc sequence.
+BLOCK = 16384
+
+
 class AdamW:
-    """Optimizer instance owning per-tensor moment state; one per training run."""
+    """Optimizer instance owning per-tensor moment state; one per training run.
+
+    Parameters must be C-contiguous: the update walks each tensor's flat view
+    in blocks of ``BLOCK`` elements and writes theta, m and v in place.
+    """
 
     def __init__(self, cfg: AdamWConfig):
         cfg.validate()
@@ -48,28 +57,54 @@ class AdamW:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._s1 = np.empty(BLOCK)
+        self._s2 = np.empty(BLOCK)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Apply one update in place. Raises on any non-finite gradient."""
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient for tensor {name!r}")
+        # A finite sum proves every entry finite; a huge but finite g can still
+        # overflow its sum, so only then is every entry checked.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, g in grads.items():
+                if not np.isfinite(g.sum()) and not np.isfinite(g).all():
+                    raise ValueError(f"non-finite gradient for tensor {name!r}")
+        for name, theta in params.items():
+            if not theta.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} is not C-contiguous")
         cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
         for name, theta in params.items():
-            g = grads[name]
             if name not in self.m:
-                self.m[name] = np.zeros_like(theta)
-                self.v[name] = np.zeros_like(theta)
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-            if cfg.weight_decay != 0.0:
-                update = update + cfg.lr * cfg.weight_decay * theta
-            theta -= update
+                self.m[name] = np.zeros(theta.shape)
+                self.v[name] = np.zeros(theta.shape)
+            flat = theta.reshape(-1)
+            g_flat = grads[name].reshape(-1)
+            m_flat = self.m[name].reshape(-1)
+            v_flat = self.v[name].reshape(-1)
+            for start in range(0, flat.size, BLOCK):
+                block = slice(start, start + BLOCK)
+                th, g, m, v = flat[block], g_flat[block], m_flat[block], v_flat[block]
+                s1, s2 = self._s1[: th.size], self._s2[: th.size]
+                # The operations and operand order of the whole-tensor numpy
+                # expressions (tests/oracles.py ReferenceAdamW), so every
+                # result is bit-identical to them.
+                m *= b1
+                np.multiply(g, 1.0 - b1, out=s1)
+                m += s1
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=s1)
+                s1 *= g
+                v += s1
+                np.divide(m, bc1, out=s1)
+                s1 *= lr
+                np.divide(v, bc2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                s1 /= s2
+                if cfg.weight_decay != 0.0:
+                    np.multiply(th, lr * cfg.weight_decay, out=s2)
+                    s1 += s2
+                th -= s1

@@ -12,6 +12,7 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .data import Dataset, read_lines
 from .errors import FormatError, ValidationError
@@ -57,6 +58,11 @@ class Vocab:
 
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
+
+    @cached_property
+    def sha256(self) -> str:
+        """sha256 of the serialized table, computed on first use; the table must not change after that."""
+        return hashlib.sha256(serialize_vocab(self).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -154,5 +160,5 @@ def load_vocab(path) -> Vocab:
 
 
 def vocab_hash(vocab: Vocab) -> str:
-    """sha256 of the serialized table; checkpoints pin this."""
-    return hashlib.sha256(serialize_vocab(vocab).encode("utf-8")).hexdigest()
+    """sha256 of the serialized table, computed once per Vocab; checkpoints pin this."""
+    return vocab.sha256

@@ -8,6 +8,7 @@ identical inputs reproduce the best checkpoint bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -26,6 +27,7 @@ from .nn.encoder import (
     forward,
     head_apply,
     init_params,
+    param_shapes,
     run_model,
     wrap_params,
 )
@@ -333,6 +335,12 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     dev_ids, dev_lengths = encode_dataset(dev_set, vocab, enc_cfg.max_len)
     targets = _targets(train_set, cfg.task)
     dev_targets = _targets(dev_set, cfg.task)
+    for name, gold in dev_targets.items():
+        if name != "emotion" and (gold.size < 2 or np.all(gold == gold[0])):
+            raise ValidationError(
+                f"dev {name!r} scores are constant over {gold.size} record(s):"
+                " the pearson correlation that picks the best epoch is undefined"
+            )
 
     params = init_params(enc_cfg, cfg.seed)
     optimizer = AdamW(cfg.optimizer)
@@ -516,17 +524,27 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[16:header_end].decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
         manifest = header["tensors"]
+        shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
+    needed = {name: shape for name, shape, _ in param_shapes(config.encoder)}
+    if shapes != needed:
+        for name, shape in needed.items():
+            if name not in shapes:
+                raise FormatError(f"{path}: checkpoint lacks tensor {name!r}, which its config needs")
+            if shapes[name] != shape:
+                raise FormatError(f"{path}: tensor {name!r} has shape {shapes[name]}, its config needs {shape}")
+        extra = min(shapes.keys() - needed.keys())
+        raise FormatError(f"{path}: tensor {extra!r} is not part of the model its config describes")
 
-    data = raw[header_end:]
-    expected = sum(int(np.prod(entry["shape"])) * 8 for entry in manifest)
+    data = memoryview(raw)[header_end:]
+    expected = sum(math.prod(shape) * 8 for shape in shapes.values())
     if len(data) != expected:
         raise FormatError(f"{path}: tensor section is {len(data)} bytes, expected {expected}")
     params: Parameters = {}
     for entry in manifest:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 8
+        shape = shapes[entry["name"]]
+        nbytes = math.prod(shape) * 8
         start = entry["offset"]
         chunk = data[start : start + nbytes]
         if len(chunk) != nbytes:

@@ -77,3 +77,40 @@ def reference_adam_step(theta, g, m, v, t, lr, beta1, beta2, eps):
     v_hat = v / (1 - beta2**t)
     theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
     return theta, m, v
+
+
+class ReferenceAdamW:
+    """AdamW as one whole-tensor numpy expression per term, a fresh temporary for each.
+
+    The optimizer's blocked in-place update must match this bit for bit.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.t = 0
+        self.m = {}
+        self.v = {}
+
+    def step(self, params, grads):
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient for tensor {name!r}")
+        cfg = self.cfg
+        self.t += 1
+        bc1 = 1.0 - cfg.beta1**self.t
+        bc2 = 1.0 - cfg.beta2**self.t
+        for name, theta in params.items():
+            g = grads[name]
+            if name not in self.m:
+                self.m[name] = np.zeros_like(theta)
+                self.v[name] = np.zeros_like(theta)
+            m = self.m[name]
+            v = self.v[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            if cfg.weight_decay != 0.0:
+                update = update + cfg.lr * cfg.weight_decay * theta
+            theta -= update

@@ -377,3 +377,56 @@ def test_fanout_accumulates_gradients():
     loss = ad.mean_all(tape, ad.add(tape, a, b))
     tape.backward(loss)
     assert np.allclose(x.grad, [8.0])
+
+
+def _zero_then_add(node, g):
+    """Node.accumulate as a zeroed buffer plus +=, the reference for the first-write copy."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad += g
+
+
+def _fanout_graph():
+    """Grads of x through add(x, x) and of y through two view-passing consumers."""
+    rng = np.random.default_rng(13)
+    c1, c2 = rng.standard_normal((3, 4)), rng.standard_normal((4, 3))
+    tape = Tape()
+    x = Node(rng.standard_normal((3, 4)))
+    y = Node(rng.standard_normal((3, 4)))
+    doubled = ad.add(tape, x, x)
+    r = ad.reshape(tape, y, (4, 3))
+    t = ad.transpose(tape, y, (1, 0))
+    loss = ad.add(
+        tape,
+        ad.mean_all(tape, ad.mul(tape, doubled, c1)),
+        ad.mean_all(tape, ad.add(tape, ad.mul(tape, r, c2), ad.mul(tape, t, c2))),
+    )
+    tape.backward(loss)
+    return [x, y, doubled, r, t]
+
+
+def test_first_write_grads_match_zero_then_add_without_aliasing(monkeypatch):
+    nodes = _fanout_graph()
+    with monkeypatch.context() as m:
+        m.setattr(Node, "accumulate", _zero_then_add)
+        reference = _fanout_graph()
+    for node, ref in zip(nodes, reference):
+        assert np.array_equal(node.grad, ref.grad)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_take_into_node_with_grad_accumulates_repeats():
+    table = Node(np.arange(12, dtype=np.float64).reshape(4, 3))
+    ids = np.array([0, 1, 1, 3, 1])
+    scale = np.full((4, 3), 2.0)
+    tape = Tape()
+    picked = ad.take(tape, table, ids)
+    # recorded after the take, so its backward writes table.grad first
+    scaled = ad.mul(tape, table, scale)
+    tape.backward(ad.add(tape, ad.mean_all(tape, picked), ad.mean_all(tape, scaled)))
+    expected = np.full((4, 3), 2.0 / 12)
+    expected += np.array([1, 3, 0, 1])[:, None] * (1.0 / 15)
+    assert np.allclose(table.grad, expected, rtol=0, atol=1e-15)
+    assert np.array_equal(table.grad[2], np.full(3, 2.0 / 12))

@@ -6,6 +6,7 @@ import pytest
 from miniaffect.cli import main
 from miniaffect.data import EMOTIONS, load_task_tsv, save_dataset, serialize_dataset
 from miniaffect.predictions import read_predictions
+from miniaffect.train import load_checkpoint, save_checkpoint
 
 from corpus import keyword_classification_corpus, tiny_encoder_kwargs
 
@@ -164,6 +165,7 @@ def test_train_bad_config_is_validation_error(tmp_path, corpora, config, capsys)
     ("seed", {"seed": "x"}),
     ("seed", {"seed": -1}),
     ("weight_decay", {"optimizer": {"weight_decay": float("inf")}}),
+    ("pos_emb", {"encoder": {"max_len": 100000000000}}),
 ])
 def test_train_mistyped_config_exits_1(tmp_path, corpora, key, config, capsys):
     cfg_path = tmp_path / "bad.json"
@@ -192,6 +194,25 @@ def test_predict_empty_input_is_validation_error(tmp_path, corpora, capsys):
     assert run("predict", "--model", out / "model.ckpt", "--vocab", out / "vocab.tsv",
                "--input", empty, "--split", "train", "--out", tmp_path / "preds", "--quiet") == 1
     assert "empty dataset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tensor, edit", [
+    ("head.w", lambda params: params.pop("head.w")),
+    ("pos_emb", lambda params: params.update(pos_emb=params["pos_emb"][:10])),
+], ids=["missing_head_w", "pos_emb_cut_to_10_rows"])
+def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, tensor, edit, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+    ckpt = load_checkpoint(out / "model.ckpt")
+    edit(ckpt.params)
+    save_checkpoint(ckpt, out / "bad.ckpt")
+    assert run("predict", "--model", out / "bad.ckpt", "--vocab", out / "vocab.tsv",
+               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert repr(tensor) in err
 
 
 def test_train_seed_defaulting_noted(tmp_path, corpora):

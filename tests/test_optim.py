@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from miniaffect.optim import AdamW, AdamWConfig
+from miniaffect.optim import BLOCK, AdamW, AdamWConfig
 
-from oracles import reference_adam_step
+from oracles import ReferenceAdamW, reference_adam_step
 
 
 def test_defaults_match_training_setup():
@@ -116,3 +116,55 @@ def test_update_magnitude_bound():
         v_hat = opt.v["w"] / (1 - cfg.beta2**opt.t)
         bound = cfg.lr * np.abs(m_hat) / (np.sqrt(v_hat) + cfg.eps) + cfg.lr * cfg.weight_decay * np.abs(before)
         assert np.all(np.abs(params["w"] - before) <= bound + 1e-15)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_blocked_step_matches_reference_bit_for_bit(weight_decay):
+    shapes = {"tok_emb": (5509, 64), "bias": (3,)}
+    assert 5509 * 64 > 2 * BLOCK and (5509 * 64) % BLOCK != 0  # several blocks, ragged tail
+    rng = np.random.default_rng(11)
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    ref_params = {name: arr.copy() for name, arr in params.items()}
+    cfg = AdamWConfig(lr=1e-3, weight_decay=weight_decay)
+    opt, ref = AdamW(cfg), ReferenceAdamW(cfg)
+    for _ in range(5):
+        grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        opt.step(params, grads)
+        ref.step(ref_params, {name: g.copy() for name, g in grads.items()})
+        for name in shapes:
+            assert np.array_equal(params[name], ref_params[name])
+            assert np.array_equal(opt.m[name], ref.m[name])
+            assert np.array_equal(opt.v[name], ref.v[name])
+    assert opt.t == ref.t == 5
+
+
+def test_huge_finite_gradient_is_accepted():
+    # the sum overflows to inf although every entry is finite
+    params = {"w": np.zeros(2)}
+    AdamW(AdamWConfig(lr=1e-3)).step(params, {"w": np.array([1e308, 1e308])})
+    assert np.all(np.isfinite(params["w"]))
+
+
+def test_nan_deep_in_multiblock_tensor_leaves_state_unchanged():
+    rng = np.random.default_rng(12)
+    shapes = {"small": (3,), "big": (3 * BLOCK + 5,)}
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    opt = AdamW(AdamWConfig(lr=1e-3, weight_decay=0.01))
+    opt.step(params, {name: rng.standard_normal(shape) for name, shape in shapes.items()})
+    before = [{name: d[name].copy() for name in shapes} for d in (params, opt.m, opt.v)]
+    grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    grads["big"][2 * BLOCK + 7] = np.nan
+    with pytest.raises(ValueError, match="big"):
+        opt.step(params, grads)
+    assert opt.t == 1
+    for saved, now in zip(before, (params, opt.m, opt.v)):
+        for name in shapes:
+            assert np.array_equal(saved[name], now[name])
+
+
+def test_non_contiguous_parameter_rejected():
+    params = {"w": np.zeros((4, 3)).T}
+    opt = AdamW(AdamWConfig(lr=1e-3))
+    with pytest.raises(ValueError, match="contiguous"):
+        opt.step(params, {"w": np.ones((3, 4))})
+    assert opt.t == 0 and not opt.m

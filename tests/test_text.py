@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+import miniaffect.text as text_module
 from miniaffect.data import Dataset, EssayRecord
 from miniaffect.errors import FormatError, ValidationError
 from miniaffect.text import (
@@ -132,6 +135,24 @@ def test_vocab_hash_changes_with_content():
     a = build_vocab(corpus("alpha beta"))
     b = build_vocab(corpus("alpha gamma"))
     assert vocab_hash(a) != vocab_hash(b)
+
+
+def test_vocab_hash_computed_once_per_vocab(tmp_path, monkeypatch):
+    serialized = []
+
+    def counting_serialize(vocab):
+        serialized.append(1)
+        return serialize_vocab(vocab)
+
+    monkeypatch.setattr(text_module, "serialize_vocab", counting_serialize)
+    vocab = build_vocab(corpus("alpha beta gamma alpha"))
+    save_vocab(vocab, tmp_path / "vocab.tsv")
+    loaded = load_vocab(tmp_path / "vocab.tsv")
+    assert len(serialized) == 1  # save_vocab only: neither build nor load hashes
+    expected = hashlib.sha256(serialize_vocab(vocab).encode("utf-8")).hexdigest()
+    assert vocab_hash(vocab) == vocab_hash(vocab) == expected
+    assert vocab_hash(loaded) == expected
+    assert len(serialized) == 3  # one hash per Vocab object
 
 
 def test_load_vocab_rejects_garbage(tmp_path):

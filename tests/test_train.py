@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import miniaffect.train as train_module
 from miniaffect.data import Dataset, EssayRecord
 from miniaffect.errors import FormatError, ValidationError
 from miniaffect.text import build_vocab
@@ -324,3 +326,14 @@ def test_seed_sweep_needs_two_seeds(emotion_data):
     vocab = build_vocab(train_set)
     with pytest.raises(ValidationError):
         seed_sweep(train_set, dev_set, vocab, tiny_config(epochs=1), seeds=[1])
+
+
+@pytest.mark.parametrize("task, field", [("empathy", "empathy"), ("multitask", "distress")])
+def test_constant_dev_gold_rejected_before_any_forward(regression_data, monkeypatch, task, field):
+    train_set, dev_set = regression_data
+    flat_dev = Dataset(split="dev", records=[replace(r, **{field: 4.0}) for r in dev_set.records])
+    forwards = []
+    monkeypatch.setattr(train_module, "forward", lambda *args, **kwargs: forwards.append(1))
+    with pytest.raises(ValidationError, match=f"dev '{field}' scores are constant"):
+        train(train_set, flat_dev, build_vocab(train_set), tiny_config(task=task, epochs=1))
+    assert forwards == []

@@ -193,11 +193,7 @@ def take(tape: Tape, a: Node, index) -> Node:
     def backward(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
-            np.add.at(a.grad, index, g)
-        else:
-            acc = np.zeros_like(a.value)
-            np.add.at(acc, index, g)
-            a.accumulate(acc)
+        np.add.at(a.grad, index, g)
 
     tape.record(out, backward)
     return out

@@ -61,7 +61,7 @@ class Vocab:
 
     @cached_property
     def sha256(self) -> str:
-        """sha256 of the serialized table, computed on first use; the table must not change after that."""
+        """sha256 of the serialized table, pinned by checkpoints; computed once, so the table must not change after use."""
         return hashlib.sha256(serialize_vocab(self).encode("utf-8")).hexdigest()
 
 
@@ -157,8 +157,3 @@ def load_vocab(path) -> Vocab:
         id_to_token.append(token)
         token_to_id[token] = expected
     return Vocab(token_to_id=token_to_id, id_to_token=id_to_token, max_size=max_size, min_freq=min_freq)
-
-
-def vocab_hash(vocab: Vocab) -> str:
-    """sha256 of the serialized table, computed once per Vocab; checkpoints pin this."""
-    return vocab.sha256

@@ -34,7 +34,7 @@ from .nn.encoder import (
 from .nn.losses import loss_cross_entropy, loss_mse, loss_multitask, softmax
 from .optim import AdamW, AdamWConfig
 from .predictions import ClassificationPredictions, RegressionPredictions
-from .text import Vocab, encode, vocab_hash
+from .text import Vocab, encode
 
 TASKS = ("empathy", "distress", "multitask", "emotion")
 PRESETS = ("paper_faithful", "desk_scale")
@@ -335,8 +335,9 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     dev_ids, dev_lengths = encode_dataset(dev_set, vocab, enc_cfg.max_len)
     targets = _targets(train_set, cfg.task)
     dev_targets = _targets(dev_set, cfg.task)
+    # Only a run with epochs correlates predictions against dev gold.
     for name, gold in dev_targets.items():
-        if name != "emotion" and (gold.size < 2 or np.all(gold == gold[0])):
+        if cfg.epochs and name != "emotion" and (gold.size < 2 or np.all(gold == gold[0])):
             raise ValidationError(
                 f"dev {name!r} scores are constant over {gold.size} record(s):"
                 " the pearson correlation that picks the best epoch is undefined"
@@ -377,7 +378,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     ckpt = Checkpoint(
         version=CHECKPOINT_VERSION,
         config=replace(cfg, encoder=enc_cfg),
-        vocab_hash=vocab_hash(vocab),
+        vocab_hash=vocab.sha256,
         params=best_params,
         best_metric=best_metric,
         best_epoch=best_epoch,
@@ -395,7 +396,7 @@ def predict(
     ``clamp`` clips regression outputs into the [1, 7] score range; raw
     outputs are the default.
     """
-    if vocab_hash(vocab) != ckpt.vocab_hash:
+    if vocab.sha256 != ckpt.vocab_hash:
         raise ValidationError("vocabulary hash does not match the one used to train this checkpoint")
     if not d.records:
         raise ValidationError("cannot predict on an empty dataset")
@@ -527,6 +528,13 @@ def load_checkpoint(path) -> Checkpoint:
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
+    # param_shapes lists 16 tensors per layer, so n_layers is checked against the file before it runs.
+    if type(config.encoder.n_layers) is not int:
+        raise FormatError(f"{path}: n_layers must be an integer, got {config.encoder.n_layers!r}")
+    if 16 * config.encoder.n_layers > len(manifest):
+        raise FormatError(
+            f"{path}: its config has {config.encoder.n_layers} layers, more than its {len(manifest)} tensors hold"
+        )
     needed = {name: shape for name, shape, _ in param_shapes(config.encoder)}
     if shapes != needed:
         for name, shape in needed.items():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,23 +197,33 @@ def test_predict_empty_input_is_validation_error(tmp_path, corpora, capsys):
     assert "empty dataset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tensor, edit", [
-    ("head.w", lambda params: params.pop("head.w")),
-    ("pos_emb", lambda params: params.update(pos_emb=params["pos_emb"][:10])),
-], ids=["missing_head_w", "pos_emb_cut_to_10_rows"])
-def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, tensor, edit, capsys):
+def _with_layers(n_layers):
+    def edit(ckpt):
+        ckpt.config = replace(ckpt.config, encoder=replace(ckpt.config.encoder, n_layers=n_layers))
+    return edit
+
+
+@pytest.mark.parametrize("message, edit", [
+    ("'head.w'", lambda ckpt: ckpt.params.pop("head.w")),
+    ("'pos_emb'", lambda ckpt: ckpt.params.update(pos_emb=ckpt.params["pos_emb"][:10])),
+    ("10000000000 layers", _with_layers(10**10)),
+    ("1000 layers", _with_layers(1000)),
+    ("n_layers must be an integer", _with_layers("2")),
+], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "n_layers_1e10", "n_layers_past_manifest",
+        "n_layers_not_int"])
+def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
                "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
                "--out", out, "--quiet") == 0
     ckpt = load_checkpoint(out / "model.ckpt")
-    edit(ckpt.params)
+    edit(ckpt)
     save_checkpoint(ckpt, out / "bad.ckpt")
     assert run("predict", "--model", out / "bad.ckpt", "--vocab", out / "vocab.tsv",
                "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
-    assert repr(tensor) in err
+    assert message in err
 
 
 def test_train_seed_defaulting_noted(tmp_path, corpora):

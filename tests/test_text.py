@@ -16,7 +16,6 @@ from miniaffect.text import (
     save_vocab,
     serialize_vocab,
     tokenize,
-    vocab_hash,
 )
 
 
@@ -128,13 +127,13 @@ def test_vocab_serialization_round_trip(tmp_path):
     save_vocab(vocab, path)
     loaded = load_vocab(path)
     assert loaded == vocab
-    assert vocab_hash(loaded) == vocab_hash(vocab)
+    assert loaded.sha256 == vocab.sha256
 
 
 def test_vocab_hash_changes_with_content():
     a = build_vocab(corpus("alpha beta"))
     b = build_vocab(corpus("alpha gamma"))
-    assert vocab_hash(a) != vocab_hash(b)
+    assert a.sha256 != b.sha256
 
 
 def test_vocab_hash_computed_once_per_vocab(tmp_path, monkeypatch):
@@ -150,8 +149,8 @@ def test_vocab_hash_computed_once_per_vocab(tmp_path, monkeypatch):
     loaded = load_vocab(tmp_path / "vocab.tsv")
     assert len(serialized) == 1  # save_vocab only: neither build nor load hashes
     expected = hashlib.sha256(serialize_vocab(vocab).encode("utf-8")).hexdigest()
-    assert vocab_hash(vocab) == vocab_hash(vocab) == expected
-    assert vocab_hash(loaded) == expected
+    assert vocab.sha256 == vocab.sha256 == expected
+    assert loaded.sha256 == expected
     assert len(serialized) == 3  # one hash per Vocab object
 
 

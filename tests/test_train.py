@@ -337,3 +337,10 @@ def test_constant_dev_gold_rejected_before_any_forward(regression_data, monkeypa
     with pytest.raises(ValidationError, match=f"dev '{field}' scores are constant"):
         train(train_set, flat_dev, build_vocab(train_set), tiny_config(task=task, epochs=1))
     assert forwards == []
+
+
+def test_constant_dev_gold_allowed_with_zero_epochs(regression_data):
+    train_set, dev_set = regression_data
+    flat_dev = Dataset(split="dev", records=[replace(r, empathy=4.0) for r in dev_set.records])
+    ckpt, report = train(train_set, flat_dev, build_vocab(train_set), tiny_config(task="empathy", epochs=0))
+    assert report.best_metric is None and ckpt.best_epoch is None

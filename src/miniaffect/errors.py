@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the config field check that raises them."""
 
+import functools
 import math
 import numbers
 import typing
@@ -26,13 +27,19 @@ class RowError(ValidationError):
 _EXPECTED = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number")}
 
 
+# Resolving the annotations costs far more than checking them, so it runs once per dataclass.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def check_field_types(cfg) -> None:
     """Raise ValidationError for the first field of config dataclass ``cfg`` that mismatches its annotation."""
-    hints = typing.get_type_hints(type(cfg))
+    hints = _type_hints(type(cfg))
     for f in fields(cfg):
         kind = hints[f.name]
-        allowed, what = _EXPECTED.get(kind, (kind, f"a {kind.__name__}"))
         value = getattr(cfg, f.name)
+        if type(value) is kind and (kind is not float or math.isfinite(value)):
+            continue  # the usual case, decided without the slower abstract-class checks below
+        allowed, what = _EXPECTED.get(kind, (kind, f"a {kind.__name__}"))
         if (
             not isinstance(value, allowed)
             or (isinstance(value, bool) and kind is not bool)

@@ -266,12 +266,18 @@ def masked_softmax(tape: Tape, scores: Node, key_mask: np.ndarray, scale: float)
     return out
 
 
-def dropout(tape: Tape, x: Node, rate: float) -> Node:
-    """Inverted dropout; requires the tape to carry an rng."""
+def dropout(tape: Tape, x: Node, rate: float, shape: tuple[int, ...] | None = None) -> Node:
+    """Inverted dropout; requires the tape to carry an rng.
+
+    The noise is drawn at ``shape`` (default: x's own) and its leading corner
+    of x's shape is used, so a forward that keeps only the first rows of a
+    tensor consumes the same rng stream as one that keeps them all.
+    """
     if tape.rng is None:
         raise ValueError("dropout requires a Tape constructed with an rng")
     keep = 1.0 - rate
-    mask = (tape.rng.random(x.value.shape) < keep) / keep
+    noise = tape.rng.random(x.value.shape if shape is None else shape)
+    mask = (noise[tuple(slice(0, n) for n in x.value.shape)] < keep) / keep
     out = Node(x.value * mask)
 
     def backward(g):

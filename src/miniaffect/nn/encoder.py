@@ -3,8 +3,9 @@
 Architecture: learned token + position embeddings, then n_layers of pre-norm
 blocks (multi-head self-attention with PAD masking, residual; GELU feed-forward,
 residual), a final layer norm, and the position-0 (CLS) hidden state as the
-sequence summary. Heads map that vector to one scalar (regression_single), two
-independent scalars (regression_dual) or 7 class logits (classify7).
+sequence summary; the last block computes only that CLS row. Heads map that
+vector to one scalar (regression_single), two independent scalars
+(regression_dual) or 7 class logits (classify7).
 
 Parameters live in a plain name -> float64 ndarray dict so the optimizer and
 checkpoint code can stay shape-agnostic.
@@ -59,7 +60,8 @@ class EncoderConfig:
         if total > MAX_PARAMS:
             largest = max(sizes, key=lambda name: math.prod(sizes[name]))
             raise ValidationError(
-                f"encoder config needs {total} parameter values, more than the limit of {MAX_PARAMS}"
+                f"encoder config needs {total} parameter values for {self.n_layers} layers,"
+                f" more than the limit of {MAX_PARAMS}"
                 f" (largest tensor: {largest} {sizes[largest]})"
             )
 
@@ -152,9 +154,14 @@ def forward(
     masked out of every attention row, so positions beyond the longest real
     token cannot influence any output and dropping them is exact.
 
+    The last layer computes only the CLS row. Its keys and values still span
+    every position, but no output reads any other row of its queries,
+    attention, feed-forward or final norm, so dropping them is exact too.
+
     With train_mode, dropout (rate cfg.dropout_rate) is applied to the embedding
     sum, the attention probabilities and each sublayer output, drawing noise
-    from the tape's rng.
+    from the tape's rng. The noise is always drawn at full width, so the
+    CLS-only last layer consumes the same rng stream as a full-width one.
     """
     batch, width = ids.shape
     if width != cfg.max_len:
@@ -165,8 +172,8 @@ def forward(
 
     drop = train_mode and cfg.dropout_rate > 0.0
 
-    def dropped(node: Node) -> Node:
-        return ad.dropout(tape, node, cfg.dropout_rate) if drop else node
+    def dropped(node: Node, shape=(batch, seq_len, cfg.d_model)) -> Node:
+        return ad.dropout(tape, node, cfg.dropout_rate, shape) if drop else node
 
     x = ad.add(
         tape,
@@ -179,25 +186,29 @@ def forward(
     d_head = cfg.d_model // n_heads
     scale = 1.0 / np.sqrt(d_head)
     attn_mask = key_mask[:, None, None, :]  # broadcast over heads and query rows
+    cls_row = (slice(None), slice(0, 1))
+
+    def split_heads(node: Node) -> Node:
+        r = ad.reshape(tape, node, (batch, node.value.shape[1], n_heads, d_head))
+        return ad.transpose(tape, r, (0, 2, 1, 3))  # [batch, heads, rows, d_head]
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         h = ad.layer_norm(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
-
-        def split_heads(node: Node) -> Node:
-            r = ad.reshape(tape, node, (batch, seq_len, n_heads, d_head))
-            return ad.transpose(tape, r, (0, 2, 1, 3))  # [batch, heads, seq, d_head]
-
-        q = split_heads(ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"]))
         k = split_heads(ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"]))
         v = split_heads(ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"]))
+        if i == cfg.n_layers - 1:
+            # Keys and values above span every row; from the queries on, only the CLS row.
+            x = ad.take(tape, x, cls_row)
+            h = ad.take(tape, h, cls_row)
+        q = split_heads(ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"]))
 
         scores = ad.matmul(tape, q, ad.transpose(tape, k, (0, 1, 3, 2)))
         probs = ad.masked_softmax(tape, scores, attn_mask, scale)
-        probs = dropped(probs)
+        probs = dropped(probs, (batch, n_heads, seq_len, seq_len))
 
         ctx = ad.transpose(tape, ad.matmul(tape, probs, v), (0, 2, 1, 3))
-        ctx = ad.reshape(tape, ctx, (batch, seq_len, cfg.d_model))
+        ctx = ad.reshape(tape, ctx, x.value.shape)
         attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
         x = ad.add(tape, x, attn_out)
 

@@ -528,9 +528,16 @@ def load_checkpoint(path) -> Checkpoint:
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
-    # param_shapes lists 16 tensors per layer, so n_layers is checked against the file before it runs.
-    if type(config.encoder.n_layers) is not int:
-        raise FormatError(f"{path}: n_layers must be an integer, got {config.encoder.n_layers!r}")
+    try:
+        config.validate()
+    except ValidationError as exc:
+        raise FormatError(f"{path}: invalid config echo: {exc}") from None
+    if config.encoder.head_kind != _HEAD_KIND[config.task]:
+        raise FormatError(
+            f"{path}: head_kind {config.encoder.head_kind!r} does not fit task {config.task!r}"
+        )
+    # param_shapes lists 16 tensors per layer; a valid config can still ask for
+    # millions of tiny layers, so n_layers is checked against the file first.
     if 16 * config.encoder.n_layers > len(manifest):
         raise FormatError(
             f"{path}: its config has {config.encoder.n_layers} layers, more than its {len(manifest)} tensors hold"

@@ -8,6 +8,10 @@ import math
 
 import numpy as np
 
+from miniaffect.nn import autodiff as ad
+from miniaffect.nn.autodiff import Node, Tape
+from miniaffect.nn.encoder import EncoderConfig
+
 
 def fd_gradients(loss_fn, params, eps=1e-5):
     """Central finite-difference gradients of loss_fn w.r.t. every tensor."""
@@ -114,3 +118,80 @@ class ReferenceAdamW:
             if cfg.weight_decay != 0.0:
                 update = update + cfg.lr * cfg.weight_decay * theta
             theta -= update
+
+
+def full_width_forward(
+    pnodes: dict[str, Node],
+    cfg: EncoderConfig,
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    tape: Tape,
+    train_mode: bool = False,
+) -> Node:
+    """Encode a [batch, max_len] id matrix to per-example CLS vectors [batch, d_model].
+
+    The encoder forward as it was before its last layer became CLS-only: every
+    layer runs on all rows. Kept as the reference that the CLS-only forward
+    must match, outputs, gradients and dropout stream alike.
+
+    Internally the batch is trimmed to its longest true length: PAD keys are
+    masked out of every attention row, so positions beyond the longest real
+    token cannot influence any output and dropping them is exact.
+
+    With train_mode, dropout (rate cfg.dropout_rate) is applied to the embedding
+    sum, the attention probabilities and each sublayer output, drawing noise
+    from the tape's rng.
+    """
+    batch, width = ids.shape
+    if width != cfg.max_len:
+        raise ValueError(f"sequence length {width} != configured max_len {cfg.max_len}")
+    seq_len = max(1, int(lengths.max()))
+    ids = ids[:, :seq_len]
+    key_mask = np.arange(seq_len)[None, :] < lengths[:, None]  # [batch, seq]
+
+    drop = train_mode and cfg.dropout_rate > 0.0
+
+    def dropped(node: Node) -> Node:
+        return ad.dropout(tape, node, cfg.dropout_rate) if drop else node
+
+    x = ad.add(
+        tape,
+        ad.take(tape, pnodes["tok_emb"], ids),
+        ad.take(tape, pnodes["pos_emb"], slice(0, seq_len)),
+    )
+    x = dropped(x)
+
+    n_heads = cfg.n_heads
+    d_head = cfg.d_model // n_heads
+    scale = 1.0 / np.sqrt(d_head)
+    attn_mask = key_mask[:, None, None, :]  # broadcast over heads and query rows
+
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}."
+        h = ad.layer_norm(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
+
+        def split_heads(node: Node) -> Node:
+            r = ad.reshape(tape, node, (batch, seq_len, n_heads, d_head))
+            return ad.transpose(tape, r, (0, 2, 1, 3))  # [batch, heads, seq, d_head]
+
+        q = split_heads(ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"]))
+        k = split_heads(ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"]))
+        v = split_heads(ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"]))
+
+        scores = ad.matmul(tape, q, ad.transpose(tape, k, (0, 1, 3, 2)))
+        probs = ad.masked_softmax(tape, scores, attn_mask, scale)
+        probs = dropped(probs)
+
+        ctx = ad.transpose(tape, ad.matmul(tape, probs, v), (0, 2, 1, 3))
+        ctx = ad.reshape(tape, ctx, (batch, seq_len, cfg.d_model))
+        attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
+        x = ad.add(tape, x, attn_out)
+
+        h = ad.layer_norm(tape, x, pnodes[p + "ff_norm.gain"], pnodes[p + "ff_norm.bias"])
+        f = ad.linear(tape, h, pnodes[p + "ff.w1"], pnodes[p + "ff.b1"])
+        f = ad.gelu(tape, f)
+        f = ad.linear(tape, f, pnodes[p + "ff.w2"], pnodes[p + "ff.b2"])
+        x = ad.add(tape, x, dropped(f))
+
+    x = ad.layer_norm(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
+    return ad.take(tape, x, (slice(None), 0))

@@ -197,10 +197,23 @@ def test_predict_empty_input_is_validation_error(tmp_path, corpora, capsys):
     assert "empty dataset" in capsys.readouterr().err
 
 
-def _with_layers(n_layers):
+def _with_config(section=None, **changes):
+    """Edit the checkpoint's config echo: a top-level field, or one in its encoder/optimizer section."""
     def edit(ckpt):
-        ckpt.config = replace(ckpt.config, encoder=replace(ckpt.config.encoder, n_layers=n_layers))
+        top = changes if section is None else {section: replace(getattr(ckpt.config, section), **changes)}
+        ckpt.config = replace(ckpt.config, **top)
     return edit
+
+
+def _with_layers(n_layers):
+    return _with_config("encoder", n_layers=n_layers)
+
+
+def _single_regression_head(ckpt):
+    """A self-consistent regression_single head under the emotion task's config echo."""
+    _with_config("encoder", head_kind="regression_single")(ckpt)
+    ckpt.params["head.w"] = ckpt.params["head.w"][:, :1]
+    ckpt.params["head.b"] = ckpt.params["head.b"][:1]
 
 
 @pytest.mark.parametrize("message, edit", [
@@ -209,8 +222,14 @@ def _with_layers(n_layers):
     ("10000000000 layers", _with_layers(10**10)),
     ("1000 layers", _with_layers(1000)),
     ("n_layers must be an integer", _with_layers("2")),
+    ("not divisible by n_heads 3", _with_config("encoder", n_heads=3)),
+    ("dropout_rate 5.0", _with_config("encoder", dropout_rate=5.0)),
+    ("lr must be positive", _with_config("optimizer", lr=-1.0)),
+    ("epochs must be >= 0", _with_config(epochs=-4)),
+    ("does not fit task 'emotion'", _single_regression_head),
 ], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "n_layers_1e10", "n_layers_past_manifest",
-        "n_layers_not_int"])
+        "n_layers_not_int", "n_heads_not_dividing_d_model", "dropout_rate_5", "lr_negative",
+        "epochs_negative", "head_kind_not_fitting_task"])
 def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",

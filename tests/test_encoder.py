@@ -15,7 +15,7 @@ from miniaffect.nn.encoder import (
 )
 from miniaffect.nn.losses import loss_cross_entropy, loss_mse, loss_multitask
 
-from oracles import fd_gradients, max_relative_error
+from oracles import fd_gradients, full_width_forward, max_relative_error
 
 TINY = EncoderConfig(vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                      max_len=6, dropout_rate=0.0, head_kind="regression_single")
@@ -236,30 +236,44 @@ def test_multitask_encoder_gradient_is_sum_of_task_gradients():
         assert np.abs(g_sum[name] - (g_e[name] + g_d[name])).max() < 1e-10
 
 
-@pytest.mark.parametrize("head_kind", ["regression_single", "regression_dual", "classify7"])
-def test_gradients_match_finite_differences(head_kind):
-    cfg = EncoderConfig(vocab_size=12, d_model=4, n_layers=1, n_heads=2, d_ff=8,
+HEAD_KINDS = ["regression_single", "regression_dual", "classify7"]
+
+
+def head_loss(tape, cfg, out, targets):
+    if cfg.head_kind == "regression_single":
+        return loss_mse(tape, out, targets[0])
+    if cfg.head_kind == "regression_dual":
+        return loss_multitask(tape, out[0], out[1], targets[0], targets[1])
+    return loss_cross_entropy(tape, out, targets[0])
+
+
+def random_targets(head_kind, batch, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "regression_single": (rng.uniform(1, 7, batch),),
+        "regression_dual": (rng.uniform(1, 7, batch), rng.uniform(1, 7, batch)),
+        "classify7": (rng.integers(0, 7, batch),),
+    }[head_kind]
+
+
+# One layer checks the CLS-only last layer alone; two check a full-width layer under it.
+@pytest.mark.parametrize(
+    "head_kind, n_layers",
+    [(kind, 1) for kind in HEAD_KINDS] + [(kind, 2) for kind in HEAD_KINDS],
+    ids=HEAD_KINDS + [f"{kind}-2_layers" for kind in HEAD_KINDS],
+)
+def test_gradients_match_finite_differences(head_kind, n_layers):
+    cfg = EncoderConfig(vocab_size=12, d_model=4, n_layers=n_layers, n_heads=2, d_ff=8,
                         max_len=5, dropout_rate=0.0, head_kind=head_kind)
     params = init_params(cfg, seed=12)
-    rng = np.random.default_rng(13)
     ids, lengths = batch_inputs(seed=13, batch=2, cfg=cfg)
-    targets = {
-        "regression_single": (rng.uniform(1, 7, 2),),
-        "regression_dual": (rng.uniform(1, 7, 2), rng.uniform(1, 7, 2)),
-        "classify7": (rng.integers(0, 7, 2),),
-    }[head_kind]
+    targets = random_targets(head_kind, 2, seed=13)
 
     def build_loss(p):
         tape = Tape()
         pnodes = wrap_params(p)
         cls = forward(pnodes, cfg, ids, lengths, tape, train_mode=True)
-        out = head_apply(pnodes, cfg, cls, tape)
-        if head_kind == "regression_single":
-            node = loss_mse(tape, out, targets[0])
-        elif head_kind == "regression_dual":
-            node = loss_multitask(tape, out[0], out[1], targets[0], targets[1])
-        else:
-            node = loss_cross_entropy(tape, out, targets[0])
+        node = head_loss(tape, cfg, head_apply(pnodes, cfg, cls, tape), targets)
         return node, tape, pnodes
 
     loss_node, tape, pnodes = build_loss(params)
@@ -270,10 +284,38 @@ def test_gradients_match_finite_differences(head_kind):
     assert max_relative_error(ad_grads, fd) < 1e-4
 
 
+@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train_dropout"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("head_kind", HEAD_KINDS)
+def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
+    # Same rng seed on both sides, so in train mode this also pins the dropout stream.
+    cfg = EncoderConfig(vocab_size=20, d_model=8, n_layers=n_layers, n_heads=2, d_ff=16,
+                        max_len=7, dropout_rate=0.3, head_kind=head_kind)
+    params = init_params(cfg, seed=20 + n_layers)
+    ids, lengths = batch_inputs(seed=21, batch=4, cfg=cfg)
+    targets = random_targets(head_kind, 4, seed=22)
+
+    def run(encode):
+        tape = Tape(rng=np.random.Generator(np.random.PCG64(23)))
+        pnodes = wrap_params(params)
+        out = head_apply(pnodes, cfg, encode(pnodes, cfg, ids, lengths, tape, train_mode=train_mode), tape)
+        tape.backward(head_loss(tape, cfg, out, targets))
+        values = [o.value for o in out] if isinstance(out, tuple) else [out.value]
+        return values, collect_grads(pnodes, params)
+
+    values, grads = run(forward)
+    ref_values, ref_grads = run(full_width_forward)
+    for value, ref in zip(values, ref_values):
+        assert np.abs(value - ref).max() < 1e-12
+    for name in params:
+        assert np.abs(grads[name] - ref_grads[name]).max() < 1e-12, name
+
+
 def test_classify7_training_step_tape_node_count():
     # desk_scale shapes: d 64, 2 layers, 4 heads, d_ff 128, max_len 64, dropout
     # on. Every projection is one linear node and the attention scale lives in
     # masked_softmax; re-expanding either into a chain of ops changes this count.
+    # The CLS-only last layer adds its two row takes (of x and of its attn_norm).
     cfg = EncoderConfig(vocab_size=50, head_kind="classify7")
     params = init_params(cfg, seed=0)
     ids, lengths = batch_inputs(seed=9, batch=8, cfg=cfg)
@@ -281,4 +323,4 @@ def test_classify7_training_step_tape_node_count():
     pnodes = wrap_params(params)
     logits = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
     loss_cross_entropy(tape, logits, np.arange(8) % 7)
-    assert len(tape._ops) == 63
+    assert len(tape._ops) == 65

@@ -1,8 +1,11 @@
+import functools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import miniaffect.train as train_module
 from miniaffect.data import Dataset, EssayRecord
@@ -20,6 +23,7 @@ from miniaffect.train import (
 )
 
 from corpus import (
+    FILLER,
     keyword_classification_corpus,
     keyword_regression_corpus,
     tiny_encoder_kwargs,
@@ -344,3 +348,42 @@ def test_constant_dev_gold_allowed_with_zero_epochs(regression_data):
     flat_dev = Dataset(split="dev", records=[replace(r, empathy=4.0) for r in dev_set.records])
     ckpt, report = train(train_set, flat_dev, build_vocab(train_set), tiny_config(task="empathy", epochs=0))
     assert report.best_metric is None and ckpt.best_epoch is None
+
+
+# Essays of 1 to 20 words (max_len 16), so an eval chunk trims to whatever its longest member needs.
+_POOL = [
+    EssayRecord(f"pool-{i}", " ".join(FILLER[(i + j) % len(FILLER)] for j in range(1 + (7 * i) % 20)), None, None, None)
+    for i in range(12)
+]
+
+
+@functools.cache
+def _pool_model(task):
+    if task == "emotion":
+        train_set, dev_set = keyword_classification_corpus(21, "train", 1), keyword_classification_corpus(14, "dev", 2)
+    else:
+        train_set, dev_set = keyword_regression_corpus(18, "train", 3), keyword_regression_corpus(12, "dev", 4)
+    vocab = build_vocab(train_set)
+    ckpt, _ = train(train_set, dev_set, vocab, tiny_config(task=task, epochs=1, seed=11))
+    return ckpt, vocab
+
+
+def _per_essay_outputs(task, records):
+    ckpt, vocab = _pool_model(task)
+    preds = predict(ckpt, Dataset(split="test", records=records), vocab)
+    rows = preds.scores if task == "emotion" else np.column_stack([preds.empathy, preds.distress])
+    return dict(zip(preds.ids, rows))
+
+
+@functools.cache
+def _alone(task, i):
+    return _per_essay_outputs(task, [_POOL[i]])[_POOL[i].id]
+
+
+@pytest.mark.parametrize("task", ["emotion", "multitask"])
+@settings(max_examples=25, deadline=None)
+@given(picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=len(_POOL), unique=True))
+def test_predict_output_independent_of_chunk_mates_and_order(task, picks):
+    outputs = _per_essay_outputs(task, [_POOL[i] for i in picks])
+    for i in picks:
+        assert np.abs(outputs[_POOL[i].id] - _alone(task, i)).max() < 1e-12

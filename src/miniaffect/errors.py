@@ -15,6 +15,10 @@ class FormatError(ValidationError):
     """A file does not match its expected format (header, magic, version...)."""
 
 
+class DivergenceError(ValidationError):
+    """Training produced a non-finite gradient or loss, usually from too high a learning rate."""
+
+
 class RowError(ValidationError):
     """A single data row is invalid. Carries the 1-based line number."""
 

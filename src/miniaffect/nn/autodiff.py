@@ -12,6 +12,8 @@ collects every contribution.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -26,8 +28,8 @@ class Node:
 
     def accumulate(self, g):
         if self.grad is None:
-            # A copy, never g itself: add, reshape and transpose pass views of
-            # their output gradient through, and a later += must not reach it.
+            # A copy, never g itself: add and reshape pass views of their
+            # output gradient through, and a later += must not reach it.
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
@@ -175,17 +177,6 @@ def reshape(tape: Tape, a: Node, shape) -> Node:
     return out
 
 
-def transpose(tape: Tape, a: Node, axes) -> Node:
-    out = Node(a.value.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        a.accumulate(g.transpose(inverse))
-
-    tape.record(out, backward)
-    return out
-
-
 def take(tape: Tape, a: Node, index) -> Node:
     """``a.value[index]`` for any numpy index; the ``np.add.at`` backward accumulates repeats."""
     out = Node(a.value[index])
@@ -244,26 +235,48 @@ def gelu(tape: Tape, x: Node) -> Node:
     return out
 
 
-def masked_softmax(tape: Tape, scores: Node, key_mask: np.ndarray, scale: float) -> Node:
-    """Softmax over the last axis of ``scores * scale``, masked positions forced to 0.
+# Fewest doubles a corner draw must skip between two kept runs before it
+# draws the runs one by one and advances the generator past the rest. Each run
+# costs about 3.5 us of calls, the time PCG64 takes to draw about 1000 doubles.
+MIN_SKIP = 1024
 
-    key_mask broadcasts against scores; True marks attendable positions. Every
-    row must keep at least one attendable key (the CLS position guarantees it).
-    The additive mask is built at key_mask's own (small) shape and every later
-    step runs in place on the one [..., S] probability buffer.
+
+def _corner_noise(rng: np.random.Generator, shape: tuple[int, ...], corner: tuple[int, ...]) -> np.ndarray:
+    """``rng.random(shape)`` cut to its leading ``corner``, leaving rng as the full draw would.
+
+    Generator.random spends one 64-bit PCG64 output per double, so the stretches
+    of the full draw outside the corner can be skipped with
+    ``bit_generator.advance`` when they are long enough to pay for drawing the
+    kept runs one at a time. Other bit generators always draw in full.
     """
-    probs = scores.value * scale
-    probs += np.where(key_mask, 0.0, -np.inf)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    out = Node(probs)
-
-    def backward(g):
-        scores.accumulate(((g - (g * probs).sum(axis=-1, keepdims=True)) * probs) * scale)
-
-    tape.record(out, backward)
+    cut = [axis for axis, (c, n) in enumerate(zip(corner, shape)) if c < n]
+    if not cut:
+        return rng.random(shape)
+    t = cut[-1]  # axes after t are whole, so each index over axes < t keeps one contiguous run
+    inner = math.prod(shape[t + 1 :])
+    if (shape[t] - corner[t]) * inner < MIN_SKIP or not isinstance(rng.bit_generator, np.random.PCG64):
+        return rng.random(shape)[tuple(slice(0, c) for c in corner)]
+    run = corner[t] * inner
+    strides = [math.prod(shape[axis + 1 :]) for axis in range(t)]
+    out = np.empty(corner)
+    bitgen = rng.bit_generator
+    pos = 0
+    for row, index in zip(out.reshape(-1, run), np.ndindex(*corner[:t])):
+        start = sum(i * s for i, s in zip(index, strides))
+        bitgen.advance(start - pos)
+        rng.random(out=row)
+        pos = start + run
+    bitgen.advance(math.prod(shape) - pos)
     return out
+
+
+def _dropout_mask(tape: Tape, rate: float, shape: tuple[int, ...], noise_shape) -> np.ndarray:
+    """Inverted-dropout multipliers (0 or 1/keep) at ``shape``, the leading corner of a ``noise_shape`` draw."""
+    if tape.rng is None:
+        raise ValueError("dropout requires a Tape constructed with an rng")
+    keep = 1.0 - rate
+    noise = _corner_noise(tape.rng, shape if noise_shape is None else noise_shape, shape)
+    return np.divide(noise < keep, keep, out=noise)
 
 
 def dropout(tape: Tape, x: Node, rate: float, shape: tuple[int, ...] | None = None) -> Node:
@@ -273,11 +286,7 @@ def dropout(tape: Tape, x: Node, rate: float, shape: tuple[int, ...] | None = No
     of x's shape is used, so a forward that keeps only the first rows of a
     tensor consumes the same rng stream as one that keeps them all.
     """
-    if tape.rng is None:
-        raise ValueError("dropout requires a Tape constructed with an rng")
-    keep = 1.0 - rate
-    noise = tape.rng.random(x.value.shape if shape is None else shape)
-    mask = (noise[tuple(slice(0, n) for n in x.value.shape)] < keep) / keep
+    mask = _dropout_mask(tape, rate, x.value.shape, shape)
     out = Node(x.value * mask)
 
     def backward(g):
@@ -285,6 +294,75 @@ def dropout(tape: Tape, x: Node, rate: float, shape: tuple[int, ...] | None = No
 
     tape.record(out, backward)
     return out
+
+
+def attention(
+    tape: Tape,
+    q: Node,
+    k: Node,
+    v: Node,
+    key_mask: np.ndarray,
+    scale: float,
+    n_heads: int,
+    rate: float = 0.0,
+    noise_shape: tuple[int, ...] | None = None,
+) -> Node:
+    """Multi-head scaled dot-product attention over PAD-masked keys, recorded as one node.
+
+    q is [B, Sq, d] and k, v are [B, S, d]; each splits its last axis into
+    n_heads heads. key_mask [B, S] is True at attendable keys, and every row
+    must keep at least one (the CLS position guarantees it). The probabilities
+    ``softmax(q k^T * scale)`` get inverted dropout at ``rate`` (drawn from
+    tape.rng like ``dropout``, at ``noise_shape``, default [B, H, Sq, S]) and
+    weight v; the heads are merged back to [B, Sq, d].
+
+    The backward keeps the probabilities P, the dropout mask and
+    Pd = P * mask, but no scores or head-split copies: dV = Pd^T g,
+    dP = (g V^T) * mask, dS = (dP - rowsum(dP * P)) * P * scale, dQ = dS K,
+    dK = dS^T Q.
+    """
+    batch, n_q, d = q.value.shape
+    n_k = k.value.shape[1]
+
+    def heads(a: np.ndarray, rows: int) -> np.ndarray:  # [B, rows, d] -> [B, H, rows, d/H] view
+        return a.reshape(batch, rows, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q.value, n_q), heads(k.value, n_k), heads(v.value, n_k)
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs += np.where(key_mask, 0.0, -np.inf)[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    mask = _dropout_mask(tape, rate, probs.shape, noise_shape) if rate > 0.0 else None
+    dropped = probs if mask is None else probs * mask
+    out = np.empty((batch, n_q, d))
+    np.matmul(dropped, vh, out=heads(out, n_q))
+
+    def backward(g):
+        gh = heads(g, n_q)
+        gv = np.empty_like(v.value)
+        np.matmul(dropped.swapaxes(-1, -2), gh, out=heads(gv, n_k))
+        v.accumulate(gv)
+        ds = gh @ vh.swapaxes(-1, -2)
+        if mask is None:
+            dsp = ds * probs
+        else:
+            ds *= mask
+            dsp = np.multiply(ds, probs, out=dropped)  # dropped is spent once dV is out
+        ds -= dsp.sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        gq = np.empty_like(q.value)
+        np.matmul(ds, kh, out=heads(gq, n_q))
+        q.accumulate(gq)
+        gk = np.empty_like(k.value)
+        np.matmul(ds.swapaxes(-1, -2), qh, out=heads(gk, n_k))
+        k.accumulate(gk)
+
+    result = Node(out)
+    tape.record(result, backward)
+    return result
 
 
 def mean_all(tape: Tape, x: Node) -> Node:

@@ -30,6 +30,11 @@ Parameters = dict[str, np.ndarray]
 # training run also holds the moments, gradients and the best snapshot).
 MAX_PARAMS = 2**28
 
+# Most tensors a config may ask for, about 250 layers. Every tensor costs a
+# manifest entry, an array and per-step optimizer work whatever its size, so
+# millions of tiny layers would pass MAX_PARAMS and still take minutes to build.
+MAX_TENSORS = 2**12
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -55,8 +60,14 @@ class EncoderConfig:
             raise ValidationError(f"unknown head_kind {self.head_kind!r}")
         # Sized from a one-layer manifest so a huge n_layers costs nothing to check.
         sizes = {name: shape for name, shape, _ in param_shapes(replace(self, n_layers=1))}
-        per_layer = sum(math.prod(s) for name, s in sizes.items() if name.startswith("layers."))
-        total = sum(math.prod(s) for s in sizes.values()) + (self.n_layers - 1) * per_layer
+        layer = [math.prod(s) for name, s in sizes.items() if name.startswith("layers.")]
+        tensors = len(sizes) + (self.n_layers - 1) * len(layer)
+        if tensors > MAX_TENSORS:
+            raise ValidationError(
+                f"encoder config needs {tensors} tensors for {self.n_layers} layers,"
+                f" more than the limit of {MAX_TENSORS}"
+            )
+        total = sum(math.prod(s) for s in sizes.values()) + (self.n_layers - 1) * sum(layer)
         if total > MAX_PARAMS:
             largest = max(sizes, key=lambda name: math.prod(sizes[name]))
             raise ValidationError(
@@ -160,8 +171,9 @@ def forward(
 
     With train_mode, dropout (rate cfg.dropout_rate) is applied to the embedding
     sum, the attention probabilities and each sublayer output, drawing noise
-    from the tape's rng. The noise is always drawn at full width, so the
-    CLS-only last layer consumes the same rng stream as a full-width one.
+    from the tape's rng. The CLS-only last layer's noise and the rng state it
+    leaves equal those of a full-width draw cut to the CLS rows, so the stream
+    is the same as a full-width layer's.
     """
     batch, width = ids.shape
     if width != cfg.max_len:
@@ -172,8 +184,8 @@ def forward(
 
     drop = train_mode and cfg.dropout_rate > 0.0
 
-    def dropped(node: Node, shape=(batch, seq_len, cfg.d_model)) -> Node:
-        return ad.dropout(tape, node, cfg.dropout_rate, shape) if drop else node
+    def dropped(node: Node) -> Node:
+        return ad.dropout(tape, node, cfg.dropout_rate, (batch, seq_len, cfg.d_model)) if drop else node
 
     x = ad.add(
         tape,
@@ -182,33 +194,22 @@ def forward(
     )
     x = dropped(x)
 
-    n_heads = cfg.n_heads
-    d_head = cfg.d_model // n_heads
-    scale = 1.0 / np.sqrt(d_head)
-    attn_mask = key_mask[:, None, None, :]  # broadcast over heads and query rows
+    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+    attn_rate = cfg.dropout_rate if drop else 0.0
+    noise_shape = (batch, cfg.n_heads, seq_len, seq_len)
     cls_row = (slice(None), slice(0, 1))
-
-    def split_heads(node: Node) -> Node:
-        r = ad.reshape(tape, node, (batch, node.value.shape[1], n_heads, d_head))
-        return ad.transpose(tape, r, (0, 2, 1, 3))  # [batch, heads, rows, d_head]
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         h = ad.layer_norm(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
-        k = split_heads(ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"]))
-        v = split_heads(ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"]))
+        k = ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"])
+        v = ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"])
         if i == cfg.n_layers - 1:
             # Keys and values above span every row; from the queries on, only the CLS row.
             x = ad.take(tape, x, cls_row)
             h = ad.take(tape, h, cls_row)
-        q = split_heads(ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"]))
-
-        scores = ad.matmul(tape, q, ad.transpose(tape, k, (0, 1, 3, 2)))
-        probs = ad.masked_softmax(tape, scores, attn_mask, scale)
-        probs = dropped(probs, (batch, n_heads, seq_len, seq_len))
-
-        ctx = ad.transpose(tape, ad.matmul(tape, probs, v), (0, 2, 1, 3))
-        ctx = ad.reshape(tape, ctx, x.value.shape)
+        q = ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"])
+        ctx = ad.attention(tape, q, k, v, key_mask, scale, cfg.n_heads, attn_rate, noise_shape)
         attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
         x = ad.add(tape, x, attn_out)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_field_types
+from .errors import DivergenceError, ValidationError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,13 @@ class AdamW:
         self._s2 = np.empty(BLOCK)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Apply one update in place. Raises on any non-finite gradient."""
+        """Apply one update in place. Raises DivergenceError, before any update, on a non-finite gradient."""
         # A finite sum proves every entry finite; a huge but finite g can still
         # overflow its sum, so only then is every entry checked.
         with np.errstate(over="ignore", invalid="ignore"):
             for name, g in grads.items():
                 if not np.isfinite(g.sum()) and not np.isfinite(g).all():
-                    raise ValueError(f"non-finite gradient for tensor {name!r}")
+                    raise DivergenceError(f"non-finite gradient for tensor {name!r}")
         for name, theta in params.items():
             if not theta.flags.c_contiguous:
                 raise ValueError(f"parameter {name!r} is not C-contiguous")

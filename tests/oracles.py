@@ -120,6 +120,73 @@ class ReferenceAdamW:
             theta -= update
 
 
+# The unfused attention ops the encoder used before its attention became one
+# node, kept verbatim as the chain that ad.attention must match bit for bit.
+
+def transpose(tape: Tape, a: Node, axes) -> Node:
+    out = Node(a.value.transpose(axes))
+    inverse = tuple(np.argsort(axes))
+
+    def backward(g):
+        a.accumulate(g.transpose(inverse))
+
+    tape.record(out, backward)
+    return out
+
+
+def masked_softmax(tape: Tape, scores: Node, key_mask: np.ndarray, scale: float) -> Node:
+    """Softmax over the last axis of ``scores * scale``, masked positions forced to 0.
+
+    key_mask broadcasts against scores; True marks attendable positions. Every
+    row must keep at least one attendable key (the CLS position guarantees it).
+    The additive mask is built at key_mask's own (small) shape and every later
+    step runs in place on the one [..., S] probability buffer.
+    """
+    probs = scores.value * scale
+    probs += np.where(key_mask, 0.0, -np.inf)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = Node(probs)
+
+    def backward(g):
+        scores.accumulate(((g - (g * probs).sum(axis=-1, keepdims=True)) * probs) * scale)
+
+    tape.record(out, backward)
+    return out
+
+
+def full_draw_dropout(tape: Tape, x: Node, rate: float, shape: tuple[int, ...] | None = None) -> Node:
+    """Inverted dropout that draws all of ``shape`` and keeps the leading corner of x's shape."""
+    keep = 1.0 - rate
+    noise = tape.rng.random(x.value.shape if shape is None else shape)
+    mask = (noise[tuple(slice(0, n) for n in x.value.shape)] < keep) / keep
+    out = Node(x.value * mask)
+
+    def backward(g):
+        x.accumulate(g * mask)
+
+    tape.record(out, backward)
+    return out
+
+
+def unfused_attention(tape: Tape, q: Node, k: Node, v: Node, key_mask, scale, n_heads, rate=0.0, noise_shape=None):
+    """ad.attention as the chain of 13 nodes (12 without dropout) that it replaces."""
+    batch, n_q, d = q.value.shape
+
+    def split_heads(node: Node) -> Node:
+        r = ad.reshape(tape, node, (batch, node.value.shape[1], n_heads, d // n_heads))
+        return transpose(tape, r, (0, 2, 1, 3))  # [batch, heads, rows, d_head]
+
+    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+    scores = ad.matmul(tape, qh, transpose(tape, kh, (0, 1, 3, 2)))
+    probs = masked_softmax(tape, scores, key_mask[:, None, None, :], scale)
+    if rate > 0.0:
+        probs = full_draw_dropout(tape, probs, rate, noise_shape)
+    ctx = transpose(tape, ad.matmul(tape, probs, vh), (0, 2, 1, 3))
+    return ad.reshape(tape, ctx, (batch, n_q, d))
+
+
 def full_width_forward(
     pnodes: dict[str, Node],
     cfg: EncoderConfig,
@@ -130,9 +197,10 @@ def full_width_forward(
 ) -> Node:
     """Encode a [batch, max_len] id matrix to per-example CLS vectors [batch, d_model].
 
-    The encoder forward as it was before its last layer became CLS-only: every
-    layer runs on all rows. Kept as the reference that the CLS-only forward
-    must match, outputs, gradients and dropout stream alike.
+    The encoder forward as it was before its last layer became CLS-only and its
+    attention one node: every layer runs on all rows, through the unfused
+    attention chain and full-width noise draws. Kept as the reference that the
+    forward must match, outputs, gradients and dropout stream alike.
 
     Internally the batch is trimmed to its longest true length: PAD keys are
     masked out of every attention row, so positions beyond the longest real
@@ -152,7 +220,7 @@ def full_width_forward(
     drop = train_mode and cfg.dropout_rate > 0.0
 
     def dropped(node: Node) -> Node:
-        return ad.dropout(tape, node, cfg.dropout_rate) if drop else node
+        return full_draw_dropout(tape, node, cfg.dropout_rate) if drop else node
 
     x = ad.add(
         tape,
@@ -161,29 +229,16 @@ def full_width_forward(
     )
     x = dropped(x)
 
-    n_heads = cfg.n_heads
-    d_head = cfg.d_model // n_heads
-    scale = 1.0 / np.sqrt(d_head)
-    attn_mask = key_mask[:, None, None, :]  # broadcast over heads and query rows
+    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+    rate = cfg.dropout_rate if drop else 0.0
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         h = ad.layer_norm(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
-
-        def split_heads(node: Node) -> Node:
-            r = ad.reshape(tape, node, (batch, seq_len, n_heads, d_head))
-            return ad.transpose(tape, r, (0, 2, 1, 3))  # [batch, heads, seq, d_head]
-
-        q = split_heads(ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"]))
-        k = split_heads(ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"]))
-        v = split_heads(ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"]))
-
-        scores = ad.matmul(tape, q, ad.transpose(tape, k, (0, 1, 3, 2)))
-        probs = ad.masked_softmax(tape, scores, attn_mask, scale)
-        probs = dropped(probs)
-
-        ctx = ad.transpose(tape, ad.matmul(tape, probs, v), (0, 2, 1, 3))
-        ctx = ad.reshape(tape, ctx, (batch, seq_len, cfg.d_model))
+        q = ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"])
+        k = ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"])
+        v = ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"])
+        ctx = unfused_attention(tape, q, k, v, key_mask, scale, cfg.n_heads, rate)
         attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
         x = ad.add(tape, x, attn_out)
 

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miniaffect.nn import autodiff as ad
 from miniaffect.nn.autodiff import Node, Tape
 
-from oracles import fd_gradients, max_relative_error
+from oracles import fd_gradients, masked_softmax, max_relative_error, transpose, unfused_attention
 
 
 def scalar_fd(fn, x, eps=1e-6):
@@ -111,7 +115,7 @@ def test_reshape_transpose_roundtrip_grad():
     x = rng.standard_normal((2, 3, 4))
     tape = Tape()
     node = Node(x)
-    out = ad.transpose(tape, ad.reshape(tape, node, (2, 2, 3, 2)), (0, 2, 1, 3))
+    out = transpose(tape, ad.reshape(tape, node, (2, 2, 3, 2)), (0, 2, 1, 3))
     loss = ad.mean_all(tape, out)
     tape.backward(loss)
     assert np.allclose(node.grad, np.full_like(x, 1 / x.size))
@@ -187,7 +191,7 @@ def test_masked_softmax_rows_sum_to_one_over_unmasked():
     scores = Node(rng.standard_normal((2, 1, 4, 4)))
     mask = np.array([[True, True, True, False], [True, True, False, False]])[:, None, None, :]
     tape = Tape()
-    probs = ad.masked_softmax(tape, scores, mask, 1.0)
+    probs = masked_softmax(tape, scores, mask, 1.0)
     sums = probs.value.sum(axis=-1)
     assert np.allclose(sums, 1.0, atol=1e-10)
     assert np.all(probs.value[0, :, :, 3] == 0.0)
@@ -203,12 +207,12 @@ def test_masked_softmax_gradient_matches_fd():
 
     def value(arr):
         tape = Tape()
-        probs = ad.masked_softmax(tape, Node(arr), mask, scale)
+        probs = masked_softmax(tape, Node(arr), mask, scale)
         return float(ad.mean_all(tape, ad.mul(tape, probs, weights)).value)
 
     tape = Tape()
     node = Node(x)
-    probs = ad.masked_softmax(tape, node, mask, scale)
+    probs = masked_softmax(tape, node, mask, scale)
     loss = ad.mean_all(tape, ad.mul(tape, probs, weights))
     tape.backward(loss)
     fd = scalar_fd(value, x.copy())
@@ -223,7 +227,7 @@ def test_masked_softmax_matches_unfused_scale_mask_softmax():
     scale = 1.0 / np.sqrt(8.0)  # not a power of two, so operand order shows in the bits
     tape = Tape()
     node = Node(x)
-    probs = ad.masked_softmax(tape, node, mask, scale)
+    probs = masked_softmax(tape, node, mask, scale)
     tape.backward(ad.mean_all(tape, ad.mul(tape, probs, g)))
 
     # Reference: scale, then mask with -inf, then a plain max-shifted softmax.
@@ -321,6 +325,110 @@ def test_dropout_scales_and_masks():
     assert np.all((x.grad != 0) == kept)
 
 
+@pytest.mark.parametrize("shape, corner", [
+    ((8, 4, 64, 64), (8, 4, 1, 64)),
+    ((8, 64, 64), (8, 1, 64)),
+    ((3, 5, 7), (2, 1, 7)),
+    ((3, 5, 7), (3, 5, 2)),
+    ((2, 3, 4, 5), (1, 2, 3, 5)),
+    ((4, 6), (1, 6)),
+    ((5,), (2,)),
+    ((3, 4), (3, 4)),
+])
+@pytest.mark.parametrize("min_skip", [0, ad.MIN_SKIP], ids=["skip_every_gap", "skip_long_gaps"])
+def test_corner_noise_equals_full_draw_and_leaves_the_same_stream(shape, corner, min_skip):
+    full = np.random.Generator(np.random.PCG64(17))
+    cut = np.random.Generator(np.random.PCG64(17))
+    expected = full.random(shape)[tuple(slice(0, n) for n in corner)]
+    with mock.patch.object(ad, "MIN_SKIP", min_skip):
+        got = ad._corner_noise(cut, shape, corner)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(cut.random(4), full.random(4))
+
+
+def test_corner_noise_draws_in_full_without_pcg64():
+    full = np.random.Generator(np.random.MT19937(19))
+    cut = np.random.Generator(np.random.MT19937(19))
+    expected = full.random((8, 4, 64, 64))[:, :, :1]
+    assert np.array_equal(ad._corner_noise(cut, (8, 4, 64, 64), (8, 4, 1, 64)), expected)
+    assert np.array_equal(cut.random(4), full.random(4))
+
+
+def test_corner_noise_skips_only_long_gaps():
+    # The CLS-only layer at max_len 64 skips its unused draws; at 15 tokens the
+    # per-run calls would cost more than the doubles they skip.
+    rng = np.random.Generator(np.random.PCG64(18))
+    assert ad._corner_noise(rng, (8, 4, 64, 64), (8, 4, 1, 64)).base is None  # drawn run by run
+    assert ad._corner_noise(rng, (8, 64, 64), (8, 1, 64)).base is None
+    assert ad._corner_noise(rng, (8, 4, 15, 15), (8, 4, 1, 15)).base is not None  # cut from a full draw
+    assert ad._corner_noise(rng, (8, 15, 64), (8, 1, 64)).base is not None
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_row"])
+def test_attention_gradients_match_fd(cls_only, rate):
+    rng = np.random.default_rng(14)
+    batch, seq, n_heads, d = 3, 5, 2, 6
+    rows = 1 if cls_only else seq
+    params = {
+        "q": rng.standard_normal((batch, rows, d)),
+        "k": rng.standard_normal((batch, seq, d)),
+        "v": rng.standard_normal((batch, seq, d)),
+    }
+    lengths = np.array([5, 3, 1])
+    key_mask = np.arange(seq)[None, :] < lengths[:, None]
+    weights = rng.standard_normal((batch, rows, d))
+
+    def build(arrs):
+        tape = Tape(rng=np.random.Generator(np.random.PCG64(15)))  # the same dropout mask every call
+        nodes = {name: Node(arr) for name, arr in arrs.items()}
+        out = ad.attention(tape, nodes["q"], nodes["k"], nodes["v"], key_mask, 1 / np.sqrt(3), n_heads,
+                           rate, (batch, n_heads, seq, seq))
+        return tape, nodes, ad.mean_all(tape, ad.mul(tape, out, weights))
+
+    tape, nodes, loss = build({name: arr.copy() for name, arr in params.items()})
+    tape.backward(loss)
+    grads = {name: node.grad for name, node in nodes.items()}
+    fd = fd_gradients(lambda p: float(build(p)[2].value), params, eps=1e-6)
+    assert max_relative_error(grads, fd) < 1e-6
+    for b, n in enumerate(lengths):  # masked keys get no weight, so no gradient
+        assert np.all(grads["k"][b, n:] == 0.0) and np.all(grads["v"][b, n:] == 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    batch=st.integers(1, 3),
+    seq=st.integers(1, 6),
+    n_heads=st.integers(1, 3),
+    d_head=st.integers(1, 3),
+    cls_only=st.booleans(),
+    rate=st.sampled_from([0.0, 0.1, 0.5]),
+    min_skip=st.sampled_from([0, ad.MIN_SKIP]),
+    data=st.data(),
+)
+def test_attention_matches_unfused_chain_bit_for_bit(batch, seq, n_heads, d_head, cls_only, rate, min_skip, data):
+    lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    key_mask = np.arange(seq)[None, :] < lengths[:, None]
+    d, rows = n_heads * d_head, 1 if cls_only else seq
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((batch, n, d)) for n in (rows, seq, seq))
+    weights = rng.standard_normal((batch, rows, d))
+    scale = 1.0 / np.sqrt(d_head + 4.0)  # not a power of two, so operand order shows in the bits
+
+    def run(op):
+        tape = Tape(rng=np.random.Generator(np.random.PCG64(seed)))
+        nodes = [Node(arr.copy()) for arr in (q, k, v)]
+        out = op(tape, *nodes, key_mask, scale, n_heads, rate, (batch, n_heads, seq, seq))
+        tape.backward(ad.mean_all(tape, ad.mul(tape, out, weights)))
+        return [out.value] + [node.grad for node in nodes] + [tape.rng.random(3)]
+
+    with mock.patch.object(ad, "MIN_SKIP", min_skip):
+        fused = run(ad.attention)
+    for got, expected in zip(fused, run(unfused_attention)):
+        assert np.array_equal(got, expected)
+
+
 def test_dropout_requires_rng():
     tape = Tape()
     with pytest.raises(ValueError):
@@ -395,7 +503,7 @@ def _fanout_graph():
     y = Node(rng.standard_normal((3, 4)))
     doubled = ad.add(tape, x, x)
     r = ad.reshape(tape, y, (4, 3))
-    t = ad.transpose(tape, y, (1, 0))
+    t = transpose(tape, y, (1, 0))
     loss = ad.add(
         tape,
         ad.mean_all(tape, ad.mul(tape, doubled, c1)),

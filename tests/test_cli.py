@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -221,13 +222,14 @@ def _single_regression_head(ckpt):
     ("'pos_emb'", lambda ckpt: ckpt.params.update(pos_emb=ckpt.params["pos_emb"][:10])),
     ("10000000000 layers", _with_layers(10**10)),
     ("1000 layers", _with_layers(1000)),
+    ("'layers.1.attn_norm.gain'", _with_layers(2)),
     ("n_layers must be an integer", _with_layers("2")),
     ("not divisible by n_heads 3", _with_config("encoder", n_heads=3)),
     ("dropout_rate 5.0", _with_config("encoder", dropout_rate=5.0)),
     ("lr must be positive", _with_config("optimizer", lr=-1.0)),
     ("epochs must be >= 0", _with_config(epochs=-4)),
     ("does not fit task 'emotion'", _single_regression_head),
-], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "n_layers_1e10", "n_layers_past_manifest",
+], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "n_layers_1e10", "n_layers_past_manifest", "n_layers_2_of_1",
         "n_layers_not_int", "n_heads_not_dividing_d_model", "dropout_rate_5", "lr_negative",
         "epochs_negative", "head_kind_not_fitting_task"])
 def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, message, edit, capsys):
@@ -243,6 +245,21 @@ def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, messa
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert message in err
+
+
+def test_train_divergence_exits_1_naming_epoch_batch_and_tensor(tmp_path, capsys):
+    train_path, dev_path, cfg_path = tmp_path / "train.tsv", tmp_path / "dev.tsv", tmp_path / "cfg.json"
+    save_dataset(keyword_classification_corpus(40, "train", 1), train_path)
+    save_dataset(keyword_classification_corpus(14, "dev", 2), dev_path)
+    cfg_path.write_text(json.dumps({"optimizer": {"lr": 1e300}, "epochs": 3}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow on the way there stays silent
+        code = run("train", "--train", train_path, "--dev", dev_path, "--task", "emotion",
+                   "--config", cfg_path, "--out", tmp_path / "out", "--quiet")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "training diverged in epoch 1 of 3, batch 2 of 5: non-finite gradient for tensor 'tok_emb'" in err
 
 
 def test_train_seed_defaulting_noted(tmp_path, corpora):

@@ -1,9 +1,14 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from miniaffect.errors import ValidationError
 from miniaffect.nn import autodiff as ad
 from miniaffect.nn.autodiff import Node, Tape
 from miniaffect.nn.encoder import (
+    MAX_TENSORS,
     EncoderConfig,
     collect_grads,
     forward,
@@ -42,6 +47,21 @@ def test_config_validation():
         EncoderConfig(vocab_size=10, head_kind="regression_triple").validate()
 
 
+def test_config_validation_caps_tensor_count():
+    # 10**7 layers of width 1 stay under MAX_PARAMS, but building them would
+    # take minutes and about 50 GB; validate() refuses them without building.
+    huge = EncoderConfig(vocab_size=50, d_model=1, n_heads=1, d_ff=1, n_layers=10**7)
+    started = time.perf_counter()
+    with pytest.raises(ValidationError, match="10000000 layers"):
+        huge.validate()
+    assert time.perf_counter() - started < 0.1
+    deepest = replace(huge, n_layers=255)
+    deepest.validate()
+    assert len(param_shapes(deepest)) <= MAX_TENSORS < len(param_shapes(replace(deepest, n_layers=256)))
+    with pytest.raises(ValidationError, match="256 layers"):
+        replace(deepest, n_layers=256).validate()
+
+
 def test_init_deterministic_and_seed_sensitive():
     a = init_params(TINY, seed=42)
     b = init_params(TINY, seed=42)
@@ -71,25 +91,31 @@ def test_init_xavier_bounds():
 
 
 def test_forward_attention_rows_sum_to_one(monkeypatch):
-    params = init_params(TINY, seed=1)
-    ids, lengths = batch_inputs()
-    sink = []
-    masked_softmax = ad.masked_softmax
+    # Every attention call of a 2-layer forward (full-width, then CLS-only) is
+    # rerun on its own q, k and key mask with probe values: v all ones gives
+    # outputs of 1 when each probability row sums to one, and v zero on
+    # attendable keys and 1 on masked keys gives exactly 0 when masked keys
+    # carry exactly zero attention.
+    cfg = replace(TINY, n_layers=2)
+    params = init_params(cfg, seed=1)
+    ids, lengths = batch_inputs(cfg=cfg)
+    calls = []
+    attention = ad.attention
 
-    def capture(*args, **kwargs):
-        probs = masked_softmax(*args, **kwargs)
-        sink.append(probs.value.copy())
-        return probs
+    def capture(tape, q, k, v, key_mask, scale, n_heads, *args):
+        calls.append((q, k, v, key_mask, scale, n_heads))
+        return attention(tape, q, k, v, key_mask, scale, n_heads, *args)
 
-    monkeypatch.setattr(ad, "masked_softmax", capture)
-    tape = Tape()
-    forward(wrap_params(params), TINY, ids, lengths, tape)
-    assert len(sink) == TINY.n_layers
-    for probs in sink:
-        assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-10)
-        # masked key positions carry exactly zero attention
-        for b, ln in enumerate(lengths):
-            assert np.all(probs[b, :, :, ln:] == 0.0)
+    monkeypatch.setattr(ad, "attention", capture)
+    forward(wrap_params(params), cfg, ids, lengths, Tape())
+    assert [q.value.shape[1] for q, *_ in calls] == [int(lengths.max()), 1]
+    assert not calls[0][3].all()  # some keys are masked
+    for q, k, v, key_mask, scale, n_heads in calls:
+        ones = attention(Tape(), q, k, Node(np.ones_like(v.value)), key_mask, scale, n_heads)
+        assert np.allclose(ones.value, 1.0, atol=1e-10)
+        masked_keys = np.broadcast_to(~key_mask[:, :, None], v.value.shape).astype(np.float64)
+        zeros = attention(Tape(), q, k, Node(masked_keys), key_mask, scale, n_heads)
+        assert np.all(zeros.value == 0.0)
 
 
 def test_forward_all_pad_after_cls_finite():
@@ -284,13 +310,10 @@ def test_gradients_match_finite_differences(head_kind, n_layers):
     assert max_relative_error(ad_grads, fd) < 1e-4
 
 
-@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train_dropout"])
-@pytest.mark.parametrize("n_layers", [1, 2, 3])
-@pytest.mark.parametrize("head_kind", HEAD_KINDS)
-def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
+def _assert_matches_full_width_reference(head_kind, n_layers, train_mode, max_len=7):
     # Same rng seed on both sides, so in train mode this also pins the dropout stream.
     cfg = EncoderConfig(vocab_size=20, d_model=8, n_layers=n_layers, n_heads=2, d_ff=16,
-                        max_len=7, dropout_rate=0.3, head_kind=head_kind)
+                        max_len=max_len, dropout_rate=0.3, head_kind=head_kind)
     params = init_params(cfg, seed=20 + n_layers)
     ids, lengths = batch_inputs(seed=21, batch=4, cfg=cfg)
     targets = random_targets(head_kind, 4, seed=22)
@@ -301,7 +324,7 @@ def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
         out = head_apply(pnodes, cfg, encode(pnodes, cfg, ids, lengths, tape, train_mode=train_mode), tape)
         tape.backward(head_loss(tape, cfg, out, targets))
         values = [o.value for o in out] if isinstance(out, tuple) else [out.value]
-        return values, collect_grads(pnodes, params)
+        return values + [tape.rng.random(3)], collect_grads(pnodes, params)
 
     values, grads = run(forward)
     ref_values, ref_grads = run(full_width_forward)
@@ -311,11 +334,27 @@ def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
         assert np.abs(grads[name] - ref_grads[name]).max() < 1e-12, name
 
 
+@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train_dropout"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("head_kind", HEAD_KINDS)
+def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
+    _assert_matches_full_width_reference(head_kind, n_layers, train_mode)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_forward_with_skipped_draws_matches_full_width_reference(monkeypatch, n_layers):
+    # At these small shapes the CLS-only layer would cut its noise from full
+    # draws; MIN_SKIP 0 makes it draw only the CLS rows and advance past the rest.
+    monkeypatch.setattr(ad, "MIN_SKIP", 0)
+    _assert_matches_full_width_reference("classify7", n_layers, train_mode=True, max_len=12)
+
+
 def test_classify7_training_step_tape_node_count():
     # desk_scale shapes: d 64, 2 layers, 4 heads, d_ff 128, max_len 64, dropout
-    # on. Every projection is one linear node and the attention scale lives in
-    # masked_softmax; re-expanding either into a chain of ops changes this count.
-    # The CLS-only last layer adds its two row takes (of x and of its attn_norm).
+    # on. Every projection is one linear node and each layer's attention, from
+    # q, k and v to merged heads, is one attention node; re-expanding either
+    # into a chain of ops changes this count. The CLS-only last layer adds its
+    # two row takes (of x and of its attn_norm).
     cfg = EncoderConfig(vocab_size=50, head_kind="classify7")
     params = init_params(cfg, seed=0)
     ids, lengths = batch_inputs(seed=9, batch=8, cfg=cfg)
@@ -323,4 +362,4 @@ def test_classify7_training_step_tape_node_count():
     pnodes = wrap_params(params)
     logits = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
     loss_cross_entropy(tape, logits, np.arange(8) % 7)
-    assert len(tape._ops) == 65
+    assert len(tape._ops) == 41

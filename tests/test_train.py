@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import miniaffect.train as train_module
 from miniaffect.data import Dataset, EssayRecord
-from miniaffect.errors import FormatError, ValidationError
+from miniaffect.errors import DivergenceError, FormatError, ValidationError
+from miniaffect.nn.autodiff import Node
 from miniaffect.text import build_vocab
 from miniaffect.train import (
     TrainConfig,
@@ -341,6 +342,21 @@ def test_constant_dev_gold_rejected_before_any_forward(regression_data, monkeypa
     with pytest.raises(ValidationError, match=f"dev '{field}' scores are constant"):
         train(train_set, flat_dev, build_vocab(train_set), tiny_config(task=task, epochs=1))
     assert forwards == []
+
+
+def test_non_finite_loss_stops_training_naming_epoch_and_batch(emotion_data, monkeypatch):
+    # A loss that is non-finite while every gradient stays finite (here: zero).
+    train_set, dev_set = emotion_data
+    batch_loss = train_module._batch_loss
+    calls = []
+
+    def infinite_third_loss(*args, **kwargs):
+        calls.append(batch_loss(*args, **kwargs))
+        return Node(np.array(np.inf)) if len(calls) == 3 else calls[-1]
+
+    monkeypatch.setattr(train_module, "_batch_loss", infinite_third_loss)
+    with pytest.raises(DivergenceError, match=r"epoch 1 of 2, batch 3 of 3: non-finite training loss"):
+        train(train_set, dev_set, build_vocab(train_set), tiny_config())
 
 
 def test_constant_dev_gold_allowed_with_zero_epochs(regression_data):

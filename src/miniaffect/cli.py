@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .augment import AugmentationSpec, balanced_augment, random_augment
-from .data import class_histogram, load_pool_tsv, load_task_tsv, save_dataset
+from .data import SPLITS, class_histogram, load_pool_tsv, load_task_tsv, save_dataset
 from .ensemble import ensemble_classification, ensemble_regression
 from .errors import ValidationError
 from .metrics import build_report, confusion_csv, histogram_csv
@@ -31,6 +31,8 @@ from .predictions import (
 )
 from .text import build_vocab, load_vocab, save_vocab
 from .train import (
+    PRESETS,
+    TASKS,
     load_checkpoint,
     make_config,
     predict,
@@ -308,6 +310,10 @@ def cmd_report(args) -> None:
     run.finish()
 
 
+# Splits a task TSV can carry; pool files load only through augment.
+_TASK_SPLITS = tuple(split for split in SPLITS if split != "pool")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current directory)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0, noted in the manifest)")
@@ -318,9 +324,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train", required=True, help="training TSV")
     p.add_argument("--dev", required=True, help="development TSV")
-    p.add_argument("--task", choices=["empathy", "distress", "multitask", "emotion"], default=None)
+    p.add_argument("--task", choices=TASKS, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--preset", choices=["paper_faithful", "desk_scale"], default=None)
+    p.add_argument("--preset", choices=PRESETS, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--snapshot-metric", default=None)
     p.add_argument("--no-shuffle", action="store_true", help="disable per-epoch shuffling")
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate a TSV and emit its class histogram")
     p.add_argument("--input", required=True)
-    p.add_argument("--split", choices=["train", "dev", "test", "derived"], default="train")
+    p.add_argument("--split", choices=_TASK_SPLITS, default="train")
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--split", choices=["train", "dev", "test", "derived"], default="test")
+    p.add_argument("--split", choices=_TASK_SPLITS, default="test")
     p.add_argument("--clamp", action="store_true", help="clip regression outputs into [1, 7]")
     _add_common(p)
     p.set_defaults(func=cmd_predict)
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["regression", "classification"], required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--split", choices=["train", "dev", "test", "derived"], default="dev")
+    p.add_argument("--split", choices=_TASK_SPLITS, default="dev")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

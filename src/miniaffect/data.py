@@ -8,12 +8,13 @@ Two line-oriented TSV layouts are understood:
 * pool files    -- required columns ``text`` and ``emotion``; optional ``id``.
 
 Inside the essay/text field a literal tab is written ``\\t``, a newline
-``\\n`` and a backslash ``\\\\``; there is no quoting, so every data row is
-exactly one physical line.
+``\\n``, a carriage return ``\\r`` and a backslash ``\\\\``; there is no
+quoting, so every data row is exactly one physical line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import FormatError, RowError, ValidationError
@@ -84,34 +85,17 @@ class Dataset:
 
 
 def escape_field(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+
+
+_UNESCAPES = {"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}
 
 
 def unescape_field(text: str) -> str:
+    """Inverse of escape_field; a backslash before any other character stays as is."""
     if "\\" not in text:
         return text
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\\" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    return re.sub(r"\\([tnr\\])", lambda m: _UNESCAPES[m.group(1)], text)
 
 
 def _parse_score(raw: str, column: str, line_no: int) -> float | None:
@@ -231,6 +215,8 @@ def serialize_dataset(d: Dataset) -> str:
     for r in d.records:
         if "\t" in r.id or "\n" in r.id:
             raise ValidationError(f"record id {r.id!r} contains a tab or newline")
+        if r.text.strip() == "":
+            raise ValidationError(f"record {r.id!r} has an empty {text_column} text, which no loader accepts")
         row = [r.id, escape_field(r.text)]
         if has_empathy:
             row.append("" if r.empathy is None else repr(float(r.empathy)))
@@ -240,8 +226,10 @@ def serialize_dataset(d: Dataset) -> str:
             row.append("" if r.emotion is None else r.emotion)
         for key in extra_keys:
             value = r.extras.get(key, "")
-            if "\t" in value or "\n" in value:
-                raise ValidationError(f"extras value for {key!r} on record {r.id!r} contains a tab or newline")
+            if "\t" in value or "\n" in value or "\r" in value:
+                raise ValidationError(
+                    f"extras value for {key!r} on record {r.id!r} contains a tab, newline or carriage return"
+                )
             row.append(value)
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"

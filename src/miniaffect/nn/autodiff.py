@@ -28,8 +28,8 @@ class Node:
 
     def accumulate(self, g):
         if self.grad is None:
-            # A copy, never g itself: add and reshape pass views of their
-            # output gradient through, and a later += must not reach it.
+            # A copy, never g itself: add passes its output gradient
+            # through as is, and a later += must not reach it.
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
@@ -107,34 +107,6 @@ def add(tape: Tape, a, b) -> Node:
     return out
 
 
-def sub(tape: Tape, a, b) -> Node:
-    av, bv = _as_value(a), _as_value(b)
-    out = Node(av - bv)
-
-    def backward(g):
-        if isinstance(a, Node):
-            a.accumulate(_unbroadcast(g, av.shape))
-        if isinstance(b, Node):
-            b.accumulate(-_unbroadcast(g, bv.shape))
-
-    tape.record(out, backward)
-    return out
-
-
-def mul(tape: Tape, a, b) -> Node:
-    av, bv = _as_value(a), _as_value(b)
-    out = Node(av * bv)
-
-    def backward(g):
-        if isinstance(a, Node):
-            a.accumulate(_unbroadcast(g * bv, av.shape))
-        if isinstance(b, Node):
-            b.accumulate(_unbroadcast(g * av, bv.shape))
-
-    tape.record(out, backward)
-    return out
-
-
 def matmul(tape: Tape, a: Node, b) -> Node:
     av, bv = _as_value(a), _as_value(b)
     out = Node(av @ bv)
@@ -162,16 +134,6 @@ def linear(tape: Tape, x: Node, w: Node, b: Node) -> Node:
         x.accumulate((g2 @ w.value.T).reshape(xv.shape))
         w.accumulate(flat.T @ g2)
         b.accumulate(g2.sum(axis=0))
-
-    tape.record(out, backward)
-    return out
-
-
-def reshape(tape: Tape, a: Node, shape) -> Node:
-    out = Node(a.value.reshape(shape))
-
-    def backward(g):
-        a.accumulate(g.reshape(a.value.shape))
 
     tape.record(out, backward)
     return out
@@ -376,17 +338,42 @@ def mean_all(tape: Tape, x: Node) -> Node:
     return out
 
 
-def logsumexp_rows(tape: Tape, x: Node) -> Node:
-    """Row-wise log-sum-exp of a [batch, k] node, max-shifted for stability."""
-    xv = x.value
-    m = xv.max(axis=-1, keepdims=True)
-    exp = np.exp(xv - m)
-    total = exp.sum(axis=-1, keepdims=True)
-    out = Node((m + np.log(total)).reshape(xv.shape[:-1]))
-    soft = exp / total
+def mse(tape: Tape, pred: Node, target: np.ndarray) -> Node:
+    """Mean of ``(pred - target) ** 2`` over every entry, recorded as one node."""
+    diff = pred.value - target
+    out = Node((diff * diff).mean())
 
     def backward(g):
-        x.accumulate(g[..., None] * soft)
+        grad = diff * (g / diff.size)
+        grad *= 2.0
+        pred.accumulate(grad)
+
+    tape.record(out, backward)
+    return out
+
+
+def shifted_exp(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(m, e, e.sum(axis))`` with m the max along axis and ``e = exp(x - m)``, so no exp overflows."""
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    return m, e, e.sum(axis=axis, keepdims=True)
+
+
+def cross_entropy(tape: Tape, logits: Node, gold: np.ndarray) -> Node:
+    """Mean over rows of ``logsumexp(logits[i]) - logits[i, gold[i]]``, recorded as one node.
+
+    logits is [batch, k] and gold holds one class index per row. The backward
+    is ``(softmax(logits) - onehot(gold)) / batch``.
+    """
+    rows = np.arange(gold.shape[0])
+    m, e, total = shifted_exp(logits.value)
+    out = Node(((m + np.log(total))[:, 0] - logits.value[rows, gold]).mean())
+
+    def backward(g):
+        scale = g / rows.size
+        grad = e / total * scale
+        grad[rows, gold] -= scale
+        logits.accumulate(grad)
 
     tape.record(out, backward)
     return out

@@ -230,11 +230,10 @@ def head_apply(pnodes: dict[str, Node], cfg: EncoderConfig, cls_vectors: Node, t
     distress Node), each [batch]; classify7 -> Node [batch, 7] of logits.
     Regression outputs are raw and unclipped.
     """
-    batch = cls_vectors.value.shape[0]
 
     def scalar_head(prefix: str) -> Node:
         out = ad.linear(tape, cls_vectors, pnodes[prefix + ".w"], pnodes[prefix + ".b"])
-        return ad.reshape(tape, out, (batch,))
+        return ad.take(tape, out, (slice(None), 0))
 
     if cfg.head_kind == "regression_single":
         return scalar_head("head")

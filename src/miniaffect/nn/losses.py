@@ -10,10 +10,8 @@ from .autodiff import Node, Tape
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax; rows sum to 1 to within accumulated rounding."""
-    scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    _, exp, total = ad.shifted_exp(np.asarray(scores, dtype=np.float64), axis)
+    return exp / total
 
 
 def loss_mse(tape: Tape, pred: Node, target: np.ndarray) -> Node:
@@ -23,8 +21,7 @@ def loss_mse(tape: Tape, pred: Node, target: np.ndarray) -> Node:
         raise ValueError(f"prediction shape {pred.value.shape} != target shape {target.shape}")
     if target.size == 0:
         raise ValueError("empty batch")
-    diff = ad.sub(tape, pred, target)
-    return ad.mean_all(tape, ad.mul(tape, diff, diff))
+    return ad.mse(tape, pred, target)
 
 
 def loss_multitask(tape: Tape, pred_e: Node, pred_d: Node, gold_e: np.ndarray, gold_d: np.ndarray) -> Node:
@@ -33,13 +30,11 @@ def loss_multitask(tape: Tape, pred_e: Node, pred_d: Node, gold_e: np.ndarray, g
 
 
 def loss_cross_entropy(tape: Tape, logits: Node, gold: np.ndarray) -> Node:
-    """Mean negative log-likelihood of the gold classes, via log-sum-exp."""
+    """Mean negative log-likelihood of the gold classes, via max-shifted log-sum-exp."""
     gold = np.asarray(gold)
     if gold.ndim != 1 or logits.value.ndim != 2 or gold.shape[0] != logits.value.shape[0]:
         raise ValueError(f"logits {logits.value.shape} and gold {gold.shape} batch sizes differ")
     n_classes = logits.value.shape[1]
     if gold.size and (gold.min() < 0 or gold.max() >= n_classes):
         raise ValueError(f"gold label outside 0..{n_classes - 1}")
-    lse = ad.logsumexp_rows(tape, logits)
-    picked = ad.take(tape, logits, (np.arange(gold.shape[0]), gold))
-    return ad.mean_all(tape, ad.sub(tape, lse, picked))
+    return ad.cross_entropy(tape, logits, gold)

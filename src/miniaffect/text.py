@@ -109,11 +109,6 @@ def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
     return TokenSequence(ids=tuple(ids), true_length=true_length)
 
 
-def decode(seq: TokenSequence, vocab: Vocab) -> list[str]:
-    """Tokens behind the non-PAD positions after CLS (UNK renders as <unk>)."""
-    return [vocab.id_to_token[i] for i in seq.ids[1 : seq.true_length]]
-
-
 def serialize_vocab(vocab: Vocab) -> str:
     header = json.dumps(
         {

@@ -230,13 +230,11 @@ class TrainReport:
 
 @dataclass
 class Checkpoint:
-    version: int
     config: TrainConfig
     vocab_hash: str
     params: Parameters
     best_metric: float | None
     best_epoch: int | None
-    seed: int
 
 
 def make_batches(d: Dataset, batch_size: int, shuffle: bool, seed: int, epoch: int) -> list[list[int]]:
@@ -276,8 +274,8 @@ def _targets(d: Dataset, task: str) -> dict[str, np.ndarray]:
     return out
 
 
-def _batch_loss(pnodes, enc_cfg, cfg, ids, lengths, targets, idxs, tape, train_mode=True):
-    cls = forward(pnodes, enc_cfg, ids[idxs], lengths[idxs], tape, train_mode=train_mode)
+def _batch_loss(pnodes, enc_cfg, cfg, ids, lengths, targets, idxs, tape):
+    cls = forward(pnodes, enc_cfg, ids[idxs], lengths[idxs], tape, train_mode=True)
     out = head_apply(pnodes, enc_cfg, cls, tape)
     if cfg.task == "empathy":
         return loss_mse(tape, out, targets["empathy"][idxs])
@@ -386,13 +384,11 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     report.wall_time_s = time.perf_counter() - started
 
     ckpt = Checkpoint(
-        version=CHECKPOINT_VERSION,
         config=replace(cfg, encoder=enc_cfg),
         vocab_hash=vocab.sha256,
         params=best_params,
         best_metric=best_metric,
         best_epoch=best_epoch,
-        seed=cfg.seed,
     )
     return ckpt, report
 
@@ -501,12 +497,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         blobs.append(blob)
         offset += len(blob)
     header = {
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "config": ckpt.config.to_dict(),
         "vocab_hash": ckpt.vocab_hash,
         "best_metric": ckpt.best_metric,
         "best_epoch": ckpt.best_epoch,
-        "seed": ckpt.seed,
+        "seed": ckpt.config.seed,
         "tensors": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -534,6 +530,8 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(raw[16:header_end].decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
+        keys = ("vocab_hash", "best_metric", "best_epoch", "seed")
+        vocab_hash, best_metric, best_epoch, seed = (header[key] for key in keys)
         manifest = header["tensors"]
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
@@ -542,6 +540,8 @@ def load_checkpoint(path) -> Checkpoint:
         config.validate()
     except ValidationError as exc:
         raise FormatError(f"{path}: invalid config echo: {exc}") from None
+    if seed != config.seed:
+        raise FormatError(f"{path}: header seed {seed!r} differs from the config echo's seed {config.seed}")
     if config.encoder.head_kind != _HEAD_KIND[config.task]:
         raise FormatError(
             f"{path}: head_kind {config.encoder.head_kind!r} does not fit task {config.task!r}"
@@ -570,11 +570,5 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: truncated tensor {entry['name']!r}")
         params[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
     return Checkpoint(
-        version=version,
-        config=config,
-        vocab_hash=header["vocab_hash"],
-        params=params,
-        best_metric=header["best_metric"],
-        best_epoch=header["best_epoch"],
-        seed=header["seed"],
+        config=config, vocab_hash=vocab_hash, params=params, best_metric=best_metric, best_epoch=best_epoch
     )

@@ -73,6 +73,21 @@ def naive_macro_f1(preds, golds, k):
     return sum(f1s) / k, f1s
 
 
+def loop_unescape(text):
+    """unescape_field as a character loop: backslash before t, n, r or backslash is an escape."""
+    escapes = {"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}
+    out = []
+    i = 0
+    while i < len(text):
+        if text[i] == "\\" and i + 1 < len(text) and text[i + 1] in escapes:
+            out.append(escapes[text[i + 1]])
+            i += 2
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
 def reference_adam_step(theta, g, m, v, t, lr, beta1, beta2, eps):
     """One plain-Adam scalar update, written out the long way."""
     m = beta1 * m + (1 - beta1) * g
@@ -122,6 +137,16 @@ class ReferenceAdamW:
 
 # The unfused attention ops the encoder used before its attention became one
 # node, kept verbatim as the chain that ad.attention must match bit for bit.
+
+def reshape(tape: Tape, a: Node, shape) -> Node:
+    out = Node(a.value.reshape(shape))
+
+    def backward(g):
+        a.accumulate(g.reshape(a.value.shape))
+
+    tape.record(out, backward)
+    return out
+
 
 def transpose(tape: Tape, a: Node, axes) -> Node:
     out = Node(a.value.transpose(axes))
@@ -175,7 +200,7 @@ def unfused_attention(tape: Tape, q: Node, k: Node, v: Node, key_mask, scale, n_
     batch, n_q, d = q.value.shape
 
     def split_heads(node: Node) -> Node:
-        r = ad.reshape(tape, node, (batch, node.value.shape[1], n_heads, d // n_heads))
+        r = reshape(tape, node, (batch, node.value.shape[1], n_heads, d // n_heads))
         return transpose(tape, r, (0, 2, 1, 3))  # [batch, heads, rows, d_head]
 
     qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
@@ -184,7 +209,7 @@ def unfused_attention(tape: Tape, q: Node, k: Node, v: Node, key_mask, scale, n_
     if rate > 0.0:
         probs = full_draw_dropout(tape, probs, rate, noise_shape)
     ctx = transpose(tape, ad.matmul(tape, probs, vh), (0, 2, 1, 3))
-    return ad.reshape(tape, ctx, (batch, n_q, d))
+    return reshape(tape, ctx, (batch, n_q, d))
 
 
 def full_width_forward(

@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 from dataclasses import replace
 
@@ -240,6 +241,34 @@ def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, messa
     ckpt = load_checkpoint(out / "model.ckpt")
     edit(ckpt)
     save_checkpoint(ckpt, out / "bad.ckpt")
+    assert run("predict", "--model", out / "bad.ckpt", "--vocab", out / "vocab.tsv",
+               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert message in err
+
+
+def _edit_header(src, dst, edit):
+    """Copy a checkpoint with ``edit`` applied to its JSON header."""
+    raw = src.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16 : 16 + length])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length :])
+
+
+@pytest.mark.parametrize("message, edit", [
+    *((f"corrupt checkpoint header: '{key}'", lambda header, key=key: header.pop(key))
+      for key in ("vocab_hash", "best_metric", "best_epoch", "seed")),
+    ("header seed 1 differs from the config echo's seed 0", lambda header: header.update(seed=1)),
+], ids=["no_vocab_hash", "no_best_metric", "no_best_epoch", "no_seed", "seed_not_config_seed"])
+def test_predict_checkpoint_header_fault_exits_1(tmp_path, corpora, message, edit, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+    _edit_header(out / "model.ckpt", out / "bad.ckpt", edit)
     assert run("predict", "--model", out / "bad.ckpt", "--vocab", out / "vocab.tsv",
                "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
     err = capsys.readouterr().err

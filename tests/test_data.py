@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from miniaffect.data import (
     EMOTIONS,
@@ -11,10 +16,13 @@ from miniaffect.data import (
     load_pool_tsv,
     load_task_tsv,
     parse_emotion,
+    save_dataset,
     serialize_dataset,
     unescape_field,
 )
 from miniaffect.errors import FormatError, RowError, ValidationError
+
+from oracles import loop_unescape
 
 
 def write(tmp_path, name, text):
@@ -131,6 +139,59 @@ def test_escape_round_trip():
 
 def test_unescape_leaves_unknown_sequences():
     assert unescape_field(r"a\qb") == r"a\qb"
+
+
+# Backslashes, the letters that follow one in an escape, the characters that
+# get escaped, and non-ASCII.
+_ESCAPE_TEXT = st.text(st.sampled_from(["\\", "t", "n", "r", "q", "\t", "\n", "\r", "é", "字"]), max_size=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_ESCAPE_TEXT)
+def test_unescape_matches_character_loop_and_inverts_escape(text):
+    assert unescape_field(text) == loop_unescape(text)
+    assert unescape_field(escape_field(text)) == text
+
+
+def test_unescape_carriage_return():
+    assert escape_field("a\r") == "a\\r"
+    assert unescape_field("a\\r") == "a\r"
+    assert unescape_field("a\\\\r") == "a\\r"
+
+
+_FIELD_CHARS = st.characters(blacklist_categories=("Cs",)) | st.sampled_from(["\\", "\t", "\n", "\r", "t", "n"])
+_record = st.builds(
+    EssayRecord,
+    id=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"), min_size=1, max_size=6),
+    # an essay that is all whitespace is rejected on save and on load
+    text=st.text(_FIELD_CHARS, min_size=1, max_size=24).filter(lambda t: t.strip() != ""),
+    empathy=st.none() | st.floats(1.0, 7.0),
+    distress=st.none() | st.floats(1.0, 7.0),
+    emotion=st.none() | st.sampled_from(EMOTIONS),
+    extras=st.dictionaries(
+        st.sampled_from(["age", "note"]),
+        # an empty extras cell reads back as absent
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), min_size=1, max_size=6),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_record, min_size=1, max_size=5, unique_by=lambda r: r.id), st.sampled_from(["train", "test"]))
+@example([EssayRecord("a", "ends in a carriage return\r")], "test")  # the essay is the row's last cell
+def test_serialize_load_round_trip_property(records, split):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.tsv"
+        save_dataset(Dataset(split, records), path)
+        loaded = load_task_tsv(path, split)
+    assert loaded.records == records
+
+
+def test_serialize_rejects_what_the_loader_would_not_read_back():
+    with pytest.raises(ValidationError, match="carriage return"):
+        serialize_dataset(Dataset("train", [EssayRecord("a", "text", extras={"note": "x\r"})]))
+    with pytest.raises(ValidationError, match="empty essay text"):
+        serialize_dataset(Dataset("train", [EssayRecord("a", " \t\n")]))
 
 
 def test_serialize_load_round_trip(tmp_path):

@@ -349,17 +349,20 @@ def test_forward_with_skipped_draws_matches_full_width_reference(monkeypatch, n_
     _assert_matches_full_width_reference("classify7", n_layers, train_mode=True, max_len=12)
 
 
-def test_classify7_training_step_tape_node_count():
+@pytest.mark.parametrize("head_kind, nodes", [("classify7", 38), ("regression_dual", 43), ("regression_single", 39)])
+def test_training_step_tape_node_count(head_kind, nodes):
     # desk_scale shapes: d 64, 2 layers, 4 heads, d_ff 128, max_len 64, dropout
-    # on. Every projection is one linear node and each layer's attention, from
-    # q, k and v to merged heads, is one attention node; re-expanding either
-    # into a chain of ops changes this count. The CLS-only last layer adds its
-    # two row takes (of x and of its attn_norm).
-    cfg = EncoderConfig(vocab_size=50, head_kind="classify7")
+    # on. Every projection is one linear node, each layer's attention, from
+    # q, k and v to merged heads, is one attention node, and each loss is one
+    # node (plus the add that sums the two MSEs); re-expanding any of them into
+    # a chain of ops changes this count. The CLS-only last layer adds its two
+    # row takes (of x and of its attn_norm), and each scalar head one take of
+    # its single output column.
+    cfg = EncoderConfig(vocab_size=50, head_kind=head_kind)
     params = init_params(cfg, seed=0)
     ids, lengths = batch_inputs(seed=9, batch=8, cfg=cfg)
     tape = Tape(rng=np.random.Generator(np.random.PCG64(0)))
     pnodes = wrap_params(params)
-    logits = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
-    loss_cross_entropy(tape, logits, np.arange(8) % 7)
-    assert len(tape._ops) == 41
+    out = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
+    head_loss(tape, cfg, out, random_targets(head_kind, 8, seed=0))
+    assert len(tape._ops) == nodes

@@ -10,7 +10,6 @@ from miniaffect.text import (
     PAD_ID,
     UNK_ID,
     build_vocab,
-    decode,
     encode,
     load_vocab,
     save_vocab,
@@ -111,14 +110,6 @@ def test_encode_rejects_max_len_below_two():
     vocab = build_vocab(corpus("a"))
     with pytest.raises(ValidationError):
         encode("a", vocab, max_len=1)
-
-
-def test_decode_recovers_in_vocab_tokens():
-    vocab = build_vocab(corpus("the cat sat on the mat !"))
-    seq = encode("The cat sat!", vocab, max_len=10)
-    assert decode(seq, vocab) == ["the", "cat", "sat", "!"]
-    truncated = encode("the cat sat on the mat", vocab, max_len=4)
-    assert decode(truncated, vocab) == ["the", "cat", "sat"]
 
 
 def test_vocab_serialization_round_trip(tmp_path):

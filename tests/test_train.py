@@ -116,7 +116,7 @@ def test_train_zero_epochs_returns_initialization(emotion_data):
     assert ckpt.best_metric is None and ckpt.best_epoch is None
     from miniaffect.nn.encoder import init_params
 
-    fresh = init_params(ckpt.config.encoder, ckpt.seed)
+    fresh = init_params(ckpt.config.encoder, ckpt.config.seed)
     for name in fresh:
         assert np.array_equal(ckpt.params[name], fresh[name])
 

@@ -2,8 +2,9 @@
 
 Every command resolves its configuration (flags > config file > preset
 defaults), runs, and writes a ``manifest.json`` next to its outputs recording
-the resolved config, input file hashes, output paths, seeds and wall time, so
-any reported number can be traced back to its inputs and reproduced.
+the resolved config, input file hashes, output paths, seeds, wall time and the
+software and machine it ran on, so any reported number can be traced back to
+its inputs and reproduced.
 
 Exit codes: 0 success, 1 data/validation error, 2 usage error, 3 internal error.
 """
@@ -13,15 +14,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+
+from . import __version__, blas
 from .augment import AugmentationSpec, balanced_augment, random_augment
 from .data import SPLITS, class_histogram, load_pool_tsv, load_task_tsv, save_dataset
 from .ensemble import ensemble_classification, ensemble_regression
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .metrics import build_report, confusion_csv, histogram_csv
 from .predictions import (
     ClassificationPredictions,
@@ -54,13 +59,34 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
+def _environment() -> dict:
+    """The interpreter, numpy and its BLAS, and the machine a command ran on."""
+    try:
+        blas_build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas_build = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_name": blas_build.get("name"),
+        "blas_version": blas_build.get("version"),
+        # the process default; train and predict run on one thread (see blas.py)
+        "blas_threads": blas.threads(),
+        "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "platform": platform.platform(),
+    }
+
+
 class _Run:
     """Collects manifest fields while a command executes."""
 
     def __init__(self, args, command: str):
         self.command = command
         self.out_dir = Path(args.out)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {self.out_dir}: {exc.strerror}") from None
         self.quiet = args.quiet
         self.started = time.perf_counter()
         self.inputs: dict[str, str] = {}
@@ -71,8 +97,12 @@ class _Run:
         self.notes: dict = {}
 
     def add_input(self, path) -> Path:
+        """Record the file's hash; a missing or unreadable input is a ValidationError naming it."""
         path = Path(path)
-        self.inputs[str(path)] = _sha256(path)
+        try:
+            self.inputs[str(path)] = _sha256(path)
+        except OSError as exc:
+            raise ValidationError(f"cannot read input {path}: {exc.strerror}") from None
         return path
 
     def out_path(self, name: str) -> Path:
@@ -95,6 +125,7 @@ class _Run:
             "seed_defaulted": self.seed_defaulted,
             "notes": self.notes,
             "wall_time_s": time.perf_counter() - self.started,
+            "environment": _environment(),
         }
         _write_text(self.out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -153,7 +184,7 @@ def _load_file_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
@@ -288,12 +319,24 @@ def cmd_seed_sweep(args) -> None:
 _REPORT_COLUMNS = ("pearson_empathy", "pearson_distress", "pearson_avg", "accuracy", "macro_f1")
 
 
+def _load_report(path: Path) -> dict:
+    """An eval report's JSON object; FormatError if it is not JSON, not an object or a metric is not a number."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"report {path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"report {path} must hold a JSON object")
+    for column in _REPORT_COLUMNS:
+        value = payload.get(column)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise FormatError(f"report {path}: {column} must be a number, got {value!r}")
+    return payload
+
+
 def cmd_report(args) -> None:
     run = _Run(args, "report")
-    rows = []
-    for path in args.files:
-        payload = json.loads(Path(run.add_input(path)).read_text(encoding="utf-8"))
-        rows.append((Path(path).stem, payload))
+    rows = [(Path(path).stem, _load_report(run.add_input(path))) for path in args.files]
     columns = [c for c in _REPORT_COLUMNS if any(c in payload for _, payload in rows)]
     lines = ["| run | task | n | " + " | ".join(columns) + " |"]
     lines.append("|" + "---|" * (len(columns) + 3))

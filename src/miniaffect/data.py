@@ -113,8 +113,11 @@ def _parse_score(raw: str, column: str, line_no: int) -> float | None:
 
 def read_lines(path) -> list[str]:
     """A text file's lines without their LF or CRLF endings; no trailing empty line."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        raw = fh.read()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -5,9 +5,12 @@ is recorded after its inputs exist, the list order is already topological and
 the backward pass is a single reverse sweep. Each entry pairs the output node
 with a closure that routes the output gradient to the input nodes.
 
-All values are float64. A node's first gradient is stored as a copy and
-later ones accumulate with ``+=``, so a node feeding several consumers
-collects every contribution.
+All values are float64. A node takes ownership of the first gradient array
+it receives and adds later ones into it with ``+=``, so a node feeding several
+consumers collects every contribution. Each op must therefore hand every
+input an array that nothing else holds or will write: a fresh result, never
+its incoming ``g`` or a view of it (``add`` copies ``g`` when it passes it
+through unchanged).
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ class Node:
 
     def accumulate(self, g):
         if self.grad is None:
-            # A copy, never g itself: add passes its output gradient
-            # through as is, and a later += must not reach it.
-            self.grad = np.array(g, dtype=np.float64)
+            # Kept, not copied: the producer hands over an array no one else
+            # holds (see the module docstring), so a later += reaches only this
+            # node. asarray only wraps the numpy scalar a full reduction yields.
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -98,10 +102,11 @@ def add(tape: Tape, a, b) -> Node:
     out = Node(av + bv)
 
     def backward(g):
-        if isinstance(a, Node):
-            a.accumulate(_unbroadcast(g, av.shape))
-        if isinstance(b, Node):
-            b.accumulate(_unbroadcast(g, bv.shape))
+        for node, value in ((a, av), (b, bv)):
+            if isinstance(node, Node):
+                grad = _unbroadcast(g, value.shape)
+                # np.array, not .copy(): it keeps g's memory layout
+                node.accumulate(np.array(grad) if grad is g else grad)
 
     tape.record(out, backward)
     return out
@@ -153,48 +158,82 @@ def take(tape: Tape, a: Node, index) -> Node:
 
 
 def layer_norm(tape: Tape, x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
+    """Normalise the last axis of x to zero mean and unit variance, then scale by gain and shift by bias.
+
+    Forward and backward run in place on two full-size arrays each, with the
+    operations and operand order of the plain expressions, so the bits are
+    theirs: the variance is ``ndarray.var``'s, the sum of the squared centred
+    values divided by d.
+    """
     xv = x.value
-    mean = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mean) * inv_std
-    out = Node(xhat * gain.value + bias.value)
+    xhat = xv - xv.mean(axis=-1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv_std = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / xv.shape[-1] + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gain.value, out=out)
+    out += bias.value
+    result = Node(out)
 
     def backward(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        gain.accumulate((g * xhat).sum(axis=reduce_axes))
+        scratch = np.multiply(g, xhat)
+        gain.accumulate(scratch.sum(axis=reduce_axes))
         bias.accumulate(g.sum(axis=reduce_axes))
-        gxhat = g * gain.value
-        # d/dx of (x - mean)/std with mean/var over the last axis
-        x.accumulate(
-            inv_std
-            * (
-                gxhat
-                - gxhat.mean(axis=-1, keepdims=True)
-                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-        )
+        # d/dx of (x - mean)/std with mean/var over the last axis:
+        # inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain
+        gx = np.multiply(g, gain.value)
+        mean_gx = gx.mean(axis=-1, keepdims=True)
+        np.multiply(gx, xhat, out=scratch)
+        mean_gx_xhat = scratch.mean(axis=-1, keepdims=True)
+        gx -= mean_gx
+        gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
+        gx *= inv_std
+        x.accumulate(gx)
 
-    tape.record(out, backward)
-    return out
+    tape.record(result, backward)
+    return result
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(tape: Tape, x: Node) -> Node:
-    """Tanh-form GELU; the backward derivative matches this approximation exactly."""
+    """Tanh-form GELU ``0.5 x (1 + tanh(C (x + 0.044715 x^3)))``; the backward differentiates this form exactly.
+
+    Both passes run in place on two full-size arrays. They keep the plain
+    expressions' operations and operand order up to commutativity and
+    exact scalings by 0.5, so the bits are the same.
+    """
     xv = x.value
-    inner = _GELU_C * (xv + 0.044715 * (xv * xv * xv))
-    tanh = np.tanh(inner)
-    out = Node(0.5 * xv * (1.0 + tanh))
+    tanh = np.multiply(xv, xv)
+    tanh *= xv
+    tanh *= 0.044715
+    tanh += xv
+    tanh *= _GELU_C
+    np.tanh(tanh, out=tanh)
+    out = np.add(tanh, 1.0)
+    out *= xv
+    out *= 0.5
+    result = Node(out)
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (xv * xv))
-        x.accumulate(g * (0.5 * (1.0 + tanh) + 0.5 * xv * (1.0 - tanh**2) * d_inner))
+        # g * (0.5 (1 + tanh) + 0.5 x (1 - tanh^2) d_inner), d_inner = C (1 + 3 * 0.044715 x^2),
+        # with the two exact halvings taken once, after the sum
+        d_inner = np.multiply(xv, xv)
+        d_inner *= 3 * 0.044715
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        grad = np.multiply(tanh, tanh)
+        np.subtract(1.0, grad, out=grad)
+        grad *= xv
+        grad *= d_inner
+        grad += np.add(tanh, 1.0, out=d_inner)
+        grad *= 0.5
+        grad *= g
+        x.accumulate(grad)
 
-    tape.record(out, backward)
-    return out
+    tape.record(result, backward)
+    return result
 
 
 # Fewest doubles a corner draw must skip between two kept runs before it

@@ -135,14 +135,65 @@ class ReferenceAdamW:
             theta -= update
 
 
+# The layer_norm and GELU kernels as plain whole-array expressions, kept
+# verbatim from before they ran in place; ad.layer_norm and ad.gelu must match
+# them bit for bit, outputs and gradients alike.
+
+def layer_norm_reference(tape: Tape, x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
+    xv = x.value
+    mean = xv.mean(axis=-1, keepdims=True)
+    var = xv.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (xv - mean) * inv_std
+    out = Node(xhat * gain.value + bias.value)
+
+    def backward(g):
+        reduce_axes = tuple(range(g.ndim - 1))
+        gain.accumulate((g * xhat).sum(axis=reduce_axes))
+        bias.accumulate(g.sum(axis=reduce_axes))
+        gxhat = g * gain.value
+        # d/dx of (x - mean)/std with mean/var over the last axis
+        x.accumulate(
+            inv_std
+            * (
+                gxhat
+                - gxhat.mean(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+        )
+
+    tape.record(out, backward)
+    return out
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu_reference(tape: Tape, x: Node) -> Node:
+    """Tanh-form GELU; the backward derivative matches this approximation exactly."""
+    xv = x.value
+    inner = _GELU_C * (xv + 0.044715 * (xv * xv * xv))
+    tanh = np.tanh(inner)
+    out = Node(0.5 * xv * (1.0 + tanh))
+
+    def backward(g):
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (xv * xv))
+        x.accumulate(g * (0.5 * (1.0 + tanh) + 0.5 * xv * (1.0 - tanh**2) * d_inner))
+
+    tape.record(out, backward)
+    return out
+
+
 # The unfused attention ops the encoder used before its attention became one
-# node, kept verbatim as the chain that ad.attention must match bit for bit.
+# node, kept verbatim as the chain that ad.attention must match bit for bit,
+# except that reshape and transpose copy the view of g they pass on, since a
+# node now keeps the first gradient array it receives.
 
 def reshape(tape: Tape, a: Node, shape) -> Node:
     out = Node(a.value.reshape(shape))
 
     def backward(g):
-        a.accumulate(g.reshape(a.value.shape))
+        a.accumulate(np.array(g.reshape(a.value.shape)))
 
     tape.record(out, backward)
     return out
@@ -153,7 +204,7 @@ def transpose(tape: Tape, a: Node, axes) -> Node:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        a.accumulate(g.transpose(inverse))
+        a.accumulate(np.array(g.transpose(inverse)))
 
     tape.record(out, backward)
     return out

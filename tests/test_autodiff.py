@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from miniaffect.nn import autodiff as ad
 from miniaffect.nn.autodiff import Node, Tape
 
-from oracles import fd_gradients, masked_softmax, max_relative_error, reshape, transpose, unfused_attention
+from oracles import (
+    fd_gradients,
+    gelu_reference,
+    layer_norm_reference,
+    masked_softmax,
+    max_relative_error,
+    reshape,
+    transpose,
+    unfused_attention,
+)
 
 
 def scalar_fd(fn, x, eps=1e-6):
@@ -265,6 +274,47 @@ def test_gelu_known_values():
     assert np.isclose(out.value[2], 0.0)
 
 
+def _kernel_run(op, arrays, target, fan_out):
+    """Output and input gradients of ``op`` under an MSE loss.
+
+    With fan_out, every input also feeds an MSE node recorded after op, whose
+    backward runs first, so op's backward adds into gradients already held.
+    """
+    tape = Tape()
+    nodes = [Node(arr.copy()) for arr in arrays]
+    out = op(tape, *nodes)
+    loss = ad.mse(tape, out, target)
+    if fan_out:
+        for node in nodes:
+            loss = ad.add(tape, loss, ad.mse(tape, node, np.ones_like(node.value)))
+    tape.backward(loss)
+    return [out.value] + [node.grad for node in nodes]
+
+
+@settings(max_examples=120)
+@given(
+    kind=st.sampled_from(["batch_seq", "cls_row", "rows"]),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 12)),
+    spread=st.sampled_from([1e-3, 0.1, 1.0, 30.0, 1e3]),
+    shift=st.sampled_from([0.0, 1.0, -250.0, 1e3]),
+    fan_out=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_layer_norm_and_gelu_match_plain_expressions_bit_for_bit(kind, dims, spread, shift, fan_out, seed):
+    batch, seq, d = dims
+    shape = {"batch_seq": (batch, seq, d), "cls_row": (batch, 1, d), "rows": (batch * seq, d)}[kind]
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.standard_normal(shape) * spread + shift, -1e3, 1e3)
+    gain, bias = rng.standard_normal(d), rng.standard_normal(d)
+    target = rng.standard_normal(shape)
+    cases = [((x, gain, bias), ad.layer_norm, layer_norm_reference), ((x,), ad.gelu, gelu_reference)]
+    for arrays, op, reference in cases:
+        got = _kernel_run(op, arrays, target, fan_out)
+        expected = _kernel_run(reference, arrays, target, fan_out)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+
 def test_masked_softmax_rows_sum_to_one_over_unmasked():
     rng = np.random.default_rng(7)
     scores = Node(rng.standard_normal((2, 1, 4, 4)))
@@ -447,7 +497,7 @@ def test_attention_gradients_match_fd(cls_only, rate):
         assert np.all(grads["k"][b, n:] == 0.0) and np.all(grads["v"][b, n:] == 0.0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     batch=st.integers(1, 3),
     seq=st.integers(1, 6),

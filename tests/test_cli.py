@@ -1,4 +1,5 @@
 import json
+import platform
 import struct
 import warnings
 from dataclasses import replace
@@ -362,3 +363,63 @@ def test_seed_sweep_bad_seed_list(tmp_path, corpora):
 
 def test_version_flag():
     assert run("--version") == 0
+
+
+# Each command's argv with one input marked BAD; every other input is valid.
+BAD = object()
+_COMMAND_ARGS = {
+    "ingest": ["ingest", "--input", BAD],
+    "augment": ["augment", "--scheme", "ra", "--count", 1, "--base", "train.tsv", "--pool", BAD],
+    "train": ["train", "--train", BAD, "--dev", "dev.tsv", "--task", "emotion", "--epochs", 1],
+    "predict": ["predict", "--model", BAD, "--vocab", "train.tsv", "--input", "dev.tsv"],
+    "ensemble": ["ensemble", "--task", "classification", BAD],
+    "eval": ["eval", "--task", "classification", "--pred", BAD, "--gold", "dev.tsv"],
+    "seed-sweep": ["seed-sweep", "--seeds", "1,2", "--train", "train.tsv", "--dev", BAD,
+                   "--task", "emotion", "--epochs", 1],
+    "report": ["report", BAD],
+}
+
+
+@pytest.mark.parametrize("fault", ["missing_input", "directory_input", "out_is_a_file", "non_utf8_input"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_unusable_path_exits_1_naming_it(tmp_path, corpora, command, fault, capsys):
+    out = tmp_path / "out"
+    bad = {
+        "missing_input": tmp_path / "missing.tsv",
+        "directory_input": corpora,
+        "out_is_a_file": corpora / "dev.tsv",
+        "non_utf8_input": tmp_path / "latin1.tsv",
+    }[fault]
+    (tmp_path / "latin1.tsv").write_bytes("essay\temotion\ncaf\xe9\tjoy\n".encode("latin-1"))
+    if fault == "out_is_a_file":
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n", encoding="utf-8")
+    argv = [bad if a is BAD else corpora / a if str(a).endswith(".tsv") else a for a in _COMMAND_ARGS[command]]
+    assert run(*argv, "--out", out, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert str(out if fault == "out_is_a_file" else bad) in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("not json at all", "is not JSON"),
+    ("[0.5, 0.25]", "must hold a JSON object"),
+    ('{"task": "classification", "macro_f1": "high"}', "macro_f1 must be a number"),
+    ('{"task": "classification", "accuracy": true}', "accuracy must be a number"),
+])
+def test_report_bad_file_exits_1(tmp_path, content, message, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(content, encoding="utf-8")
+    assert run("report", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
+
+
+def test_manifest_records_environment(tmp_path, corpora):
+    out = tmp_path / "out"
+    assert run("ingest", "--input", corpora / "train.tsv", "--out", out, "--quiet") == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "blas_name", "blas_version", "blas_threads", "usable_cores", "platform"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["usable_cores"] >= 1

@@ -146,7 +146,7 @@ def test_unescape_leaves_unknown_sequences():
 _ESCAPE_TEXT = st.text(st.sampled_from(["\\", "t", "n", "r", "q", "\t", "\n", "\r", "é", "字"]), max_size=24)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(_ESCAPE_TEXT)
 def test_unescape_matches_character_loop_and_inverts_escape(text):
     assert unescape_field(text) == loop_unescape(text)
@@ -176,7 +176,7 @@ _record = st.builds(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.lists(_record, min_size=1, max_size=5, unique_by=lambda r: r.id), st.sampled_from(["train", "test"]))
 @example([EssayRecord("a", "ends in a carriage return\r")], "test")  # the essay is the row's last cell
 def test_serialize_load_round_trip_property(records, split):

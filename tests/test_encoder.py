@@ -366,3 +366,21 @@ def test_training_step_tape_node_count(head_kind, nodes):
     out = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
     head_loss(tape, cfg, out, random_targets(head_kind, 8, seed=0))
     assert len(tape._ops) == nodes
+
+
+@pytest.mark.parametrize("head_kind", HEAD_KINDS)
+def test_training_step_parameter_gradients_share_no_memory(head_kind):
+    # A node keeps the first gradient array it receives, so an op that passed
+    # on its incoming gradient, or a view of it, would let one parameter's
+    # later += reach another's gradient.
+    cfg = EncoderConfig(vocab_size=50, head_kind=head_kind)
+    ids, lengths = batch_inputs(seed=9, batch=8, cfg=cfg)
+    tape = Tape(rng=np.random.Generator(np.random.PCG64(0)))
+    params = init_params(cfg, seed=0)
+    pnodes = wrap_params(params)
+    out = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
+    tape.backward(head_loss(tape, cfg, out, random_targets(head_kind, 8, seed=0)))
+    grads = list(collect_grads(pnodes, params).values())
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)

@@ -397,7 +397,7 @@ def _alone(task, i):
 
 
 @pytest.mark.parametrize("task", ["emotion", "multitask"])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=len(_POOL), unique=True))
 def test_predict_output_independent_of_chunk_mates_and_order(task, picks):
     outputs = _per_essay_outputs(task, [_POOL[i] for i in picks])

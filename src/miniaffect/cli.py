@@ -18,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .text import build_vocab, load_vocab, save_vocab
 from .train import (
     PRESETS,
     TASKS,
+    TrainConfig,
     load_checkpoint,
     make_config,
     predict,
@@ -192,37 +194,22 @@ def _load_file_config(path) -> dict:
 
 
 def _resolve_train_config(args, run: _Run):
-    file_cfg = _load_file_config(args.config)
+    """The config file's settings overlaid with the flags that were given; make_config fills in the rest."""
+    settings = _load_file_config(args.config)
     if args.config:
         run.add_input(args.config)
-
-    def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, default)
-
-    task = pick(args.task, "task")
-    epochs = pick(args.epochs, "epochs")
-    if task is None or epochs is None:
-        raise ValidationError("task and epochs are required (flag or config file)")
-    seed = args.seed if args.seed is not None else file_cfg.get("seed")
-    seed = _resolve_seed(run, seed)
-    shuffle = file_cfg.get("shuffle", True)
+    unknown = sorted(settings.keys() - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+    for key in ("task", "epochs", "preset", "seed", "batch_size", "snapshot_metric"):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     if args.no_shuffle:
-        shuffle = False
-    return make_config(
-        task=task,
-        epochs=epochs,
-        preset=pick(args.preset, "preset", "desk_scale"),
-        seed=seed,
-        batch_size=pick(args.batch_size, "batch_size"),
-        shuffle=shuffle,
-        snapshot_metric=pick(args.snapshot_metric, "snapshot_metric"),
-        optimizer=file_cfg.get("optimizer"),
-        encoder=file_cfg.get("encoder"),
-        vocab_max_size=file_cfg.get("vocab_max_size", 8000),
-        vocab_min_freq=file_cfg.get("vocab_min_freq", 1),
-    )
+        settings["shuffle"] = False
+    if settings.get("task") is None or settings.get("epochs") is None:
+        raise ValidationError("task and epochs are required (flag or config file)")
+    settings["seed"] = _resolve_seed(run, settings.get("seed"))
+    return make_config(**settings)
 
 
 def cmd_train(args) -> None:

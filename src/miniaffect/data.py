@@ -28,8 +28,6 @@ SPLITS = ("train", "dev", "test", "pool", "derived")
 SCORE_MIN = 1.0
 SCORE_MAX = 7.0
 
-_TASK_COLUMNS = ("id", "essay", "empathy", "distress", "emotion")
-
 
 def parse_emotion(raw: str) -> str:
     """Map a label string (any casing) to its canonical lowercase form."""
@@ -79,9 +77,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 def escape_field(text: str) -> str:

@@ -147,7 +147,11 @@ def load_vocab(path) -> Vocab:
             raise FormatError(f"{path}: malformed vocabulary line {offset + 2}")
         token, id_str = parts
         expected = offset + 3
-        if int(id_str) != expected:
+        try:
+            token_id = int(id_str)
+        except ValueError:
+            raise FormatError(f"{path}: line {offset + 2}: vocabulary id {id_str!r} is not an integer") from None
+        if token_id != expected:
             raise FormatError(f"{path}: non-contiguous id {id_str} for token {token!r} (expected {expected})")
         id_to_token.append(token)
         token_to_id[token] = expected

@@ -11,7 +11,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,48 +34,32 @@ from .nn.encoder import (
 from .nn.losses import loss_cross_entropy, loss_mse, loss_multitask, softmax
 from .optim import AdamW, AdamWConfig
 from .predictions import ClassificationPredictions, RegressionPredictions
-from .text import Vocab, encode
-
-TASKS = ("empathy", "distress", "multitask", "emotion")
-PRESETS = ("paper_faithful", "desk_scale")
+from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocab, encode
 
 CHECKPOINT_MAGIC = b"MTAF"
 CHECKPOINT_VERSION = 1
 
 _EVAL_CHUNK = 64
 
-_HEAD_KIND = {
-    "empathy": "regression_single",
-    "distress": "regression_single",
-    "multitask": "regression_dual",
-    "emotion": "classify7",
-}
 
-# Record fields each task trains on and evaluates against.
-_LABEL_FIELDS = {
-    "empathy": ("empathy",),
-    "distress": ("distress",),
-    "multitask": ("empathy", "distress"),
-    "emotion": ("emotion",),
-}
+@dataclass(frozen=True)
+class _Task:
+    head_kind: str
+    labels: tuple[str, ...]  # record fields the task trains on and evaluates against
+    batch_size: int  # default batch size
+    snapshots: tuple[str, ...]  # snapshot metrics it allows; the first is the default
 
-_DEFAULT_SNAPSHOT = {
-    "empathy": "pearson_empathy",
-    "distress": "pearson_distress",
-    "multitask": "pearson_avg",
-    "emotion": "macro_f1",
-}
 
-_COMPATIBLE_SNAPSHOTS = {
-    "empathy": {"pearson_empathy"},
-    "distress": {"pearson_distress"},
-    "multitask": {"pearson_empathy", "pearson_distress", "pearson_avg"},
-    "emotion": {"macro_f1"},
+_TASKS = {
+    "empathy": _Task("regression_single", ("empathy",), 16, ("pearson_empathy",)),
+    "distress": _Task("regression_single", ("distress",), 16, ("pearson_distress",)),
+    "multitask": _Task(
+        "regression_dual", ("empathy", "distress"), 8, ("pearson_avg", "pearson_empathy", "pearson_distress")
+    ),
+    "emotion": _Task("classify7", ("emotion",), 8, ("macro_f1",)),
 }
-
-# Single-task regression trains with batch 16, the joint and classification
-# setups with batch 8.
-_DEFAULT_BATCH = {"empathy": 16, "distress": 16, "multitask": 8, "emotion": 8}
+TASKS = tuple(_TASKS)
+PRESETS = ("paper_faithful", "desk_scale")
 
 _PRESET_LR = {"paper_faithful": 1e-5, "desk_scale": 1e-3}
 
@@ -91,8 +75,8 @@ class TrainConfig:
     optimizer: AdamWConfig
     encoder: EncoderConfig
     preset: str
-    vocab_max_size: int = 8000
-    vocab_min_freq: int = 1
+    vocab_max_size: int = DEFAULT_MAX_SIZE
+    vocab_min_freq: int = DEFAULT_MIN_FREQ
 
     def validate(self) -> None:
         check_field_types(self)
@@ -106,44 +90,23 @@ class TrainConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.snapshot_metric not in _COMPATIBLE_SNAPSHOTS[self.task]:
-            raise ValidationError(
-                f"snapshot metric {self.snapshot_metric!r} is incompatible with task {self.task!r}"
-            )
+        spec = _TASKS[self.task]
+        if self.snapshot_metric not in spec.snapshots:
+            raise ValidationError(f"snapshot metric {self.snapshot_metric!r} is incompatible with task {self.task!r}")
         self.optimizer.validate()
-        # vocab_size 0 means train() fills it in from the built vocabulary.
+        # vocab_size 0 means train() fills it in from the built vocabulary; the
+        # types are checked first so that no falsy non-integer passes as that 0.
+        check_field_types(self.encoder)
         replace(self.encoder, vocab_size=self.encoder.vocab_size or 1).validate()
+        if self.encoder.head_kind != spec.head_kind:
+            raise ValidationError(f"head_kind {self.encoder.head_kind!r} does not fit task {self.task!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "shuffle": self.shuffle,
-            "snapshot_metric": self.snapshot_metric,
-            "preset": self.preset,
-            "vocab_max_size": self.vocab_max_size,
-            "vocab_min_freq": self.vocab_min_freq,
-            "optimizer": vars(self.optimizer).copy(),
-            "encoder": vars(self.encoder).copy(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(
-            task=d["task"],
-            epochs=d["epochs"],
-            batch_size=d["batch_size"],
-            seed=d["seed"],
-            shuffle=d["shuffle"],
-            snapshot_metric=d["snapshot_metric"],
-            preset=d["preset"],
-            vocab_max_size=d.get("vocab_max_size", 8000),
-            vocab_min_freq=d.get("vocab_min_freq", 1),
-            optimizer=AdamWConfig(**d["optimizer"]),
-            encoder=EncoderConfig(**d["encoder"]),
-        )
+        return cls(**{**d, "optimizer": AdamWConfig(**d["optimizer"]), "encoder": EncoderConfig(**d["encoder"])})
 
 
 def _config_section(cls, defaults: dict, overrides, section: str):
@@ -167,8 +130,8 @@ def make_config(
     snapshot_metric: str | None = None,
     optimizer: dict | None = None,
     encoder: dict | None = None,
-    vocab_max_size: int = 8000,
-    vocab_min_freq: int = 1,
+    vocab_max_size: int = DEFAULT_MAX_SIZE,
+    vocab_min_freq: int = DEFAULT_MIN_FREQ,
 ) -> TrainConfig:
     """Resolve a full TrainConfig from a preset plus selective overrides.
 
@@ -180,15 +143,16 @@ def make_config(
         raise ValidationError(f"unknown task {task!r} (expected one of {', '.join(TASKS)})")
     if preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
+    spec = _TASKS[task]
     cfg = TrainConfig(
         task=task,
         epochs=epochs,
-        batch_size=batch_size if batch_size is not None else _DEFAULT_BATCH[task],
+        batch_size=batch_size if batch_size is not None else spec.batch_size,
         seed=seed,
         shuffle=shuffle,
-        snapshot_metric=snapshot_metric if snapshot_metric is not None else _DEFAULT_SNAPSHOT[task],
+        snapshot_metric=snapshot_metric if snapshot_metric is not None else spec.snapshots[0],
         optimizer=_config_section(AdamWConfig, {"lr": _PRESET_LR[preset]}, optimizer, "optimizer"),
-        encoder=_config_section(EncoderConfig, {"head_kind": _HEAD_KIND[task]}, encoder, "encoder"),
+        encoder=_config_section(EncoderConfig, {"head_kind": spec.head_kind}, encoder, "encoder"),
         preset=preset,
         vocab_max_size=vocab_max_size,
         vocab_min_freq=vocab_min_freq,
@@ -209,23 +173,13 @@ class TrainReport:
     task: str
     seed: int
     snapshot_metric: str
-    epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int | None = None
     best_metric: float | None = None
     wall_time_s: float = 0.0
+    epochs: list[EpochStats] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "seed": self.seed,
-            "snapshot_metric": self.snapshot_metric,
-            "best_epoch": self.best_epoch,
-            "best_metric": self.best_metric,
-            "wall_time_s": self.wall_time_s,
-            "epochs": [
-                {"epoch": e.epoch, "train_loss": e.train_loss, "dev": e.dev} for e in self.epochs
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -265,8 +219,9 @@ def encode_dataset(d: Dataset, vocab: Vocab, max_len: int) -> tuple[np.ndarray, 
 
 
 def _targets(d: Dataset, task: str) -> dict[str, np.ndarray]:
+    """Gold values per label field of the task: class ids for emotion, scores otherwise."""
     out: dict[str, np.ndarray] = {}
-    for name in _LABEL_FIELDS[task]:
+    for name in _TASKS[task].labels:
         if name == "emotion":
             out[name] = np.array([emotion_id(r.emotion) for r in d.records], dtype=np.int64)
         else:
@@ -277,41 +232,34 @@ def _targets(d: Dataset, task: str) -> dict[str, np.ndarray]:
 def _batch_loss(pnodes, enc_cfg, cfg, ids, lengths, targets, idxs, tape):
     cls = forward(pnodes, enc_cfg, ids[idxs], lengths[idxs], tape, train_mode=True)
     out = head_apply(pnodes, enc_cfg, cls, tape)
-    if cfg.task == "empathy":
-        return loss_mse(tape, out, targets["empathy"][idxs])
-    if cfg.task == "distress":
-        return loss_mse(tape, out, targets["distress"][idxs])
-    if cfg.task == "multitask":
-        return loss_multitask(tape, out[0], out[1], targets["empathy"][idxs], targets["distress"][idxs])
-    return loss_cross_entropy(tape, out, targets["emotion"][idxs])
+    # One head output per label field, then the gold values in the same order.
+    args = (*(out if isinstance(out, tuple) else (out,)), *(gold[idxs] for gold in targets.values()))
+    if enc_cfg.head_kind == "classify7":
+        return loss_cross_entropy(tape, *args)
+    if enc_cfg.head_kind == "regression_dual":
+        return loss_multitask(tape, *args)
+    return loss_mse(tape, *args)
 
 
-def _model_outputs(params, enc_cfg, ids, lengths):
-    """Eval-mode head outputs over a whole dataset, chunked."""
-    outputs = []
+def _model_outputs(params, enc_cfg, labels, ids, lengths) -> dict[str, np.ndarray]:
+    """Eval-mode head outputs over a whole dataset, chunked, keyed by the label field each predicts."""
+    chunks = []
     for start in range(0, ids.shape[0], _EVAL_CHUNK):
-        outputs.append(run_model(params, enc_cfg, ids[start : start + _EVAL_CHUNK], lengths[start : start + _EVAL_CHUNK]))
-    if isinstance(outputs[0], tuple):
-        return (
-            np.concatenate([o[0] for o in outputs]),
-            np.concatenate([o[1] for o in outputs]),
-        )
-    return np.concatenate(outputs)
+        out = run_model(params, enc_cfg, ids[start : start + _EVAL_CHUNK], lengths[start : start + _EVAL_CHUNK])
+        chunks.append(out if isinstance(out, tuple) else (out,))
+    return {name: np.concatenate([chunk[i] for chunk in chunks]) for i, name in enumerate(labels)}
 
 
-def _dev_metrics(params, enc_cfg, task, dev_ids, dev_lengths, dev_targets) -> dict[str, float]:
-    out = _model_outputs(params, enc_cfg, dev_ids, dev_lengths)
-    if task == "empathy":
-        return {"pearson_empathy": M.pearson(out, dev_targets["empathy"])}
-    if task == "distress":
-        return {"pearson_distress": M.pearson(out, dev_targets["distress"])}
-    if task == "multitask":
-        pe = M.pearson(out[0], dev_targets["empathy"])
-        pd = M.pearson(out[1], dev_targets["distress"])
-        return {"pearson_empathy": pe, "pearson_distress": pd, "pearson_avg": (pe + pd) / 2.0}
-    pred_labels = np.argmax(out, axis=1)
-    macro, _ = M.macro_f1(pred_labels, dev_targets["emotion"])
-    return {"macro_f1": macro, "accuracy": M.accuracy(pred_labels, dev_targets["emotion"])}
+def _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets) -> dict[str, float]:
+    out = _model_outputs(params, enc_cfg, dev_targets, dev_ids, dev_lengths)
+    if "emotion" in out:
+        pred_labels = np.argmax(out["emotion"], axis=1)
+        macro, _ = M.macro_f1(pred_labels, dev_targets["emotion"])
+        return {"macro_f1": macro, "accuracy": M.accuracy(pred_labels, dev_targets["emotion"])}
+    dev = {f"pearson_{name}": M.pearson(out[name], gold) for name, gold in dev_targets.items()}
+    if len(dev) == 2:  # multitask also reports the mean of its two correlations
+        dev["pearson_avg"] = (dev["pearson_empathy"] + dev["pearson_distress"]) / 2.0
+    return dev
 
 
 @blas.single_thread()
@@ -324,9 +272,11 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     cfg.validate()
     if not dev_set.records:
         raise ValidationError("dev set is empty: it is needed to pick the best epoch")
-    require_labels(train_set, _LABEL_FIELDS[cfg.task], "train")
-    require_labels(dev_set, _LABEL_FIELDS[cfg.task], "dev")
-    enc_cfg = replace(cfg.encoder, vocab_size=len(vocab), head_kind=_HEAD_KIND[cfg.task])
+    require_labels(train_set, _TASKS[cfg.task].labels, "train")
+    require_labels(dev_set, _TASKS[cfg.task].labels, "dev")
+    if cfg.encoder.vocab_size not in (0, len(vocab)):
+        raise ValidationError(f"encoder vocab_size {cfg.encoder.vocab_size} must be 0 or the vocabulary size {len(vocab)}")
+    enc_cfg = replace(cfg.encoder, vocab_size=len(vocab))
 
     started = time.perf_counter()
     ids, lengths = encode_dataset(train_set, vocab, enc_cfg.max_len)
@@ -371,7 +321,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
                     ) from None
             loss_sum += float(loss.value) * len(idxs)
 
-        dev = _dev_metrics(params, enc_cfg, cfg.task, dev_ids, dev_lengths, dev_targets)
+        dev = _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets)
         report.epochs.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(train_set), dev=dev))
         metric = dev[cfg.snapshot_metric]
         if best_metric is None or metric > best_metric:
@@ -409,19 +359,10 @@ def predict(
     enc_cfg = ckpt.config.encoder
     ids, lengths = encode_dataset(d, vocab, enc_cfg.max_len)
     rec_ids = [r.id for r in d.records]
-    out = _model_outputs(ckpt.params, enc_cfg, ids, lengths)
-    task = ckpt.config.task
-
-    def _clip(values: np.ndarray) -> np.ndarray:
-        return np.clip(values, 1.0, 7.0) if clamp else values
-
-    if task == "empathy":
-        return RegressionPredictions(ids=rec_ids, empathy=_clip(out))
-    if task == "distress":
-        return RegressionPredictions(ids=rec_ids, distress=_clip(out))
-    if task == "multitask":
-        return RegressionPredictions(ids=rec_ids, empathy=_clip(out[0]), distress=_clip(out[1]))
-    probs = softmax(out, axis=1)
+    out = _model_outputs(ckpt.params, enc_cfg, _TASKS[ckpt.config.task].labels, ids, lengths)
+    if "emotion" not in out:
+        return RegressionPredictions(ids=rec_ids, **{k: np.clip(v, 1.0, 7.0) if clamp else v for k, v in out.items()})
+    probs = softmax(out["emotion"], axis=1)
     labels = [EMOTIONS[int(i)] for i in np.argmax(probs, axis=1)]
     return ClassificationPredictions(ids=rec_ids, scores=probs, labels=labels)
 
@@ -443,14 +384,7 @@ class SweepReport:
     max: float
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "entries": [vars(e).copy() for e in self.entries],
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min,
-            "max": self.max,
-        }
+        return asdict(self)
 
 
 def seed_sweep(
@@ -534,6 +468,7 @@ def load_checkpoint(path) -> Checkpoint:
         vocab_hash, best_metric, best_epoch, seed = (header[key] for key in keys)
         manifest = header["tensors"]
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
+        offsets = [entry["offset"] for entry in manifest]
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
     try:
@@ -542,10 +477,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: invalid config echo: {exc}") from None
     if seed != config.seed:
         raise FormatError(f"{path}: header seed {seed!r} differs from the config echo's seed {config.seed}")
-    if config.encoder.head_kind != _HEAD_KIND[config.task]:
-        raise FormatError(
-            f"{path}: head_kind {config.encoder.head_kind!r} does not fit task {config.task!r}"
-        )
     needed = {name: shape for name, shape, _ in param_shapes(config.encoder)}
     if shapes != needed:
         for name, shape in needed.items():
@@ -555,20 +486,23 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(f"{path}: tensor {name!r} has shape {shapes[name]}, its config needs {shape}")
         extra = min(shapes.keys() - needed.keys())
         raise FormatError(f"{path}: tensor {extra!r} is not part of the model its config describes")
+    if len(manifest) != len(shapes):
+        raise FormatError(f"{path}: tensor manifest names a tensor more than once")
 
     data = memoryview(raw)[header_end:]
-    expected = sum(math.prod(shape) * 8 for shape in shapes.values())
+    expected = sum(math.prod(shape) * 8 for shape in needed.values())
     if len(data) != expected:
         raise FormatError(f"{path}: tensor section is {len(data)} bytes, expected {expected}")
     params: Parameters = {}
-    for entry in manifest:
-        shape = shapes[entry["name"]]
-        nbytes = math.prod(shape) * 8
-        start = entry["offset"]
-        chunk = data[start : start + nbytes]
-        if len(chunk) != nbytes:
-            raise FormatError(f"{path}: truncated tensor {entry['name']!r}")
-        params[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+    start = 0
+    # Tensors lie back to back in manifest order, as save_checkpoint writes them.
+    for entry, offset in zip(manifest, offsets):
+        name, shape = entry["name"], needed[entry["name"]]
+        if type(offset) is not int or offset != start:
+            raise FormatError(f"{path}: tensor {name!r} has offset {offset!r}, expected {start}")
+        end = start + math.prod(shape) * 8
+        params[name] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).copy()
+        start = end
     return Checkpoint(
         config=config, vocab_hash=vocab_hash, params=params, best_metric=best_metric, best_epoch=best_epoch
     )

@@ -1,16 +1,25 @@
+import contextlib
+import io
 import json
+import math
 import platform
 import struct
+import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miniaffect.cli import main
 from miniaffect.data import EMOTIONS, load_task_tsv, save_dataset, serialize_dataset
+from miniaffect.nn.encoder import EncoderConfig
+from miniaffect.optim import AdamWConfig
 from miniaffect.predictions import read_predictions
-from miniaffect.train import load_checkpoint, save_checkpoint
+from miniaffect.train import TrainConfig, load_checkpoint, save_checkpoint
 
 from corpus import keyword_classification_corpus, tiny_encoder_kwargs
 
@@ -112,6 +121,9 @@ def test_ingest_train_predict_eval_pipeline(tmp_path, corpora):
     assert (out / "model.ckpt").exists() and (out / "vocab.tsv").exists()
     report = json.loads((out / "train_report.json").read_text())
     assert len(report["epochs"]) == 60
+    assert list(report) == ["task", "seed", "snapshot_metric", "best_epoch", "best_metric", "wall_time_s", "epochs"]
+    assert list(report["epochs"][0]) == ["epoch", "train_loss", "dev"]
+    assert list(report["epochs"][0]["dev"]) == ["macro_f1", "accuracy"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["encoder"]["d_model"] == 32  # config file honored
     assert manifest["seed_defaulted"] is False
@@ -170,6 +182,10 @@ def test_train_bad_config_is_validation_error(tmp_path, corpora, config, capsys)
     ("seed", {"seed": -1}),
     ("weight_decay", {"optimizer": {"weight_decay": float("inf")}}),
     ("pos_emb", {"encoder": {"max_len": 100000000000}}),
+    ("epoch, learning_rate", {"epoch": 50, "learning_rate": 5}),
+    ("head_kind 'regression_single'", {"encoder": {"head_kind": "regression_single"}}),
+    ("vocab_size 5", {"encoder": {"vocab_size": 5}}),
+    ("vocab_size must be an integer", {"encoder": {"vocab_size": None}}),
 ])
 def test_train_mistyped_config_exits_1(tmp_path, corpora, key, config, capsys):
     cfg_path = tmp_path / "bad.json"
@@ -259,11 +275,24 @@ def _edit_header(src, dst, edit):
     dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length :])
 
 
+def _with_head_b_offset(change):
+    """Replace the manifest offset of ``head.b`` by ``change(true offset)``."""
+    def edit(header):
+        entry = next(e for e in header["tensors"] if e["name"] == "head.b")
+        entry["offset"] = change(entry["offset"])
+    return edit
+
+
 @pytest.mark.parametrize("message, edit", [
     *((f"corrupt checkpoint header: '{key}'", lambda header, key=key: header.pop(key))
       for key in ("vocab_hash", "best_metric", "best_epoch", "seed")),
     ("header seed 1 differs from the config echo's seed 0", lambda header: header.update(seed=1)),
-], ids=["no_vocab_hash", "no_best_metric", "no_best_epoch", "no_seed", "seed_not_config_seed"])
+    *(("tensor 'head.b' has offset", _with_head_b_offset(change))
+      for change in (str, float, lambda offset: None, lambda offset: [offset])),
+    ("tensor 'head.b' has offset 0, expected", _with_head_b_offset(lambda offset: 0)),
+    ("names a tensor more than once", lambda header: header["tensors"].append(dict(header["tensors"][-1]))),
+], ids=["no_vocab_hash", "no_best_metric", "no_best_epoch", "no_seed", "seed_not_config_seed",
+        "offset_string", "offset_float", "offset_null", "offset_list", "offset_overlapping", "tensor_named_twice"])
 def test_predict_checkpoint_header_fault_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
@@ -314,6 +343,17 @@ def test_flag_overrides_config_file(tmp_path, corpora):
     assert manifest["config"]["epochs"] == 1
 
 
+def test_manifest_config_reproduces_run(tmp_path, corpora):
+    common = ["--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv", "--quiet"]
+    assert run("train", *common, "--task", "emotion", "--epochs", 2, "--seed", 3,
+               "--config", corpora / "tiny.json", "--out", tmp_path / "first") == 0
+    resolved = json.loads((tmp_path / "first" / "manifest.json").read_text())["config"]
+    assert resolved["encoder"]["vocab_size"] > 0
+    (tmp_path / "resolved.json").write_text(json.dumps(resolved), encoding="utf-8")
+    assert run("train", *common, "--config", tmp_path / "resolved.json", "--out", tmp_path / "second") == 0
+    assert (tmp_path / "second" / "model.ckpt").read_bytes() == (tmp_path / "first" / "model.ckpt").read_bytes()
+
+
 def test_ensemble_idempotent_on_duplicate_regression_file(tmp_path):
     pred = tmp_path / "m.tsv"
     pred.write_text("id\tempathy\na\t2.5\nb\t6.25\n", encoding="utf-8")
@@ -349,10 +389,47 @@ def test_seed_sweep_cli(tmp_path, corpora):
     assert code == 0
     payload = json.loads((out / "sweep.json").read_text())
     assert len(payload["entries"]) == 3
+    assert list(payload) == ["metric", "entries", "mean", "std", "min", "max"]
+    assert list(payload["entries"][0]) == ["seed", "best_metric", "best_epoch"]
     values = [e["best_metric"] for e in payload["entries"]]
     assert payload["mean"] == pytest.approx(sum(values) / 3, abs=1e-12)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [1, 2, 3]
+
+
+# Every config key, as its path in the config file's object.
+_CONFIG_KEYS = [
+    *((f.name,) for f in fields(TrainConfig)),
+    *(("encoder", f.name) for f in fields(EncoderConfig)),
+    *(("optimizer", f.name) for f in fields(AdamWConfig)),
+]
+# Keys whose null falls back to a default, so the run trains.
+_NULL_DEFAULTS = {("seed",), ("batch_size",), ("snapshot_metric",), ("optimizer",), ("encoder",)}
+# No finite number is drawn and numeric keys reject bools, so no size is valid but huge enough to take gigabytes.
+_WRONG_TYPED = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=100)
+@given(key=st.sampled_from(_CONFIG_KEYS), value=_WRONG_TYPED)
+def test_train_config_of_wrong_type_exits_0_or_1(corpora, key, value):
+    config = {"task": "emotion", "epochs": 1, "encoder": tiny_encoder_kwargs(), "optimizer": {}}
+    (config if len(key) == 1 else config[key[0]])[key[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code = run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+                   "--config", config_path, "--out", Path(tmp) / "out", "--quiet")
+    assert code in (0, 1), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if value is None and key in _NULL_DEFAULTS:
+        assert code == 0, err.getvalue()
 
 
 def test_seed_sweep_bad_seed_list(tmp_path, corpora):

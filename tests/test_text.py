@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -149,6 +150,14 @@ def test_load_vocab_rejects_garbage(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("not json\nfoo\t3\n", encoding="utf-8")
     with pytest.raises(FormatError):
+        load_vocab(path)
+
+
+def test_load_vocab_non_integer_id_names_file_and_line(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    save_vocab(build_vocab(corpus("alpha beta gamma")), path)
+    path.write_text(path.read_text(encoding="utf-8") + "word\tabc\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: line 5: vocabulary id 'abc' is not an integer")):
         load_vocab(path)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EMOTIONS, Dataset, EssayRecord, require_labels
+from .data import EMOTIONS, Dataset, EssayRecord, gold_values
 from .errors import ValidationError
 
 
@@ -28,18 +28,16 @@ class AugmentationSpec:
     total_target: int | None = None  # ba: size of the balanced output
     sample_count: int | None = None  # ra: number of pool records to append
     seed: int = 0
-    with_replacement: bool = False  # ra only; ba falls back on its own
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _by_class(d: Dataset) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {name: [] for name in EMOTIONS}
-    for idx, r in enumerate(d.records):
-        groups[r.emotion].append(idx)
-    return groups
+def _by_class(d: Dataset, role: str) -> dict[str, list[int]]:
+    """Record indices per emotion label, in record order; raises if a record has no label."""
+    ids = gold_values(d.records, ("emotion",), role)["emotion"]
+    return {name: np.flatnonzero(ids == c).tolist() for c, name in enumerate(EMOTIONS)}
 
 
 def _fresh_pool_id(orig_id: str, seen: set[str]) -> str:
@@ -74,13 +72,11 @@ def balanced_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Da
         raise ValidationError("balanced augmentation requires a positive total_target")
     if spec.total_target % 7 != 0:
         raise ValidationError(f"total_target {spec.total_target} is not divisible by 7")
-    require_labels(base, ("emotion",), "base")
-    require_labels(pool, ("emotion",), "pool")
+    base_groups = _by_class(base, "base")
+    pool_groups = _by_class(pool, "pool")
 
     target = spec.total_target // 7
     rng = _rng(spec.seed)
-    base_groups = _by_class(base)
-    pool_groups = _by_class(pool)
 
     kept_base: list[int] = []
     picked_pool: list[int] = []  # pool indices in selection order
@@ -128,17 +124,9 @@ def random_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Data
     if spec.sample_count is None or spec.sample_count < 0:
         raise ValidationError("random augmentation requires a non-negative sample_count")
     count = spec.sample_count
-    if count > len(pool.records) and not spec.with_replacement:
-        raise ValidationError(
-            f"sample_count {count} exceeds pool size {len(pool.records)} (with_replacement is off)"
-        )
-
-    rng = _rng(spec.seed)
-    replacement_used = spec.with_replacement and count > len(pool.records)
-    if replacement_used:
-        picks = rng.integers(0, len(pool.records), size=count)
-    else:
-        picks = rng.permutation(len(pool.records))[:count]
+    if count > len(pool.records):
+        raise ValidationError(f"sample_count {count} exceeds pool size {len(pool.records)}")
+    picks = _rng(spec.seed).permutation(len(pool.records))[:count]
 
     records = list(base.records)
     seen = {r.id for r in records}
@@ -150,6 +138,6 @@ def random_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Data
         meta={
             "scheme": "ra",
             "seed": str(spec.seed),
-            "with_replacement_used": "true" if replacement_used else "false",
+            "with_replacement_used": "false",
         },
     )

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Every command resolves its configuration (flags > config file > preset
-defaults), runs, and writes a ``manifest.json`` next to its outputs recording
-the resolved config, input file hashes, output paths, seeds, wall time and the
-software and machine it ran on, so any reported number can be traced back to
-its inputs and reproduced.
+Every command resolves its configuration (for train and seed-sweep: flags >
+config file > preset defaults), runs, and writes a ``manifest.json`` next to
+its outputs recording the resolved config, input file hashes, output paths,
+seeds, wall time and the software and machine it ran on, so any reported
+number can be traced back to its inputs and reproduced.
 
 Exit codes: 0 success, 1 data/validation error, 2 usage error, 3 internal error.
 """
@@ -346,12 +346,16 @@ _TASK_SPLITS = tuple(split for split in SPLITS if split != "pool")
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current directory)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0, noted in the manifest)")
-    p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0, noted in the manifest)")
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    _add_seed(p)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--train", required=True, help="training TSV")
     p.add_argument("--dev", required=True, help="development TSV")
     p.add_argument("--task", choices=TASKS, default=None)
@@ -379,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--total", type=int, default=None, help="balanced output size (ba)")
     p.add_argument("--count", type=int, default=None, help="number of pool records to append (ra)")
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_augment)
 

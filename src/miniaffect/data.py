@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import FormatError, RowError, ValidationError
 
 # Canonical 7-class label set, alphabetical; integer code = position.
@@ -24,6 +26,9 @@ EMOTIONS = ("anger", "disgust", "fear", "joy", "neutral", "sadness", "surprise")
 EMOTION_TO_ID = {name: i for i, name in enumerate(EMOTIONS)}
 
 SPLITS = ("train", "dev", "test", "pool", "derived")
+
+# Record fields that carry gold labels, in TSV column order.
+LABEL_FIELDS = ("empathy", "distress", "emotion")
 
 SCORE_MIN = 1.0
 SCORE_MAX = 7.0
@@ -131,7 +136,7 @@ def _load_tsv(path, split: str, text_column: str) -> Dataset:
     if split == "pool" and "emotion" not in header:
         raise FormatError(f"{path}: pool file header has no 'emotion' column")
     col = {name: idx for idx, name in enumerate(header)}
-    known = {"id", text_column, "empathy", "distress", "emotion"}
+    known = {"id", text_column, *LABEL_FIELDS}
     extra_cols = [name for name in header if name not in known]
 
     records = []
@@ -195,33 +200,19 @@ def serialize_dataset(d: Dataset) -> str:
     two identical Datasets always serialize to identical bytes.
     """
     text_column = "text" if d.split == "pool" else "essay"
-    has_empathy = any(r.empathy is not None for r in d.records)
-    has_distress = any(r.distress is not None for r in d.records)
-    has_emotion = any(r.emotion is not None for r in d.records)
+    labels = [name for name in LABEL_FIELDS if any(getattr(r, name) is not None for r in d.records)]
     extra_keys = sorted({k for r in d.records for k in r.extras})
 
-    columns = ["id", text_column]
-    if has_empathy:
-        columns.append("empathy")
-    if has_distress:
-        columns.append("distress")
-    if has_emotion:
-        columns.append("emotion")
-    columns.extend(extra_keys)
-
-    lines = ["\t".join(columns)]
+    lines = ["\t".join(["id", text_column, *labels, *extra_keys])]
     for r in d.records:
         if "\t" in r.id or "\n" in r.id:
             raise ValidationError(f"record id {r.id!r} contains a tab or newline")
         if r.text.strip() == "":
             raise ValidationError(f"record {r.id!r} has an empty {text_column} text, which no loader accepts")
         row = [r.id, escape_field(r.text)]
-        if has_empathy:
-            row.append("" if r.empathy is None else repr(float(r.empathy)))
-        if has_distress:
-            row.append("" if r.distress is None else repr(float(r.distress)))
-        if has_emotion:
-            row.append("" if r.emotion is None else r.emotion)
+        for name in labels:
+            value = getattr(r, name)
+            row.append("" if value is None else value if name == "emotion" else repr(float(value)))
         for key in extra_keys:
             value = r.extras.get(key, "")
             if "\t" in value or "\n" in value or "\r" in value:
@@ -238,19 +229,25 @@ def save_dataset(d: Dataset, path) -> None:
         fh.write(serialize_dataset(d))
 
 
-def require_labels(d: Dataset, fields, role: str) -> None:
-    """Raise ValidationError naming the first record that lacks any of ``fields``."""
-    for r in d.records:
+def gold_values(records, fields, role: str) -> dict[str, np.ndarray]:
+    """Gold values per label field: int64 class ids for emotion, float64 scores otherwise.
+
+    Raises ValidationError naming the first record that lacks any of ``fields``.
+    """
+    for r in records:
         for name in fields:
             if getattr(r, name) is None:
                 kind = "label" if name == "emotion" else "score"
                 raise ValidationError(f"{role} record {r.id!r} has no {name} {kind}")
+    return {
+        name: np.array([EMOTION_TO_ID[r.emotion] for r in records], dtype=np.int64)
+        if name == "emotion"
+        else np.array([getattr(r, name) for r in records], dtype=np.float64)
+        for name in fields
+    }
 
 
 def class_histogram(d: Dataset) -> dict[str, int]:
     """Count records per emotion label; all 7 labels appear as keys."""
-    require_labels(d, ("emotion",), d.split)
-    counts = {name: 0 for name in EMOTIONS}
-    for r in d.records:
-        counts[r.emotion] += 1
-    return counts
+    counts = np.bincount(gold_values(d.records, ("emotion",), d.split)["emotion"], minlength=len(EMOTIONS))
+    return {name: int(n) for name, n in zip(EMOTIONS, counts)}

@@ -4,11 +4,11 @@ confusion matrices, JSON/CSV emission."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import EMOTIONS, Dataset, class_histogram, emotion_id
+from .data import EMOTIONS, Dataset, class_histogram, emotion_id, gold_values
 from .errors import ValidationError
 from .predictions import ClassificationPredictions, RegressionPredictions
 
@@ -87,10 +87,24 @@ def confusion(preds, golds, k: int = 7) -> tuple[np.ndarray, np.ndarray]:
     return counts, normalized
 
 
+def score(pred: dict[str, np.ndarray], gold: dict[str, np.ndarray]) -> dict[str, float]:
+    """The paper's metrics over predictions and gold values keyed by label field.
+
+    Emotion class ids get macro F1 and accuracy; empathy and distress scores
+    get Pearson r each, plus their mean ``pearson_avg`` when both are present.
+    """
+    if "emotion" in gold:
+        macro, _ = macro_f1(pred["emotion"], gold["emotion"])
+        return {"macro_f1": macro, "accuracy": accuracy(pred["emotion"], gold["emotion"])}
+    out = {f"pearson_{name}": pearson(pred[name], values) for name, values in gold.items()}
+    if len(out) == 2:
+        out["pearson_avg"] = (out["pearson_empathy"] + out["pearson_distress"]) / 2.0
+    return out
+
+
 @dataclass
 class EvalReport:
     task: str  # "regression" or "classification"
-    n: int
     pearson_empathy: float | None = None
     pearson_distress: float | None = None
     pearson_avg: float | None = None
@@ -99,94 +113,56 @@ class EvalReport:
     per_class_f1: list[float] | None = None
     confusion: list[list[int]] | None = None
     confusion_normalized: list[list[float]] | None = None
+    n: int = field(kw_only=True)  # declared last so that it follows the metrics in to_dict
 
     def to_dict(self) -> dict:
-        out: dict = {"task": self.task}
-        for key in (
-            "pearson_empathy",
-            "pearson_distress",
-            "pearson_avg",
-            "accuracy",
-            "macro_f1",
-            "per_class_f1",
-            "confusion",
-            "confusion_normalized",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out["n"] = self.n
-        return out
+        """The fields that are set, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def _align(pred_ids: list[str], gold: Dataset) -> list:
+    """Gold records in prediction order; every gold id must be predicted exactly once."""
     by_id = {r.id: r for r in gold.records}
     if len(pred_ids) != len(by_id):
         raise ValidationError(f"prediction count {len(pred_ids)} != gold count {len(by_id)}")
     records = []
     for pid in pred_ids:
-        rec = by_id.get(pid)
+        rec = by_id.pop(pid, None)
         if rec is None:
+            if any(r.id == pid for r in records):
+                raise ValidationError(f"prediction id {pid!r} appears more than once")
             raise ValidationError(f"prediction id {pid!r} not present in gold data")
         records.append(rec)
     return records
 
 
+_PREDICTIONS = {"regression": RegressionPredictions, "classification": ClassificationPredictions}
+
+
 def build_report(task: str, preds, gold: Dataset) -> EvalReport:
     """Score predictions against gold labels, aligned by record id."""
-    if task == "regression":
-        if not isinstance(preds, RegressionPredictions):
-            raise ValidationError("regression evaluation needs regression predictions")
-        records = _align(preds.ids, gold)
-        report = EvalReport(task="regression", n=len(records))
-        if preds.empathy is not None:
-            golds = _gold_scores(records, "empathy")
-            report.pearson_empathy = pearson(preds.empathy, golds)
-        if preds.distress is not None:
-            golds = _gold_scores(records, "distress")
-            report.pearson_distress = pearson(preds.distress, golds)
-        if report.pearson_empathy is not None and report.pearson_distress is not None:
-            report.pearson_avg = (report.pearson_empathy + report.pearson_distress) / 2.0
-        if report.pearson_empathy is None and report.pearson_distress is None:
-            raise ValidationError("prediction file has neither empathy nor distress columns")
-        return report
-
+    if task not in _PREDICTIONS:
+        raise ValidationError(f"unknown evaluation task {task!r} (expected regression or classification)")
+    if not isinstance(preds, _PREDICTIONS[task]):
+        raise ValidationError(f"{task} evaluation needs {task} predictions")
+    records = _align(preds.ids, gold)
     if task == "classification":
-        if not isinstance(preds, ClassificationPredictions):
-            raise ValidationError("classification evaluation needs classification predictions")
-        records = _align(preds.ids, gold)
-        gold_labels = []
-        for rec in records:
-            if rec.emotion is None:
-                raise ValidationError(f"gold record {rec.id!r} has no emotion label")
-            gold_labels.append(emotion_id(rec.emotion))
-        pred_labels = [emotion_id(label) for label in preds.labels]
-        macro, per_class = macro_f1(pred_labels, gold_labels)
-        counts, normalized = confusion(pred_labels, gold_labels)
-        return EvalReport(
-            task="classification",
-            n=len(records),
-            accuracy=accuracy(pred_labels, gold_labels),
-            macro_f1=macro,
-            per_class_f1=per_class,
-            confusion=counts.tolist(),
-            confusion_normalized=normalized.tolist(),
-        )
-
-    raise ValidationError(f"unknown evaluation task {task!r} (expected regression or classification)")
-
-
-def _gold_scores(records, field: str) -> list[float]:
-    values = []
-    for rec in records:
-        value = getattr(rec, field)
-        if value is None:
-            raise ValidationError(f"gold record {rec.id!r} has no {field} score")
-        values.append(value)
-    return values
+        pred = {"emotion": np.array([emotion_id(label) for label in preds.labels], dtype=np.int64)}
+    else:
+        pred = {name: getattr(preds, name) for name in ("empathy", "distress") if getattr(preds, name) is not None}
+        if not pred:
+            raise ValidationError("prediction file has neither empathy nor distress columns")
+    golds = gold_values(records, pred, "gold")
+    report = EvalReport(task=task, n=len(records), **score(pred, golds))
+    if task == "classification":
+        _, report.per_class_f1 = macro_f1(pred["emotion"], golds["emotion"])
+        counts, normalized = confusion(pred["emotion"], golds["emotion"])
+        report.confusion = counts.tolist()
+        report.confusion_normalized = normalized.tolist()
+    return report
 
 
 def confusion_csv(matrix) -> str:

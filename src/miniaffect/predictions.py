@@ -64,6 +64,19 @@ def write_predictions(preds, path) -> None:
         fh.write(format_predictions(preds))
 
 
+def _rows(lines: list[str], header: list[str]):
+    """Each data row's line number and cells, once its column count and unique id are checked."""
+    seen: set[str] = set()
+    for line_no, line in enumerate(lines[1:], start=2):
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise RowError(line_no, f"expected {len(header)} columns, found {len(cells)}")
+        if cells[0] in seen:
+            raise RowError(line_no, f"duplicate id {cells[0]!r}")
+        seen.add(cells[0])
+        yield line_no, cells
+
+
 def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
     """Load a prediction TSV, inferring its kind from the header."""
     lines = read_lines(path)
@@ -80,10 +93,7 @@ def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
         ids: list[str] = []
         scores = []
         labels = []
-        for line_idx, line in enumerate(lines[1:], start=2):
-            fields = line.split("\t")
-            if len(fields) != len(header):
-                raise RowError(line_idx, f"expected {len(header)} columns, found {len(fields)}")
+        for line_idx, fields in _rows(lines, header):
             ids.append(fields[0])
             try:
                 scores.append([float(v) for v in fields[1:8]])
@@ -98,10 +108,7 @@ def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
         raise FormatError(f"{path}: regression columns must be a subset of {sorted(allowed)}, got {value_cols}")
     ids = []
     values: dict[str, list[float]] = {c: [] for c in value_cols}
-    for line_idx, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise RowError(line_idx, f"expected {len(header)} columns, found {len(fields)}")
+    for line_idx, fields in _rows(lines, header):
         ids.append(fields[0])
         for col, raw in zip(value_cols, fields[1:]):
             try:

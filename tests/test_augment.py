@@ -175,14 +175,6 @@ def test_ra_count_exceeding_pool_errors():
         random_augment(base, pool, AugmentationSpec("ra", sample_count=8, seed=0))
 
 
-def test_ra_with_replacement_allows_oversampling():
-    base = make_dataset("train", uniform(1), "b")
-    pool = make_dataset("pool", {"joy": 2}, "p")
-    out = random_augment(base, pool, AugmentationSpec("ra", sample_count=5, seed=0, with_replacement=True))
-    assert len(out) == 12
-    assert out.meta["with_replacement_used"] == "true"
-
-
 def test_ra_deterministic():
     base = make_dataset("train", uniform(2), "b")
     pool = make_dataset("pool", uniform(8), "p")

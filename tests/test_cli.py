@@ -492,6 +492,32 @@ def test_report_bad_file_exits_1(tmp_path, content, message, capsys):
     assert message in err and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in ("ensemble", "eval", "ingest", "predict", "report") for f in ("--seed", "--config")]
+    + [("augment", "--config")],
+)
+def test_flag_the_command_never_reads_is_a_usage_error(tmp_path, command, flag, capsys):
+    argv = [tmp_path / "x.tsv" if a is BAD else a for a in _COMMAND_ARGS[command]]
+    assert run(*argv, flag, 5, "--out", tmp_path / "out") == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ensemble"])
+def test_repeated_prediction_id_exits_1_naming_line_and_id(tmp_path, command, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("id\tessay\tempathy\na\tx\t1.0\nb\ty\t2.0\nc\tz\t3.0\n", encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("id\tempathy\na\t1.0\na\t1.0\nc\t3.0\n", encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--task", "regression", "--pred", pred, "--gold", gold],
+        "ensemble": ["ensemble", "--task", "regression", pred, pred],
+    }[command]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    assert "line 3: duplicate id 'a'" in capsys.readouterr().err
+
+
 def test_manifest_records_environment(tmp_path, corpora):
     out = tmp_path / "out"
     assert run("ingest", "--input", corpora / "train.tsv", "--out", out, "--quiet") == 0

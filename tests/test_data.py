@@ -13,6 +13,7 @@ from miniaffect.data import (
     class_histogram,
     emotion_id,
     escape_field,
+    gold_values,
     load_pool_tsv,
     load_task_tsv,
     parse_emotion,
@@ -246,6 +247,21 @@ def test_class_histogram_missing_label_names_record():
     ds = Dataset("train", [EssayRecord("r7", "t", emotion=None)])
     with pytest.raises(ValidationError, match="r7"):
         class_histogram(ds)
+
+
+def test_gold_values_reads_class_ids_and_scores():
+    records = [EssayRecord("a", "t", 2.5, 3.0, "joy"), EssayRecord("b", "t", 1.0, 7.0, "anger")]
+    gold = gold_values(records, ("emotion", "empathy"), "dev")
+    assert list(gold) == ["emotion", "empathy"]
+    assert gold["emotion"].dtype == np.int64 and gold["emotion"].tolist() == [3, 0]
+    assert gold["empathy"].dtype == np.float64 and gold["empathy"].tolist() == [2.5, 1.0]
+
+
+@pytest.mark.parametrize("field, kind", [("emotion", "label"), ("distress", "score")])
+def test_gold_values_names_the_first_record_without_a_value(field, kind):
+    records = [EssayRecord("a", "t", 2.0, 2.0, "joy"), EssayRecord("b", "t", 2.0, None, None)]
+    with pytest.raises(ValidationError, match=f"^train record 'b' has no {field} {kind}$"):
+        gold_values(records, ("empathy", field), "train")
 
 
 def test_class_histogram_total_random():

@@ -14,6 +14,7 @@ from miniaffect.metrics import (
     histogram_csv,
     macro_f1,
     pearson,
+    score,
 )
 from miniaffect.predictions import ClassificationPredictions, RegressionPredictions
 
@@ -232,6 +233,25 @@ def test_build_report_id_mismatch():
     preds = RegressionPredictions(ids=["a", "zzz"], empathy=np.array([1.0, 2.0]))
     with pytest.raises(ValidationError, match="zzz"):
         build_report("regression", preds, gold)
+
+
+def test_build_report_rejects_a_repeated_prediction_id():
+    # the counts agree, so only the repeat shows that gold record b goes unscored
+    gold = gold_dataset([EssayRecord(rec_id, "t", float(i + 1), None, None) for i, rec_id in enumerate("abc")])
+    preds = RegressionPredictions(ids=["a", "a", "c"], empathy=np.array([1.0, 1.0, 3.0]))
+    with pytest.raises(ValidationError, match="'a' appears more than once"):
+        build_report("regression", preds, gold)
+
+
+def test_score_keys_per_label_set():
+    ids = np.array([0, 1, 2, 1])
+    assert list(score({"emotion": ids}, {"emotion": ids})) == ["macro_f1", "accuracy"]
+    x, y = np.array([1.0, 2.0, 4.0]), np.array([2.0, 1.0, 5.0])
+    one = score({"distress": x}, {"distress": y})
+    assert one == {"pearson_distress": pearson(x, y)}
+    both = score({"empathy": x, "distress": y}, {"empathy": y, "distress": y})
+    assert list(both) == ["pearson_empathy", "pearson_distress", "pearson_avg"]
+    assert both["pearson_avg"] == (pearson(x, y) + pearson(y, y)) / 2.0
 
 
 def test_build_report_missing_gold_labels():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from miniaffect.data import EMOTIONS
-from miniaffect.errors import FormatError
+from miniaffect.errors import FormatError, RowError
 from miniaffect.predictions import (
     ClassificationPredictions,
     RegressionPredictions,
@@ -73,6 +73,18 @@ def test_read_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(FormatError):
+        read_predictions(path)
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_read_rejects_a_repeated_id_naming_line_and_id(tmp_path, kind):
+    if kind == "regression":
+        preds = RegressionPredictions(ids=["a", "b", "a"], empathy=np.array([1.0, 2.0, 3.0]))
+    else:
+        preds = ClassificationPredictions(ids=["a", "b", "a"], scores=np.full((3, 7), 1 / 7), labels=["joy"] * 3)
+    path = tmp_path / "p.tsv"
+    write_predictions(preds, path)
+    with pytest.raises(RowError, match="^line 4: duplicate id 'a'$"):
         read_predictions(path)
 
 

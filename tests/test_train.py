@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import miniaffect.train as train_module
 from miniaffect.data import Dataset, EssayRecord
 from miniaffect.errors import DivergenceError, FormatError, ValidationError
+from miniaffect.metrics import build_report
 from miniaffect.nn.autodiff import Node
 from miniaffect.text import build_vocab
 from miniaffect.train import (
@@ -331,6 +332,18 @@ def test_seed_sweep_needs_two_seeds(emotion_data):
     vocab = build_vocab(train_set)
     with pytest.raises(ValidationError):
         seed_sweep(train_set, dev_set, vocab, tiny_config(epochs=1), seeds=[1])
+
+
+@pytest.mark.parametrize("task", ["emotion", "multitask", "empathy"])
+def test_epoch_selection_and_eval_score_the_best_snapshot_alike(emotion_data, regression_data, task):
+    train_set, dev_set = emotion_data if task == "emotion" else regression_data
+    vocab = build_vocab(train_set)
+    ckpt, report = train(train_set, dev_set, vocab, tiny_config(task, epochs=3))
+    kind = "classification" if task == "emotion" else "regression"
+    scored = build_report(kind, predict(ckpt, dev_set, vocab), dev_set).to_dict()
+    assert scored[report.snapshot_metric] == report.best_metric
+    best_dev = report.epochs[report.best_epoch].dev
+    assert {name: scored[name] for name in best_dev} == best_dev
 
 
 @pytest.mark.parametrize("task, field", [("empathy", "empathy"), ("multitask", "distress")])

@@ -82,8 +82,8 @@ def _environment() -> dict:
 class _Run:
     """Collects manifest fields while a command executes."""
 
-    def __init__(self, args, command: str):
-        self.command = command
+    def __init__(self, args):
+        self.command = args.command
         self.out_dir = Path(args.out)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,8 +139,7 @@ def _resolve_seed(run: _Run, seed: int | None, fallback: int = 0) -> int:
     return seed
 
 
-def cmd_ingest(args) -> None:
-    run = _Run(args, "ingest")
+def cmd_ingest(run: _Run, args) -> None:
     path = run.add_input(args.input)
     dataset = load_task_tsv(path, args.split)
     save_dataset(dataset, run.out_path("dataset.tsv"))
@@ -153,11 +152,9 @@ def cmd_ingest(args) -> None:
     else:
         run.notes["histogram"] = "skipped: not all records carry emotion labels"
         run.say(f"{len(dataset)} records (no full emotion labeling, histogram skipped)")
-    run.finish()
 
 
-def cmd_augment(args) -> None:
-    run = _Run(args, "augment")
+def cmd_augment(run: _Run, args) -> None:
     base = load_task_tsv(run.add_input(args.base), "train")
     pool = load_pool_tsv(run.add_input(args.pool))
     seed = _resolve_seed(run, args.seed)
@@ -177,7 +174,6 @@ def cmd_augment(args) -> None:
     run.notes.update(out.meta)
     run.notes["records"] = len(out)
     run.say(f"wrote {len(out)} records ({args.scheme}, seed {seed})")
-    run.finish()
 
 
 def _load_file_config(path) -> dict:
@@ -212,12 +208,16 @@ def _resolve_train_config(args, run: _Run):
     return make_config(**settings)
 
 
-def cmd_train(args) -> None:
-    run = _Run(args, "train")
+def _train_inputs(run: _Run, args):
+    """The resolved config, the train and dev sets, and the vocabulary built from the train set."""
     cfg = _resolve_train_config(args, run)
     train_set = load_task_tsv(run.add_input(args.train), "train")
     dev_set = load_task_tsv(run.add_input(args.dev), "dev")
-    vocab = build_vocab(train_set, cfg.vocab_max_size, cfg.vocab_min_freq)
+    return cfg, train_set, dev_set, build_vocab(train_set, cfg.vocab_max_size, cfg.vocab_min_freq)
+
+
+def cmd_train(run: _Run, args) -> None:
+    cfg, train_set, dev_set, vocab = _train_inputs(run, args)
     ckpt, report = train(train_set, dev_set, vocab, cfg)
     save_checkpoint(ckpt, run.out_path("model.ckpt"))
     save_vocab(vocab, run.out_path("vocab.tsv"))
@@ -226,11 +226,9 @@ def cmd_train(args) -> None:
     run.seeds = [cfg.seed]
     best = "n/a" if report.best_metric is None else f"{report.best_metric:.4f}"
     run.say(f"trained {cfg.epochs} epochs; best {cfg.snapshot_metric} {best} at epoch {report.best_epoch}")
-    run.finish()
 
 
-def cmd_predict(args) -> None:
-    run = _Run(args, "predict")
+def cmd_predict(run: _Run, args) -> None:
     ckpt = load_checkpoint(run.add_input(args.model))
     vocab = load_vocab(run.add_input(args.vocab))
     dataset = load_task_tsv(run.add_input(args.input), args.split)
@@ -238,11 +236,9 @@ def cmd_predict(args) -> None:
     write_predictions(preds, run.out_path("predictions.tsv"))
     run.config = {"task": ckpt.config.task, "clamp": args.clamp, "records": len(dataset)}
     run.say(f"wrote predictions for {len(dataset)} records ({ckpt.config.task})")
-    run.finish()
 
 
-def cmd_ensemble(args) -> None:
-    run = _Run(args, "ensemble")
+def cmd_ensemble(run: _Run, args) -> None:
     members = [read_predictions(run.add_input(p)) for p in args.files]
     if args.task == "regression":
         if not all(isinstance(m, RegressionPredictions) for m in members):
@@ -253,21 +249,14 @@ def cmd_ensemble(args) -> None:
         if not all(isinstance(m, ClassificationPredictions) for m in members):
             raise ValidationError("classification ensemble requires classification prediction files")
         combined = ensemble_classification(members, score_space=args.space)
-        write_predictions(
-            ClassificationPredictions(ids=combined.ids, scores=combined.normalized, labels=combined.labels),
-            run.out_path("ensemble.tsv"),
-        )
-        write_predictions(
-            ClassificationPredictions(ids=combined.ids, scores=combined.summed, labels=combined.labels),
-            run.out_path("ensemble_summed.tsv"),
-        )
+        for name, scores in (("ensemble.tsv", combined.normalized), ("ensemble_summed.tsv", combined.summed)):
+            preds = ClassificationPredictions(ids=combined.ids, scores=scores, labels=combined.labels)
+            write_predictions(preds, run.out_path(name))
     run.config = {"task": args.task, "space": args.space, "members": len(members)}
     run.say(f"combined {len(members)} member files")
-    run.finish()
 
 
-def cmd_eval(args) -> None:
-    run = _Run(args, "eval")
+def cmd_eval(run: _Run, args) -> None:
     preds = read_predictions(run.add_input(args.pred))
     gold = load_task_tsv(run.add_input(args.gold), args.split)
     report = build_report(args.task, preds, gold)
@@ -279,19 +268,14 @@ def cmd_eval(args) -> None:
     run.config = {"task": args.task, "n": report.n}
     summary = {k: v for k, v in report.to_dict().items() if isinstance(v, float)}
     run.say(f"eval over {report.n} records: " + json.dumps(summary, sort_keys=True))
-    run.finish()
 
 
-def cmd_seed_sweep(args) -> None:
-    run = _Run(args, "seed-sweep")
-    cfg = _resolve_train_config(args, run)
+def cmd_seed_sweep(run: _Run, args) -> None:
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
         raise ValidationError(f"--seeds must be a comma-separated integer list, got {args.seeds!r}") from None
-    train_set = load_task_tsv(run.add_input(args.train), "train")
-    dev_set = load_task_tsv(run.add_input(args.dev), "dev")
-    vocab = build_vocab(train_set, cfg.vocab_max_size, cfg.vocab_min_freq)
+    cfg, train_set, dev_set, vocab = _train_inputs(run, args)
     report = seed_sweep(train_set, dev_set, vocab, cfg, seeds)
     _write_text(run.out_path("sweep.json"), json.dumps(report.to_dict(), indent=2) + "\n")
     run.config = cfg.to_dict()
@@ -300,7 +284,6 @@ def cmd_seed_sweep(args) -> None:
         f"swept {len(seeds)} seeds: mean {report.mean:.4f} std {report.std:.4f}"
         f" min {report.min:.4f} max {report.max:.4f}"
     )
-    run.finish()
 
 
 _REPORT_COLUMNS = ("pearson_empathy", "pearson_distress", "pearson_avg", "accuracy", "macro_f1")
@@ -321,8 +304,7 @@ def _load_report(path: Path) -> dict:
     return payload
 
 
-def cmd_report(args) -> None:
-    run = _Run(args, "report")
+def cmd_report(run: _Run, args) -> None:
     rows = [(Path(path).stem, _load_report(run.add_input(path))) for path in args.files]
     columns = [c for c in _REPORT_COLUMNS if any(c in payload for _, payload in rows)]
     lines = ["| run | task | n | " + " | ".join(columns) + " |"]
@@ -337,7 +319,6 @@ def cmd_report(args) -> None:
     _write_text(run.out_path("report.md"), table)
     run.config = {"reports": len(rows)}
     run.say(table.rstrip("\n"))
-    run.finish()
 
 
 # Splits a task TSV can carry; pool files load only through augment.
@@ -437,7 +418,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        args.func(args)
+        run = _Run(args)
+        args.func(run, args)
+        run.finish()
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
-"""Essay datasets: records, TSV ingestion/serialization, label histograms.
+"""Essay datasets and the TSV table format: records, ingestion/serialization, label histograms.
 
-Two line-oriented TSV layouts are understood:
+``read_table`` is the one reader of line-oriented TSV tables and
+``format_table`` the one writer. Three layouts use them:
 
-* task files    -- required column ``essay``; optional ``id``, ``empathy``,
-                   ``distress``, ``emotion``; anything else is kept verbatim
-                   in ``extras``.
-* pool files    -- required columns ``text`` and ``emotion``; optional ``id``.
+* task files       -- required column ``essay``; optional ``id``, ``empathy``,
+                      ``distress``, ``emotion``; anything else is kept
+                      verbatim in ``extras``.
+* pool files       -- required columns ``text`` and ``emotion``; optional ``id``.
+* prediction files -- see ``predictions``.
 
 Inside the essay/text field a literal tab is written ``\\t``, a newline
 ``\\n``, a carriage return ``\\r`` and a backslash ``\\\\``; there is no
@@ -14,6 +16,7 @@ quoting, so every data row is exactly one physical line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -98,14 +101,50 @@ def unescape_field(text: str) -> str:
     return re.sub(r"\\([tnr\\])", lambda m: _UNESCAPES[m.group(1)], text)
 
 
-def _parse_score(raw: str, column: str, line_no: int) -> float | None:
-    raw = raw.strip()
-    if raw == "":
-        return None
+def parse_number(raw: str, column: str, line_no: int) -> float:
+    """A cell's finite float value; RowError naming the line and the column otherwise."""
     try:
         value = float(raw)
     except ValueError:
         raise RowError(line_no, f"{column} value {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise RowError(line_no, f"{column} value {raw!r} is not finite")
+    return value
+
+
+def number_columns(header: list[str], rows, columns) -> np.ndarray:
+    """The named columns of ``read_table`` rows as a float64 [rows, columns] array.
+
+    Every cell must hold a finite number. All cells are parsed with float() into
+    one array whose finiteness is checked at once; only a faulty table is scanned
+    again, cell by cell, to raise a RowError naming the first bad cell.
+    """
+    idx = [header.index(name) for name in columns]
+    try:
+        values = np.fromiter((float(cells[i]) for _, cells in rows for i in idx), np.float64, len(rows) * len(idx))
+        valid = bool(np.isfinite(values).all())
+    except ValueError:
+        valid = False
+    if not valid:
+        for line_no, cells in rows:
+            for name, i in zip(columns, idx):
+                parse_number(cells[i], name, line_no)
+    return values.reshape(len(rows), len(idx))
+
+
+def parse_label(raw: str, line_no: int) -> str:
+    """parse_emotion for a table cell: an unknown label is a RowError naming the line."""
+    try:
+        return parse_emotion(raw)
+    except ValidationError as exc:
+        raise RowError(line_no, str(exc)) from None
+
+
+def _parse_score(raw: str, column: str, line_no: int) -> float | None:
+    raw = raw.strip()
+    if raw == "":
+        return None
+    value = parse_number(raw, column, line_no)
     if not (SCORE_MIN <= value <= SCORE_MAX):
         raise RowError(line_no, f"{column} value {raw} outside the allowed range [1,7]")
     return value
@@ -124,59 +163,72 @@ def read_lines(path) -> list[str]:
     return [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
 
 
-def _load_tsv(path, split: str, text_column: str) -> Dataset:
+def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A TSV file's header and its data rows as (1-based line number, cells) pairs.
+
+    FormatError for an empty file or a header that repeats a column name;
+    RowError for a row whose cell count differs from the header's and, when
+    the header has an ``id`` column, for an empty or repeated id.
+    """
     lines = read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty file, expected a header line")
     header = lines[0].split("\t")
     if len(set(header)) != len(header):
         raise FormatError(f"{path}: header repeats a column name (got {header})")
+    id_col = header.index("id") if "id" in header else None
+    rows = []
+    seen_ids: set[str] = set()
+    for line_no, line in enumerate(lines[1:], start=2):
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise RowError(line_no, f"expected {len(header)} columns, found {len(cells)}")
+        if id_col is not None:
+            rec_id = cells[id_col]
+            if rec_id == "":
+                raise RowError(line_no, "empty id")
+            if rec_id in seen_ids:
+                raise RowError(line_no, f"duplicate id {rec_id!r}")
+            seen_ids.add(rec_id)
+        rows.append((line_no, cells))
+    return header, rows
+
+
+def format_table(header, rows) -> str:
+    """TSV text for a header and rows of already-escaped cells, one line each."""
+    return "\n".join(["\t".join(header), *("\t".join(row) for row in rows)]) + "\n"
+
+
+def _load_tsv(path, split: str, text_column: str) -> Dataset:
+    header, rows = read_table(path)
     if text_column not in header:
         raise FormatError(f"{path}: header has no {text_column!r} column (got {header})")
     if split == "pool" and "emotion" not in header:
         raise FormatError(f"{path}: pool file header has no 'emotion' column")
     col = {name: idx for idx, name in enumerate(header)}
+    text_idx, id_idx, emotion_idx = col[text_column], col.get("id"), col.get("emotion")
+    # pool records never carry scores, whatever columns the file has
+    empathy_idx, distress_idx = (None, None) if split == "pool" else (col.get("empathy"), col.get("distress"))
     known = {"id", text_column, *LABEL_FIELDS}
-    extra_cols = [name for name in header if name not in known]
+    extra_cols = [(name, idx) for idx, name in enumerate(header) if name not in known]
 
     records = []
-    seen_ids = set()
-    for row_idx, line in enumerate(lines[1:]):
-        line_no = row_idx + 2
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise RowError(line_no, f"expected {len(header)} columns, found {len(fields)}")
-
-        text = unescape_field(fields[col[text_column]])
+    for row_idx, (line_no, cells) in enumerate(rows):
+        text = unescape_field(cells[text_idx])
         if text.strip() == "":
             raise RowError(line_no, f"empty {text_column} text")
-
-        rec_id = fields[col["id"]] if "id" in col else str(row_idx)
-        if rec_id == "":
-            raise RowError(line_no, "empty id")
-        if rec_id in seen_ids:
-            raise RowError(line_no, f"duplicate id {rec_id!r}")
-        seen_ids.add(rec_id)
-
-        if split == "pool":
-            empathy = distress = None
-        else:
-            empathy = _parse_score(fields[col["empathy"]], "empathy", line_no) if "empathy" in col else None
-            distress = _parse_score(fields[col["distress"]], "distress", line_no) if "distress" in col else None
-
+        empathy = None if empathy_idx is None else _parse_score(cells[empathy_idx], "empathy", line_no)
+        distress = None if distress_idx is None else _parse_score(cells[distress_idx], "distress", line_no)
         emotion = None
-        if "emotion" in col:
-            raw = fields[col["emotion"]].strip()
+        if emotion_idx is not None:
+            raw = cells[emotion_idx].strip()
             if raw != "":
-                try:
-                    emotion = parse_emotion(raw)
-                except ValidationError as exc:
-                    raise RowError(line_no, str(exc)) from None
+                emotion = parse_label(raw, line_no)
             elif split == "pool":
                 raise RowError(line_no, "pool row without an emotion label")
-
         # empty extras cells mean "absent" so sparse columns round-trip cleanly
-        extras = {name: fields[col[name]] for name in extra_cols if fields[col[name]] != ""}
+        extras = {name: cells[idx] for name, idx in extra_cols if cells[idx] != ""}
+        rec_id = str(row_idx) if id_idx is None else cells[id_idx]
         records.append(EssayRecord(rec_id, text, empathy, distress, emotion, extras))
 
     return Dataset(split=split, records=records)
@@ -203,7 +255,7 @@ def serialize_dataset(d: Dataset) -> str:
     labels = [name for name in LABEL_FIELDS if any(getattr(r, name) is not None for r in d.records)]
     extra_keys = sorted({k for r in d.records for k in r.extras})
 
-    lines = ["\t".join(["id", text_column, *labels, *extra_keys])]
+    rows = []
     for r in d.records:
         if "\t" in r.id or "\n" in r.id:
             raise ValidationError(f"record id {r.id!r} contains a tab or newline")
@@ -220,8 +272,8 @@ def serialize_dataset(d: Dataset) -> str:
                     f"extras value for {key!r} on record {r.id!r} contains a tab, newline or carriage return"
                 )
             row.append(value)
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return format_table(["id", text_column, *labels, *extra_keys], rows)
 
 
 def save_dataset(d: Dataset, path) -> None:

@@ -50,26 +50,21 @@ def _check_labels(preds: np.ndarray, golds: np.ndarray, k: int) -> None:
             raise ValidationError(f"{name} label outside 0..{k - 1}")
 
 
-def macro_f1(preds, golds, k: int = 7) -> tuple[float, list[float]]:
-    """Unweighted mean of per-class F1 over all k classes.
+def per_class_f1(counts: np.ndarray) -> list[float]:
+    """F1 per class from a [gold][pred] count matrix.
 
-    Per class: precision = TP/(TP+FP), recall = TP/(TP+FN), F1 = 2PR/(P+R);
-    every zero-denominator quantity is defined as 0, and classes absent from
-    both preds and golds contribute an F1 of 0.
+    Per class: TP is the diagonal, FP the column sum minus TP and FN the row
+    sum minus TP; precision = TP/(TP+FP), recall = TP/(TP+FN), F1 = 2PR/(P+R),
+    and every zero-denominator quantity is defined as 0.
     """
-    preds = np.asarray(preds)
-    golds = np.asarray(golds)
-    _check_labels(preds, golds, k)
     per_class = []
-    for c in range(k):
-        tp = int(((preds == c) & (golds == c)).sum())
-        fp = int(((preds == c) & (golds != c)).sum())
-        fn = int(((preds != c) & (golds == c)).sum())
+    gold_totals, pred_totals = counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist()
+    for tp, gold_total, pred_total in zip(np.diag(counts).tolist(), gold_totals, pred_totals):
+        fp, fn = pred_total - tp, gold_total - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append(f1)
-    return sum(per_class) / k, per_class
+        per_class.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
+    return per_class
 
 
 def confusion(preds, golds, k: int = 7) -> tuple[np.ndarray, np.ndarray]:
@@ -85,6 +80,15 @@ def confusion(preds, golds, k: int = 7) -> tuple[np.ndarray, np.ndarray]:
     row_sums = counts.sum(axis=1, keepdims=True)
     normalized = np.divide(counts, row_sums, out=np.zeros((k, k)), where=row_sums > 0)
     return counts, normalized
+
+
+def macro_f1(preds, golds, k: int = 7) -> tuple[float, list[float]]:
+    """Unweighted mean of per-class F1 over all k classes, and the per-class list.
+
+    Classes absent from both preds and golds contribute an F1 of 0.
+    """
+    per_class = per_class_f1(confusion(preds, golds, k)[0])
+    return sum(per_class) / k, per_class
 
 
 def score(pred: dict[str, np.ndarray], gold: dict[str, np.ndarray]) -> dict[str, float]:
@@ -158,8 +162,8 @@ def build_report(task: str, preds, gold: Dataset) -> EvalReport:
     golds = gold_values(records, pred, "gold")
     report = EvalReport(task=task, n=len(records), **score(pred, golds))
     if task == "classification":
-        _, report.per_class_f1 = macro_f1(pred["emotion"], golds["emotion"])
         counts, normalized = confusion(pred["emotion"], golds["emotion"])
+        report.per_class_f1 = per_class_f1(counts)
         report.confusion = counts.tolist()
         report.confusion_normalized = normalized.tolist()
     return report

@@ -22,7 +22,14 @@ from ..errors import ValidationError, check_field_types
 from . import autodiff as ad
 from .autodiff import EvalTape, Node, Tape
 
-HEAD_KINDS = ("regression_single", "regression_dual", "classify7")
+# Each head kind's linear heads as (tensor name prefix, output width); a
+# width-1 head yields one scalar per example.
+HEADS = {
+    "regression_single": (("head", 1),),
+    "regression_dual": (("head_empathy", 1), ("head_distress", 1)),
+    "classify7": (("head", 7),),
+}
+HEAD_KINDS = tuple(HEADS)
 
 Parameters = dict[str, np.ndarray]
 
@@ -108,17 +115,8 @@ def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
         ("final_norm.gain", (d,), "ones"),
         ("final_norm.bias", (d,), "zeros"),
     ]
-    if cfg.head_kind == "regression_single":
-        shapes += [("head.w", (d, 1), "xavier"), ("head.b", (1,), "zeros")]
-    elif cfg.head_kind == "regression_dual":
-        shapes += [
-            ("head_empathy.w", (d, 1), "xavier"),
-            ("head_empathy.b", (1,), "zeros"),
-            ("head_distress.w", (d, 1), "xavier"),
-            ("head_distress.b", (1,), "zeros"),
-        ]
-    else:
-        shapes += [("head.w", (d, 7), "xavier"), ("head.b", (7,), "zeros")]
+    for prefix, width in HEADS[cfg.head_kind]:
+        shapes += [(prefix + ".w", (d, width), "xavier"), (prefix + ".b", (width,), "zeros")]
     return shapes
 
 
@@ -230,16 +228,11 @@ def head_apply(pnodes: dict[str, Node], cfg: EncoderConfig, cls_vectors: Node, t
     distress Node), each [batch]; classify7 -> Node [batch, 7] of logits.
     Regression outputs are raw and unclipped.
     """
-
-    def scalar_head(prefix: str) -> Node:
+    outs = []
+    for prefix, width in HEADS[cfg.head_kind]:
         out = ad.linear(tape, cls_vectors, pnodes[prefix + ".w"], pnodes[prefix + ".b"])
-        return ad.take(tape, out, (slice(None), 0))
-
-    if cfg.head_kind == "regression_single":
-        return scalar_head("head")
-    if cfg.head_kind == "regression_dual":
-        return scalar_head("head_empathy"), scalar_head("head_distress")
-    return ad.linear(tape, cls_vectors, pnodes["head.w"], pnodes["head.b"])
+        outs.append(ad.take(tape, out, (slice(None), 0)) if width == 1 else out)
+    return outs[0] if len(outs) == 1 else tuple(outs)
 
 
 def run_model(params: Parameters, cfg: EncoderConfig, ids: np.ndarray, lengths: np.ndarray):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EMOTIONS, parse_emotion, read_lines
-from .errors import FormatError, RowError
+from .data import EMOTIONS, format_table, number_columns, parse_label, read_table
+from .errors import FormatError
 
 _PROB_COLUMNS = tuple(f"p_{label}" for label in EMOTIONS)
 
@@ -34,29 +34,22 @@ class ClassificationPredictions:
 
 def format_predictions(preds) -> str:
     if isinstance(preds, RegressionPredictions):
-        columns = ["id"]
-        series = []
-        if preds.empathy is not None:
-            columns.append("empathy")
-            series.append(preds.empathy)
-        if preds.distress is not None:
-            columns.append("distress")
-            series.append(preds.distress)
-        if not series:
+        columns = [name for name in ("empathy", "distress") if getattr(preds, name) is not None]
+        if not columns:
             raise ValueError("regression predictions carry no score columns")
-        lines = ["\t".join(columns)]
-        for i, rec_id in enumerate(preds.ids):
-            lines.append("\t".join([rec_id, *(repr(float(s[i])) for s in series)]))
-        return "\n".join(lines) + "\n"
-
+        values = np.column_stack([getattr(preds, name) for name in columns])
+    elif isinstance(preds, ClassificationPredictions):
+        columns = [*_PROB_COLUMNS, "label"]
+        values = preds.scores
+    else:
+        raise TypeError(f"unsupported prediction object {type(preds).__name__}")
+    # tolist() yields Python floats, whose repr() round-trips exactly
+    floats = np.asarray(values, dtype=np.float64).tolist()
+    rows = [[rec_id, *map(repr, row)] for rec_id, row in zip(preds.ids, floats, strict=True)]
     if isinstance(preds, ClassificationPredictions):
-        lines = ["\t".join(["id", *_PROB_COLUMNS, "label"])]
-        for i, rec_id in enumerate(preds.ids):
-            row = [rec_id, *(repr(float(v)) for v in preds.scores[i]), preds.labels[i]]
-            lines.append("\t".join(row))
-        return "\n".join(lines) + "\n"
-
-    raise TypeError(f"unsupported prediction object {type(preds).__name__}")
+        for row, label in zip(rows, preds.labels, strict=True):
+            row.append(label)
+    return format_table(["id", *columns], rows)
 
 
 def write_predictions(preds, path) -> None:
@@ -64,59 +57,28 @@ def write_predictions(preds, path) -> None:
         fh.write(format_predictions(preds))
 
 
-def _rows(lines: list[str], header: list[str]):
-    """Each data row's line number and cells, once its column count and unique id are checked."""
-    seen: set[str] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise RowError(line_no, f"expected {len(header)} columns, found {len(cells)}")
-        if cells[0] in seen:
-            raise RowError(line_no, f"duplicate id {cells[0]!r}")
-        seen.add(cells[0])
-        yield line_no, cells
-
-
 def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
-    """Load a prediction TSV, inferring its kind from the header."""
-    lines = read_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty prediction file")
-    header = lines[0].split("\t")
+    """Load a prediction TSV, inferring its kind from the header.
+
+    Every value must be a finite number and every label a known emotion; a
+    faulty row is a RowError naming its line.
+    """
+    header, rows = read_table(path)
     if header[:1] != ["id"]:
         raise FormatError(f"{path}: prediction header must start with 'id', got {header}")
+    ids = [cells[0] for _, cells in rows]
 
     if "label" in header:
         expected = ["id", *_PROB_COLUMNS, "label"]
         if header != expected:
             raise FormatError(f"{path}: classification header must be {expected}")
-        ids: list[str] = []
-        scores = []
-        labels = []
-        for line_idx, fields in _rows(lines, header):
-            ids.append(fields[0])
-            try:
-                scores.append([float(v) for v in fields[1:8]])
-            except ValueError:
-                raise RowError(line_idx, "non-numeric probability value") from None
-            labels.append(parse_emotion(fields[8]))
-        return ClassificationPredictions(ids=ids, scores=np.array(scores, dtype=np.float64), labels=labels)
+        scores = number_columns(header, rows, _PROB_COLUMNS)
+        labels = [parse_label(cells[8], line_no) for line_no, cells in rows]
+        return ClassificationPredictions(ids=ids, scores=scores, labels=labels)
 
     allowed = {"empathy", "distress"}
     value_cols = header[1:]
-    if not value_cols or any(c not in allowed for c in value_cols) or len(set(value_cols)) != len(value_cols):
+    if not value_cols or any(c not in allowed for c in value_cols):
         raise FormatError(f"{path}: regression columns must be a subset of {sorted(allowed)}, got {value_cols}")
-    ids = []
-    values: dict[str, list[float]] = {c: [] for c in value_cols}
-    for line_idx, fields in _rows(lines, header):
-        ids.append(fields[0])
-        for col, raw in zip(value_cols, fields[1:]):
-            try:
-                values[col].append(float(raw))
-            except ValueError:
-                raise RowError(line_idx, f"non-numeric {col} value {raw!r}") from None
-    return RegressionPredictions(
-        ids=ids,
-        empathy=np.array(values["empathy"], dtype=np.float64) if "empathy" in values else None,
-        distress=np.array(values["distress"], dtype=np.float64) if "distress" in values else None,
-    )
+    series = dict(zip(value_cols, np.ascontiguousarray(number_columns(header, rows, value_cols).T)))
+    return RegressionPredictions(ids=ids, empathy=series.get("empathy"), distress=series.get("distress"))

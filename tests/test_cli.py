@@ -24,8 +24,24 @@ from miniaffect.train import TrainConfig, load_checkpoint, save_checkpoint
 from corpus import keyword_classification_corpus, tiny_encoder_kwargs
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(path):
+    """A JSON file's value; NaN, Infinity and -Infinity, which strict parsers reject, raise ValueError."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
+
+
 def run(*argv):
-    return main([str(a) for a in argv])
+    """main() on argv; after a success, every JSON file the command wrote must be strict JSON."""
+    argv = [str(a) for a in argv]
+    code = main(argv)
+    if code == 0 and "--out" in argv:
+        manifest = Path(argv[argv.index("--out") + 1]) / "manifest.json"
+        for path in [manifest, *(p for p in strict_json(manifest)["outputs"] if p.endswith(".json"))]:
+            strict_json(path)
+    return code
 
 
 def _header_only(src, dst):
@@ -526,3 +542,48 @@ def test_manifest_records_environment(tmp_path, corpora):
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
     assert env["usable_cores"] >= 1
+
+
+def test_strict_json_rejects_non_finite_constants(tmp_path):
+    path = tmp_path / "r.json"
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        path.write_text(f'{{"pearson_empathy": {constant}}}', encoding="utf-8")
+        with pytest.raises(ValueError, match="non-standard JSON constant"):
+            strict_json(path)
+
+
+_PROB_HEADER = "id\t" + "\t".join(f"p_{e}" for e in EMOTIONS) + "\tlabel\n"
+_UNIFORM = "\t".join([repr(1 / 7)] * 7)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["eval", "ensemble"])
+def test_non_finite_prediction_value_exits_1_naming_its_line(tmp_path, command, raw, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("id\tessay\tempathy\na\tx\t1.0\nb\ty\t2.0\nc\tz\t3.0\n", encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text(f"id\tempathy\na\t1.0\nb\t{raw}\nc\t3.0\n", encoding="utf-8")
+    member = tmp_path / "member.tsv"
+    member.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t" + "\t".join([raw] * 7) + "\tanger\n",
+                      encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--task", "regression", "--pred", pred, "--gold", gold],
+        "ensemble": ["ensemble", "--task", "classification", member, member],
+    }[command]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    column = "empathy" if command == "eval" else "p_anger"
+    assert f"error: line 3: {column} value '{raw}' is not finite" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ensemble"])
+def test_unknown_prediction_label_exits_1_naming_its_line(tmp_path, corpora, command, capsys):
+    member = tmp_path / "member.tsv"
+    member.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t{_UNIFORM}\thappy\n", encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--task", "classification", "--pred", member, "--gold", corpora / "dev.tsv"],
+        "ensemble": ["ensemble", "--task", "classification", member],
+    }[command]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    assert "error: line 3: unknown emotion label 'happy'" in capsys.readouterr().err

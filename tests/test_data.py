@@ -13,10 +13,13 @@ from miniaffect.data import (
     class_histogram,
     emotion_id,
     escape_field,
+    format_table,
     gold_values,
     load_pool_tsv,
     load_task_tsv,
+    number_columns,
     parse_emotion,
+    read_table,
     save_dataset,
     serialize_dataset,
     unescape_field,
@@ -66,6 +69,79 @@ def test_load_task_non_numeric_score(tmp_path):
     path = write(tmp_path, "t.tsv", "essay\tempathy\nbad row\thigh\n")
     with pytest.raises(RowError, match="not a number"):
         load_task_tsv(path, "train")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_load_task_non_finite_score_names_line_and_column(tmp_path, raw):
+    path = write(tmp_path, "t.tsv", f"essay\tempathy\tdistress\nfine\t2\t3\nbad row\t4\t{raw}\n")
+    with pytest.raises(RowError, match=f"^line 3: distress value '{raw}' is not finite$"):
+        load_task_tsv(path, "train")
+
+
+def test_read_table_returns_header_and_numbered_rows(tmp_path):
+    path = write(tmp_path, "t.tsv", "id\tx\r\na\t1\r\nb\t\r\n")
+    assert read_table(path) == (["id", "x"], [(2, ["a", "1"]), (3, ["b", ""])])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("id\tx\tx\na\t1\t2\n", "repeats a column name"),
+])
+def test_read_table_rejects_a_bad_file(tmp_path, text, message):
+    with pytest.raises(FormatError, match=message):
+        read_table(write(tmp_path, "t.tsv", text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id\tx\na\t1\nb\t2\t3\n", "^line 3: expected 2 columns, found 3$"),
+    ("id\tx\na\t1\nb\n", "^line 3: expected 2 columns, found 1$"),
+    ("x\tid\n1\ta\n2\t\n", "^line 3: empty id$"),
+    ("x\tid\n1\ta\n2\tb\n3\ta\n", "^line 4: duplicate id 'a'$"),
+])
+def test_read_table_rejects_a_bad_row_naming_its_line(tmp_path, text, message):
+    with pytest.raises(RowError, match=message):
+        read_table(write(tmp_path, "t.tsv", text))
+
+
+def test_read_table_without_id_column_allows_repeated_cells(tmp_path):
+    _, rows = read_table(write(tmp_path, "t.tsv", "x\n\n\n"))
+    assert rows == [(2, [""]), (3, [""])]
+
+
+def test_number_columns_reads_named_columns_in_order():
+    header = ["id", "a", "b"]
+    rows = [(2, ["r0", "1.5", "-2"]), (3, ["r1", "1e3", " 7 "])]
+    values = number_columns(header, rows, ["b", "a"])
+    assert values.dtype == np.float64
+    assert values.tolist() == [[-2.0, 1.5], [7.0, 1000.0]]
+    assert number_columns(header, [], ["a", "b"]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("nan", "'nan' is not finite"),
+    ("inf", "'inf' is not finite"),
+    ("-inf", "'-inf' is not finite"),
+    ("1e999", "'1e999' is not finite"),
+    ("high", "'high' is not a number"),
+    ("", "'' is not a number"),
+])
+def test_number_columns_names_the_first_bad_cell(raw, message):
+    header = ["id", "a", "b"]
+    rows = [(2, ["r0", "1", "2"]), (3, ["r1", "3", raw]), (4, ["r2", "nan", "x"])]
+    with pytest.raises(RowError, match=f"^line 3: b value {message}$"):
+        number_columns(header, rows, ["a", "b"])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.text(st.characters(blacklist_characters="\t\n\r"), max_size=4), min_size=2, max_size=2),
+                max_size=5))
+def test_format_table_read_table_round_trip_property(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_text(format_table(["a", "b"], rows), encoding="utf-8", newline="")
+        header, read_back = read_table(path)
+    assert header == ["a", "b"]
+    assert read_back == [(line_no, row) for line_no, row in enumerate(rows, start=2)]
 
 
 def test_load_task_missing_essay_column(tmp_path):

@@ -190,6 +190,17 @@ def test_forward_train_mode_dropout_changes_output():
     assert np.array_equal(out1, out3)
 
 
+@pytest.mark.parametrize("kind, head", [
+    ("regression_single", [("head.w", (8, 1), "xavier"), ("head.b", (1,), "zeros")]),
+    ("regression_dual", [("head_empathy.w", (8, 1), "xavier"), ("head_empathy.b", (1,), "zeros"),
+                         ("head_distress.w", (8, 1), "xavier"), ("head_distress.b", (1,), "zeros")]),
+    ("classify7", [("head.w", (8, 7), "xavier"), ("head.b", (7,), "zeros")]),
+])
+def test_param_shapes_end_with_the_head_tensors(kind, head):
+    shapes = param_shapes(EncoderConfig(**{**vars(TINY), "head_kind": kind}))
+    assert shapes[-len(head) - 1:] == [("final_norm.bias", (8,), "zeros"), *head]
+
+
 def test_zero_cls_and_zero_bias_heads_output_zero():
     for kind in ("regression_single", "regression_dual", "classify7"):
         cfg = EncoderConfig(**{**vars(TINY), "head_kind": kind})

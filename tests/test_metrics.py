@@ -104,6 +104,14 @@ def test_macro_f1_label_out_of_range():
         macro_f1([0, 7], [0, 1], k=7)
 
 
+def test_macro_f1_from_confusion_counts_equals_per_class_counting_exactly():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        preds, golds = rng.integers(0, 7, n), rng.integers(0, 7, n)
+        assert macro_f1(preds, golds) == naive_macro_f1(list(preds), list(golds), 7)
+
+
 def test_macro_f1_matches_oracle_randomized():
     rng = np.random.default_rng(2)
     for _ in range(200):

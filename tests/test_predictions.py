@@ -91,3 +91,62 @@ def test_read_rejects_a_repeated_id_naming_line_and_id(tmp_path, kind):
 def test_format_deterministic():
     preds = RegressionPredictions(ids=["a"], empathy=np.array([0.1 + 0.2]))
     assert format_predictions(preds) == format_predictions(preds)
+
+
+def _classification_text(bad_cell=None, label="joy"):
+    """A three-row classification file; row 2 (line 3) gets ``bad_cell`` as p_fear and ``label``."""
+    header = "\t".join(["id", *(f"p_{e}" for e in EMOTIONS), "label"])
+    rows = []
+    for i in range(3):
+        probs = [repr(1 / 7)] * 7
+        if i == 1 and bad_cell is not None:
+            probs[2] = bad_cell
+        rows.append("\t".join([f"r{i}", *probs, label if i == 1 else "joy"]))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_read_rejects_a_non_finite_regression_value(tmp_path, raw):
+    path = tmp_path / "p.tsv"
+    path.write_text(f"id\tempathy\tdistress\na\t2.0\t3.0\nb\t4.0\t{raw}\nc\t{raw}\t1.0\n", encoding="utf-8")
+    with pytest.raises(RowError, match=f"^line 3: distress value '{raw}' is not finite$") as err:
+        read_predictions(path)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_read_rejects_a_non_finite_probability(tmp_path, raw):
+    path = tmp_path / "p.tsv"
+    path.write_text(_classification_text(bad_cell=raw), encoding="utf-8")
+    with pytest.raises(RowError, match=f"^line 3: p_fear value '{raw}' is not finite$") as err:
+        read_predictions(path)
+    assert err.value.line == 3
+
+
+def test_read_rejects_a_non_numeric_probability_naming_line_and_column(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text(_classification_text(bad_cell="high"), encoding="utf-8")
+    with pytest.raises(RowError, match="^line 3: p_fear value 'high' is not a number$"):
+        read_predictions(path)
+
+
+def test_read_rejects_an_unknown_label_naming_its_line(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text(_classification_text(label="happy"), encoding="utf-8")
+    with pytest.raises(RowError, match="^line 3: unknown emotion label 'happy'") as err:
+        read_predictions(path)
+    assert err.value.line == 3
+
+
+def test_read_rejects_an_empty_id(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text("id\tempathy\na\t2.0\n\t3.0\n", encoding="utf-8")
+    with pytest.raises(RowError, match="^line 3: empty id$"):
+        read_predictions(path)
+
+
+def test_read_header_only_file_gives_empty_arrays(tmp_path):
+    path = tmp_path / "p.tsv"
+    path.write_text(_classification_text().split("\n")[0] + "\n", encoding="utf-8")
+    loaded = read_predictions(path)
+    assert loaded.ids == [] and loaded.labels == [] and loaded.scores.shape == (0, 7)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +164,15 @@ def read_lines(path) -> list[str]:
     return [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
 
 
+@contextmanager
+def rows_of(path):
+    """Name ``path`` in a RowError raised inside the block."""
+    try:
+        yield
+    except RowError as exc:
+        raise RowError(exc.line, exc.message, path) from None
+
+
 def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """A TSV file's header and its data rows as (1-based line number, cells) pairs.
 
@@ -179,18 +189,19 @@ def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     id_col = header.index("id") if "id" in header else None
     rows = []
     seen_ids: set[str] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise RowError(line_no, f"expected {len(header)} columns, found {len(cells)}")
-        if id_col is not None:
-            rec_id = cells[id_col]
-            if rec_id == "":
-                raise RowError(line_no, "empty id")
-            if rec_id in seen_ids:
-                raise RowError(line_no, f"duplicate id {rec_id!r}")
-            seen_ids.add(rec_id)
-        rows.append((line_no, cells))
+    with rows_of(path):
+        for line_no, line in enumerate(lines[1:], start=2):
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise RowError(line_no, f"expected {len(header)} columns, found {len(cells)}")
+            if id_col is not None:
+                rec_id = cells[id_col]
+                if rec_id == "":
+                    raise RowError(line_no, "empty id")
+                if rec_id in seen_ids:
+                    raise RowError(line_no, f"duplicate id {rec_id!r}")
+                seen_ids.add(rec_id)
+            rows.append((line_no, cells))
     return header, rows
 
 
@@ -213,23 +224,24 @@ def _load_tsv(path, split: str, text_column: str) -> Dataset:
     extra_cols = [(name, idx) for idx, name in enumerate(header) if name not in known]
 
     records = []
-    for row_idx, (line_no, cells) in enumerate(rows):
-        text = unescape_field(cells[text_idx])
-        if text.strip() == "":
-            raise RowError(line_no, f"empty {text_column} text")
-        empathy = None if empathy_idx is None else _parse_score(cells[empathy_idx], "empathy", line_no)
-        distress = None if distress_idx is None else _parse_score(cells[distress_idx], "distress", line_no)
-        emotion = None
-        if emotion_idx is not None:
-            raw = cells[emotion_idx].strip()
-            if raw != "":
-                emotion = parse_label(raw, line_no)
-            elif split == "pool":
-                raise RowError(line_no, "pool row without an emotion label")
-        # empty extras cells mean "absent" so sparse columns round-trip cleanly
-        extras = {name: cells[idx] for name, idx in extra_cols if cells[idx] != ""}
-        rec_id = str(row_idx) if id_idx is None else cells[id_idx]
-        records.append(EssayRecord(rec_id, text, empathy, distress, emotion, extras))
+    with rows_of(path):
+        for row_idx, (line_no, cells) in enumerate(rows):
+            text = unescape_field(cells[text_idx])
+            if text.strip() == "":
+                raise RowError(line_no, f"empty {text_column} text")
+            empathy = None if empathy_idx is None else _parse_score(cells[empathy_idx], "empathy", line_no)
+            distress = None if distress_idx is None else _parse_score(cells[distress_idx], "distress", line_no)
+            emotion = None
+            if emotion_idx is not None:
+                raw = cells[emotion_idx].strip()
+                if raw != "":
+                    emotion = parse_label(raw, line_no)
+                elif split == "pool":
+                    raise RowError(line_no, "pool row without an emotion label")
+            # empty extras cells mean "absent" so sparse columns round-trip cleanly
+            extras = {name: cells[idx] for name, idx in extra_cols if cells[idx] != ""}
+            rec_id = str(row_idx) if id_idx is None else cells[id_idx]
+            records.append(EssayRecord(rec_id, text, empathy, distress, emotion, extras))
 
     return Dataset(split=split, records=records)
 

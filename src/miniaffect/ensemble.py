@@ -71,15 +71,20 @@ def ensemble_classification(
 ) -> ClassificationEnsemble:
     """Sum the members' 7-vectors and pick the class with the highest total.
 
-    In probability space every member row must sum to 1 (within 1e-6) and the
+    Every score must be finite. In probability space every member row must
+    sum to 1 (within 1e-6) and the
     normalized copy divides by the row sum; in logit space the raw scores are
     summed as-is and the normalized copy is the softmax of their mean.
     """
     if score_space not in ("probability", "logit"):
         raise ValidationError(f"unknown score space {score_space!r}")
     ids = _check_alignment([m.ids for m in members])
-    if score_space == "probability":
-        for member_idx, m in enumerate(members, start=1):
+    for member_idx, m in enumerate(members, start=1):
+        finite = np.isfinite(m.scores).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValidationError(f"member {member_idx} row for id {m.ids[row]!r} holds a non-finite score")
+        if score_space == "probability":
             sums = m.scores.sum(axis=1)
             bad = np.abs(sums - 1.0) > PROB_ROW_SUM_TOL
             if bad.any():

@@ -20,11 +20,13 @@ class DivergenceError(ValidationError):
 
 
 class RowError(ValidationError):
-    """A single data row is invalid. Carries the 1-based line number."""
+    """A single data row is invalid. Carries the 1-based line number and, once known, the file's path."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, path=None):
+        super().__init__(f"line {line}: {message}" if path is None else f"{path}: line {line}: {message}")
         self.line = line
+        self.message = message
+        self.path = path
 
 
 # int fields take any integer and float fields any finite real number; bools pass only bool fields.

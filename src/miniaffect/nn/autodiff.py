@@ -11,6 +11,12 @@ consumers collects every contribution. Each op must therefore hand every
 input an array that nothing else holds or will write: a fresh result, never
 its incoming ``g`` or a view of it (``add`` copies ``g`` when it passes it
 through unchanged).
+
+The one exception is a short integer-array ``take`` (the token-embedding
+lookup): when it is the first to reach its input, it leaves a ``RowSparse``
+gradient there, the summed rows its indices touched. Any later contribution
+turns it back into a dense array, and the backward sweep hands ops only dense
+arrays; ``dense`` gives the full array of either kind.
 """
 
 from __future__ import annotations
@@ -18,6 +24,29 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+class RowSparse:
+    """A gradient that is zero outside ``rows``: the full array is zeros of ``shape`` with ``values`` at ``rows``.
+
+    rows is sorted and unique, and values[i] is the gradient of row rows[i].
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+
+def dense(grad):
+    """The full gradient array, whether ``grad`` is an ndarray or a ``RowSparse``."""
+    if not isinstance(grad, RowSparse):
+        return grad
+    out = np.zeros(grad.shape)
+    out[grad.rows] = grad.values
+    return out
 
 
 class Node:
@@ -36,6 +65,7 @@ class Node:
             # node. asarray only wraps the numpy scalar a full reduction yields.
             self.grad = np.asarray(g, dtype=np.float64)
         else:
+            self.grad = dense(self.grad)
             self.grad += g
 
 
@@ -63,7 +93,7 @@ class Tape:
         loss.grad = np.ones_like(loss.value)
         for out, fn in reversed(self._ops):
             if out.grad is not None:
-                fn(out.grad)
+                fn(dense(out.grad))
 
 
 class EvalTape(Tape):
@@ -144,13 +174,38 @@ def linear(tape: Tape, x: Node, w: Node, b: Node) -> Node:
     return out
 
 
+# Fewest rows of the table per index entry for which an integer-array take
+# leaves a RowSparse gradient. A longer index touches so large a share of the
+# rows that sorting it and copying the touched rows (here and in AdamW) cost
+# more than the dense gradient's passes that they save; on 2 vCPUs the two
+# broke even near one entry per 4 rows.
+MIN_ROWS_PER_ENTRY = 8
+
+
 def take(tape: Tape, a: Node, index) -> Node:
-    """``a.value[index]`` for any numpy index; the ``np.add.at`` backward accumulates repeats."""
+    """``a.value[index]`` for any numpy index; the ``np.add.at`` backward accumulates repeats.
+
+    A short integer-array index (see ``MIN_ROWS_PER_ENTRY``) that reaches
+    a.grad first leaves a ``RowSparse``: its unique rows, with the repeats
+    summed by ``np.add.at`` in the same order as into a zeroed full table, so
+    every row has the same bits.
+    """
     out = Node(a.value[index])
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
+        by_rows = (
+            isinstance(index, np.ndarray)
+            and index.dtype.kind in "iu"
+            and index.size * MIN_ROWS_PER_ENTRY <= a.value.shape[0]
+            and not (index < 0).any()  # a negative index would alias a row under a second number
+        )
+        if a.grad is None and by_rows:
+            rows, inverse = np.unique(index, return_inverse=True)
+            values = np.zeros((rows.size, *a.value.shape[1:]))
+            np.add.at(values, inverse.reshape(index.shape), g)
+            a.grad = RowSparse(rows, values, a.value.shape)
+            return
+        a.grad = np.zeros_like(a.value) if a.grad is None else dense(a.grad)
         np.add.at(a.grad, index, g)
 
     tape.record(out, backward)

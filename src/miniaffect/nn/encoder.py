@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_field_types
 from . import autodiff as ad
-from .autodiff import EvalTape, Node, Tape
+from .autodiff import EvalTape, Node, RowSparse, Tape
 
 # Each head kind's linear heads as (tensor name prefix, output width); a
 # width-1 head yields one scalar per example.
@@ -141,8 +141,13 @@ def wrap_params(params: Parameters) -> dict[str, Node]:
     return {name: Node(arr) for name, arr in params.items()}
 
 
-def collect_grads(pnodes: dict[str, Node], params: Parameters) -> Parameters:
-    """Gradients per tensor after backward; unused tensors get exact zeros."""
+def collect_grads(pnodes: dict[str, Node], params: Parameters) -> dict[str, np.ndarray | RowSparse]:
+    """Gradients per tensor after backward; unused tensors get exact zeros.
+
+    A short token lookup leaves the token embedding a ``RowSparse`` gradient
+    (see ``ad.take``), which ``AdamW.step`` takes as it is; ``ad.dense`` gives
+    the full array.
+    """
     return {
         name: pnodes[name].grad if pnodes[name].grad is not None else np.zeros_like(arr)
         for name, arr in params.items()

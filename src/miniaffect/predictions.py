@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EMOTIONS, format_table, number_columns, parse_label, read_table
+from .data import EMOTIONS, format_table, number_columns, parse_label, read_table, rows_of
 from .errors import FormatError
 
 _PROB_COLUMNS = tuple(f"p_{label}" for label in EMOTIONS)
@@ -61,7 +61,7 @@ def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
     """Load a prediction TSV, inferring its kind from the header.
 
     Every value must be a finite number and every label a known emotion; a
-    faulty row is a RowError naming its line.
+    faulty row is a RowError naming the file and the line.
     """
     header, rows = read_table(path)
     if header[:1] != ["id"]:
@@ -72,13 +72,16 @@ def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
         expected = ["id", *_PROB_COLUMNS, "label"]
         if header != expected:
             raise FormatError(f"{path}: classification header must be {expected}")
-        scores = number_columns(header, rows, _PROB_COLUMNS)
-        labels = [parse_label(cells[8], line_no) for line_no, cells in rows]
+        with rows_of(path):
+            scores = number_columns(header, rows, _PROB_COLUMNS)
+            labels = [parse_label(cells[8], line_no) for line_no, cells in rows]
         return ClassificationPredictions(ids=ids, scores=scores, labels=labels)
 
     allowed = {"empathy", "distress"}
     value_cols = header[1:]
     if not value_cols or any(c not in allowed for c in value_cols):
         raise FormatError(f"{path}: regression columns must be a subset of {sorted(allowed)}, got {value_cols}")
-    series = dict(zip(value_cols, np.ascontiguousarray(number_columns(header, rows, value_cols).T)))
+    with rows_of(path):
+        values = number_columns(header, rows, value_cols)
+    series = dict(zip(value_cols, np.ascontiguousarray(values.T)))
     return RegressionPredictions(ids=ids, empathy=series.get("empathy"), distress=series.get("distress"))

@@ -273,6 +273,13 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
                 f"dev {name!r} scores are constant over {gold.size} record(s):"
                 " the pearson correlation that picks the best epoch is undefined"
             )
+    # Essays that encode alike get alike predictions, which no gold correlates with.
+    alike = (dev_ids == dev_ids[0]).all() and (dev_lengths == dev_lengths[0]).all()
+    if cfg.epochs and "emotion" not in dev_targets and alike:
+        raise ValidationError(
+            f"all {len(dev_set)} dev set essays encode to the same token ids, so every dev prediction"
+            " is the same: the pearson correlation that picks the best epoch is undefined"
+        )
 
     params = init_params(enc_cfg, cfg.seed)
     optimizer = AdamW(cfg.optimizer)

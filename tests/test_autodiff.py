@@ -208,7 +208,8 @@ def test_reshape_transpose_roundtrip_grad():
     assert np.allclose(node.grad, np.full_like(x, 1 / x.size))
 
 
-def test_embedding_gradient_accumulates_repeats():
+def test_embedding_gradient_accumulates_repeats(monkeypatch):
+    monkeypatch.setattr(ad, "MIN_ROWS_PER_ENTRY", 0)  # row-sparse although 6 ids cover most of 4 rows
     table = Node(np.arange(12, dtype=np.float64).reshape(4, 3))
     ids = np.array([[0, 1, 1], [2, 1, 0]])
     tape = Tape()
@@ -216,8 +217,29 @@ def test_embedding_gradient_accumulates_repeats():
     loss = ad.mean_all(tape, out)
     tape.backward(loss)
     g = 1.0 / out.value.size
-    assert np.allclose(table.grad[1], 3 * g)  # id 1 used three times
-    assert np.allclose(table.grad[3], 0.0)
+    assert isinstance(table.grad, ad.RowSparse)
+    assert table.grad.rows.tolist() == [0, 1, 2]  # row 3 is never read
+    grad = ad.dense(table.grad)
+    assert np.allclose(grad[1], 3 * g)  # id 1 used three times
+    assert np.allclose(grad[3], 0.0)
+
+
+@pytest.mark.parametrize("ids, sparse", [([[3, 7, 3]], True), ([[3, 7, 3, 5]], False)])
+def test_take_gradient_is_row_sparse_only_for_a_short_index(ids, sparse):
+    # 24 rows admit 3 ids at MIN_ROWS_PER_ENTRY 8 but not 4; either way the full gradient
+    # has the bits of np.add.at into a zeroed table.
+    assert ad.MIN_ROWS_PER_ENTRY == 8
+    ids = np.array(ids)
+    table = Node(np.zeros((24, 2)))
+    g = np.random.default_rng(3).standard_normal((*ids.shape, 2))
+    tape = Tape()
+    out = ad.take(tape, table, ids)
+    tape._ops[-1][1](g)
+    assert out.value.shape == g.shape
+    assert isinstance(table.grad, ad.RowSparse) == sparse
+    expected = np.zeros((24, 2))
+    np.add.at(expected, ids, g)
+    assert np.array_equal(ad.dense(table.grad), expected)
 
 
 def test_take_slice_and_cls_index():

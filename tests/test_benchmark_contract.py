@@ -48,5 +48,8 @@ def test_tracer_wraps_one_training_run(task, corpus, loss_op, loss_nodes):
     assert table[f"autodiff.{loss_op}.fwd"]["calls"] == loss_nodes
     assert table[f"autodiff.{loss_op}.bwd"]["calls"] == loss_nodes
     assert tracer.backward_calls == 2
+    # the spans that time the optimizer and the embedding's row-sparse gradient
+    assert table["optim.step"]["calls"] == 2
+    assert table["autodiff.take.bwd"]["calls"] >= 2  # at least the token lookup's, once per step
     assert all(getattr(losses, name) is fn and getattr(mt, name) is fn for name, fn in originals.items())
     assert getattr(ad, loss_op) is original_op

@@ -573,8 +573,20 @@ def test_non_finite_prediction_value_exits_1_naming_its_line(tmp_path, command, 
     assert run(*argv, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     column = "empathy" if command == "eval" else "p_anger"
-    assert f"error: line 3: {column} value '{raw}' is not finite" in err
+    bad_file = pred if command == "eval" else member
+    assert f"error: {bad_file}: line 3: {column} value '{raw}' is not finite" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_ensemble_row_fault_names_the_member_file(tmp_path, capsys):
+    good, bad = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    good.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t{_UNIFORM}\tjoy\n", encoding="utf-8")
+    bad.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t" + "\t".join(["nan"] * 7) + "\tanger\n",
+                   encoding="utf-8")
+    assert run("ensemble", "--task", "classification", good, bad, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: line 3: p_anger value 'nan' is not finite" in err
+    assert str(good) not in err
 
 
 @pytest.mark.parametrize("command", ["eval", "ensemble"])
@@ -586,4 +598,4 @@ def test_unknown_prediction_label_exits_1_naming_its_line(tmp_path, corpora, com
         "ensemble": ["ensemble", "--task", "classification", member],
     }[command]
     assert run(*argv, "--out", tmp_path / "out") == 1
-    assert "error: line 3: unknown emotion label 'happy'" in capsys.readouterr().err
+    assert f"error: {member}: line 3: unknown emotion label 'happy'" in capsys.readouterr().err

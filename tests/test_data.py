@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def test_load_task_non_numeric_score(tmp_path):
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_load_task_non_finite_score_names_line_and_column(tmp_path, raw):
     path = write(tmp_path, "t.tsv", f"essay\tempathy\tdistress\nfine\t2\t3\nbad row\t4\t{raw}\n")
-    with pytest.raises(RowError, match=f"^line 3: distress value '{raw}' is not finite$"):
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 3: distress value '{raw}' is not finite$"):
         load_task_tsv(path, "train")
 
 
@@ -93,14 +94,16 @@ def test_read_table_rejects_a_bad_file(tmp_path, text, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("id\tx\na\t1\nb\t2\t3\n", "^line 3: expected 2 columns, found 3$"),
-    ("id\tx\na\t1\nb\n", "^line 3: expected 2 columns, found 1$"),
-    ("x\tid\n1\ta\n2\t\n", "^line 3: empty id$"),
-    ("x\tid\n1\ta\n2\tb\n3\ta\n", "^line 4: duplicate id 'a'$"),
+    ("id\tx\na\t1\nb\t2\t3\n", "line 3: expected 2 columns, found 3$"),
+    ("id\tx\na\t1\nb\n", "line 3: expected 2 columns, found 1$"),
+    ("x\tid\n1\ta\n2\t\n", "line 3: empty id$"),
+    ("x\tid\n1\ta\n2\tb\n3\ta\n", "line 4: duplicate id 'a'$"),
 ])
 def test_read_table_rejects_a_bad_row_naming_its_line(tmp_path, text, message):
-    with pytest.raises(RowError, match=message):
-        read_table(write(tmp_path, "t.tsv", text))
+    path = write(tmp_path, "t.tsv", text)
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}: {message}") as err:
+        read_table(path)
+    assert err.value.path == path
 
 
 def test_read_table_without_id_column_allows_repeated_cells(tmp_path):

@@ -137,6 +137,17 @@ def test_classification_rejects_non_probability_rows():
         ensemble_classification([bad])
 
 
+@pytest.mark.parametrize("score_space", ["probability", "logit"])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_classification_rejects_non_finite_rows_naming_member_and_id(score_space, bad_value):
+    good = clf(["a", "b"], np.full((2, 7), 1 / 7))
+    scores = np.full((2, 7), 1 / 7)
+    scores[1] = bad_value
+    bad = ClassificationPredictions(ids=["a", "b"], scores=scores, labels=["anger", "anger"])
+    with pytest.raises(ValidationError, match="^member 2 row for id 'b' holds a non-finite score$"):
+        ensemble_classification([good, bad], score_space=score_space)
+
+
 def test_classification_logit_space_accepts_raw_scores():
     rng = np.random.default_rng(6)
     ids = ["a", "b"]

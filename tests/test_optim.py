@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from miniaffect.errors import DivergenceError
+from miniaffect.nn.autodiff import RowSparse, dense
 from miniaffect.optim import BLOCK, AdamW, AdamWConfig
 
 from oracles import ReferenceAdamW, reference_adam_step
@@ -169,3 +171,68 @@ def test_non_contiguous_parameter_rejected():
     with pytest.raises(ValueError, match="contiguous"):
         opt.step(params, {"w": np.ones((3, 4))})
     assert opt.t == 0 and not opt.m
+
+
+def _row_sparse_steps(rng, n_rows, width, steps):
+    """A RowSparse gradient per step.
+
+    Rows 0 and n_rows - 1 and both sides of the first block edge are touched
+    every step, the last tenth of the rows never, and 20 random others. Step 0
+    also plants tiny negative gradients on two rows that no later step reads,
+    so that m decays there through the subnormals to zero.
+    """
+    edge = BLOCK // width
+    always = np.array([0, edge - 1, edge, n_rows - 1])
+    tiny = np.array([3, n_rows - 5])
+    out = []
+    for step in range(steps):
+        picked = rng.choice(np.arange(10, n_rows - n_rows // 10), size=20, replace=False)
+        rows = np.unique(np.concatenate([always, picked] + ([tiny] if step == 0 else [])))
+        values = rng.standard_normal((rows.size, width))
+        if step == 0:
+            values[np.isin(rows, tiny)] = -1e-323
+        out.append(RowSparse(rows, values, (n_rows, width)))
+    return out
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("beta1", [0.0, 0.3, 0.5, 0.9])
+def test_row_sparse_step_matches_dense_reference_bit_for_bit(beta1, weight_decay):
+    # Untouched rows must get the dense update of a zero gradient exactly, signed zeros included:
+    # m * beta1 is -0.0 where m < 0 and beta1 is 0, or where it underflows (beta1 <= 0.5; at 0.5
+    # half the least subnormal rounds to zero).
+    n_rows, width = 1500, 24
+    assert n_rows * width > 2 * BLOCK and (n_rows * width) % BLOCK != 0  # several blocks, ragged tail
+    rng = np.random.default_rng(13)
+    params = {"emb": rng.standard_normal((n_rows, width)), "bias": rng.standard_normal(3)}
+    ref_params = {name: arr.copy() for name, arr in params.items()}
+    cfg = AdamWConfig(lr=1e-3, beta1=beta1, weight_decay=weight_decay)
+    opt, ref = AdamW(cfg), ReferenceAdamW(cfg)
+    for sparse in _row_sparse_steps(rng, n_rows, width, steps=8):
+        bias = rng.standard_normal(3)
+        opt.step(params, {"emb": sparse, "bias": bias})
+        ref.step(ref_params, {"emb": dense(sparse), "bias": bias.copy()})
+        for name in params:
+            for got, want in ((params[name], ref_params[name]), (opt.m[name], ref.m[name]), (opt.v[name], ref.v[name])):
+                assert np.array_equal(got, want, equal_nan=True), name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), name
+    assert opt.t == ref.t == 8
+    if beta1 <= 0.5:  # where step 0 planted tiny gradients, an underflowed m * beta1 has made m zero
+        assert np.all(opt.m["emb"][[3, n_rows - 5]] == 0.0)
+
+
+def test_row_sparse_nan_raises_and_leaves_state_unchanged():
+    rng = np.random.default_rng(14)
+    n_rows, width = 1500, 24
+    params = {"bias": rng.standard_normal(3), "emb": rng.standard_normal((n_rows, width))}
+    opt = AdamW(AdamWConfig(lr=1e-3, weight_decay=0.01))
+    first, second = _row_sparse_steps(rng, n_rows, width, steps=2)
+    opt.step(params, {"bias": rng.standard_normal(3), "emb": first})
+    before = [{name: d[name].copy() for name in params} for d in (params, opt.m, opt.v)]
+    second.values[-1, 5] = np.nan
+    with pytest.raises(DivergenceError, match="'emb'"):
+        opt.step(params, {"bias": rng.standard_normal(3), "emb": second})
+    assert opt.t == 1
+    for saved, now in zip(before, (params, opt.m, opt.v)):
+        for name in params:
+            assert np.array_equal(saved[name], now[name])

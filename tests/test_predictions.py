@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,7 @@ def test_read_rejects_a_repeated_id_naming_line_and_id(tmp_path, kind):
         preds = ClassificationPredictions(ids=["a", "b", "a"], scores=np.full((3, 7), 1 / 7), labels=["joy"] * 3)
     path = tmp_path / "p.tsv"
     write_predictions(preds, path)
-    with pytest.raises(RowError, match="^line 4: duplicate id 'a'$"):
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 4: duplicate id 'a'$"):
         read_predictions(path)
 
 
@@ -109,39 +111,40 @@ def _classification_text(bad_cell=None, label="joy"):
 def test_read_rejects_a_non_finite_regression_value(tmp_path, raw):
     path = tmp_path / "p.tsv"
     path.write_text(f"id\tempathy\tdistress\na\t2.0\t3.0\nb\t4.0\t{raw}\nc\t{raw}\t1.0\n", encoding="utf-8")
-    with pytest.raises(RowError, match=f"^line 3: distress value '{raw}' is not finite$") as err:
+    message = f"^{re.escape(str(path))}: line 3: distress value '{raw}' is not finite$"
+    with pytest.raises(RowError, match=message) as err:
         read_predictions(path)
-    assert err.value.line == 3
+    assert err.value.line == 3 and err.value.path == path
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_read_rejects_a_non_finite_probability(tmp_path, raw):
     path = tmp_path / "p.tsv"
     path.write_text(_classification_text(bad_cell=raw), encoding="utf-8")
-    with pytest.raises(RowError, match=f"^line 3: p_fear value '{raw}' is not finite$") as err:
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 3: p_fear value '{raw}' is not finite$") as err:
         read_predictions(path)
-    assert err.value.line == 3
+    assert err.value.line == 3 and err.value.path == path
 
 
 def test_read_rejects_a_non_numeric_probability_naming_line_and_column(tmp_path):
     path = tmp_path / "p.tsv"
     path.write_text(_classification_text(bad_cell="high"), encoding="utf-8")
-    with pytest.raises(RowError, match="^line 3: p_fear value 'high' is not a number$"):
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 3: p_fear value 'high' is not a number$"):
         read_predictions(path)
 
 
 def test_read_rejects_an_unknown_label_naming_its_line(tmp_path):
     path = tmp_path / "p.tsv"
     path.write_text(_classification_text(label="happy"), encoding="utf-8")
-    with pytest.raises(RowError, match="^line 3: unknown emotion label 'happy'") as err:
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 3: unknown emotion label 'happy'") as err:
         read_predictions(path)
-    assert err.value.line == 3
+    assert err.value.line == 3 and err.value.path == path
 
 
 def test_read_rejects_an_empty_id(tmp_path):
     path = tmp_path / "p.tsv"
     path.write_text("id\tempathy\na\t2.0\n\t3.0\n", encoding="utf-8")
-    with pytest.raises(RowError, match="^line 3: empty id$"):
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 3: empty id$"):
         read_predictions(path)
 
 

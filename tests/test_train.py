@@ -1,6 +1,8 @@
 import functools
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from miniaffect.data import Dataset, EssayRecord
 from miniaffect.errors import DivergenceError, FormatError, ValidationError
 from miniaffect.metrics import build_report
 from miniaffect.nn.autodiff import Node
+from miniaffect.nn.encoder import init_params
 from miniaffect.text import build_vocab
 from miniaffect.train import (
+    Checkpoint,
     TrainConfig,
     load_checkpoint,
     make_batches,
@@ -209,6 +213,44 @@ def test_checkpoint_round_trip(tmp_path, emotion_data):
         assert np.array_equal(loaded.params[name], ckpt.params[name])
 
 
+_TASK_OF_HEAD = {"regression_single": "empathy", "regression_dual": "multitask", "classify7": "emotion"}
+
+
+@settings(max_examples=100)
+@given(
+    head_kind=st.sampled_from(sorted(_TASK_OF_HEAD)),
+    n_heads=st.integers(1, 3),
+    head_dim=st.integers(1, 3),
+    n_layers=st.integers(1, 3),
+    d_ff=st.integers(1, 6),
+    vocab_size=st.integers(1, 9),
+    max_len=st.integers(1, 6),
+    dropout_rate=st.sampled_from([0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**31),
+    best=st.one_of(st.none(), st.tuples(st.floats(-1.0, 1.0), st.integers(0, 9))),
+    planted=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+def test_checkpoint_round_trip_property(head_kind, n_heads, head_dim, n_layers, d_ff, vocab_size, max_len,
+                                        dropout_rate, seed, best, planted):
+    encoder = dict(vocab_size=vocab_size, d_model=n_heads * head_dim, n_layers=n_layers, n_heads=n_heads,
+                   d_ff=d_ff, max_len=max_len, dropout_rate=dropout_rate)
+    cfg = make_config(task=_TASK_OF_HEAD[head_kind], epochs=1, seed=seed, encoder=encoder)
+    params = init_params(cfg.encoder, seed)
+    params["tok_emb"][-1, -1] = planted  # any float64, signed zeros and nan payloads included
+    best_metric, best_epoch = (None, None) if best is None else best
+    ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=params, best_metric=best_metric, best_epoch=best_epoch)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+    assert loaded.config == cfg
+    assert (loaded.vocab_hash, loaded.best_metric, loaded.best_epoch) == (ckpt.vocab_hash, best_metric, best_epoch)
+    assert list(loaded.params) == list(params)
+    for name, arr in params.items():
+        got = loaded.params[name]
+        assert got.dtype == np.float64 and got.shape == arr.shape and got.tobytes() == arr.tobytes(), name
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -354,6 +396,21 @@ def test_constant_dev_gold_rejected_before_any_forward(regression_data, monkeypa
     monkeypatch.setattr(train_module, "forward", lambda *args, **kwargs: forwards.append(1))
     with pytest.raises(ValidationError, match=f"dev '{field}' scores are constant"):
         train(train_set, flat_dev, build_vocab(train_set), tiny_config(task=task, epochs=1))
+    assert forwards == []
+
+
+def test_identically_encoded_dev_set_rejected_before_any_forward(regression_data, monkeypatch):
+    # Two out-of-vocabulary essays of equal length both encode to CLS plus UNKs,
+    # so every dev prediction would be the same although the gold scores differ.
+    train_set, _ = regression_data
+    oov_dev = Dataset(split="dev", records=[
+        EssayRecord("d0", "zzyzx qwxrt", 2.0, 6.0, None),
+        EssayRecord("d1", "plomb vrask", 5.0, 3.0, None),
+    ])
+    forwards = []
+    monkeypatch.setattr(train_module, "forward", lambda *args, **kwargs: forwards.append(1))
+    with pytest.raises(ValidationError, match="all 2 dev set essays encode to the same token ids"):
+        train(train_set, oov_dev, build_vocab(train_set), tiny_config(task="multitask", epochs=1))
     assert forwards == []
 
 

@@ -31,6 +31,8 @@ class AugmentationSpec:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"augmentation seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 

@@ -132,11 +132,9 @@ class _Run:
         _write_text(self.out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_seed(run: _Run, seed: int | None, fallback: int = 0) -> int:
-    if seed is None:
-        run.seed_defaulted = True
-        return fallback
-    return seed
+def _resolve_seed(run: _Run, seed: int | None) -> int:
+    run.seed_defaulted = seed is None
+    return 0 if seed is None else seed
 
 
 def cmd_ingest(run: _Run, args) -> None:

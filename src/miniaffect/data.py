@@ -206,8 +206,22 @@ def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
 
 def format_table(header, rows) -> str:
-    """TSV text for a header and rows of already-escaped cells, one line each."""
-    return "\n".join(["\t".join(header), *("\t".join(row) for row in rows)]) + "\n"
+    """TSV text for a header and rows of already-escaped cells, one line each.
+
+    ValidationError naming the line and column of a cell ``read_table`` would not read back.
+    """
+    lines = ["\t".join(header), *("\t".join(row) for row in rows)]
+    text = "\n".join(lines) + "\n"
+    # Only a faulty text is scanned again, cell by cell.
+    if "\r\n" in text or text.count("\n") != len(lines) or text.count("\t") != len(lines) * (len(header) - 1):
+        for line_no, row in enumerate([header, *rows], start=1):
+            for col, (name, cell) in enumerate(zip(header, row)):
+                if "\t" in cell or "\n" in cell or (col == len(row) - 1 and cell.endswith("\r")):
+                    raise ValidationError(
+                        f"line {line_no}, column {name!r}: {cell!r} would not read back"
+                        " (a tab or a newline, or a carriage return ending the row)"
+                    )
+    return text
 
 
 def _load_tsv(path, split: str, text_column: str) -> Dataset:
@@ -269,22 +283,13 @@ def serialize_dataset(d: Dataset) -> str:
 
     rows = []
     for r in d.records:
-        if "\t" in r.id or "\n" in r.id:
-            raise ValidationError(f"record id {r.id!r} contains a tab or newline")
         if r.text.strip() == "":
             raise ValidationError(f"record {r.id!r} has an empty {text_column} text, which no loader accepts")
         row = [r.id, escape_field(r.text)]
         for name in labels:
             value = getattr(r, name)
             row.append("" if value is None else value if name == "emotion" else repr(float(value)))
-        for key in extra_keys:
-            value = r.extras.get(key, "")
-            if "\t" in value or "\n" in value or "\r" in value:
-                raise ValidationError(
-                    f"extras value for {key!r} on record {r.id!r} contains a tab, newline or carriage return"
-                )
-            row.append(value)
-        rows.append(row)
+        rows.append(row + [r.extras.get(key, "") for key in extra_keys])
     return format_table(["id", text_column, *labels, *extra_keys], rows)
 
 

@@ -36,9 +36,9 @@ def _check_alignment(id_lists: list[list[str]]) -> list[str]:
     for member_idx, ids in enumerate(id_lists[1:], start=2):
         if len(ids) != len(first):
             raise ValidationError(f"member {member_idx} has {len(ids)} rows, expected {len(first)}")
-        for pos, (a, b) in enumerate(zip(first, ids)):
-            if a != b:
-                raise ValidationError(f"member {member_idx} id mismatch at row {pos + 1}: {b!r} != {a!r}")
+        if ids != first:
+            pos = next(pos for pos, (a, b) in enumerate(zip(first, ids)) if a != b)
+            raise ValidationError(f"member {member_idx} id mismatch at row {pos + 1}: {ids[pos]!r} != {first[pos]!r}")
     return list(first)
 
 

@@ -12,7 +12,6 @@ with weight_decay = 0 this is exactly plain Adam.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +40,8 @@ class AdamWConfig:
             raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
-# Elements per block of the in-place update (for a row-sparse gradient, the
-# most whole rows that fit). A block's theta, g, m, v and the two scratch
-# buffers (6 x 128 KB) stay in L2 across the whole ufunc sequence.
+# Elements per block of the in-place update. A block's theta, g, m, v and the
+# two scratch buffers (6 x 128 KB) stay in L2 across the whole ufunc sequence.
 BLOCK = 16384
 
 
@@ -79,80 +77,61 @@ class AdamW:
         for name, theta in params.items():
             if not theta.flags.c_contiguous:
                 raise ValueError(f"parameter {name!r} is not C-contiguous")
-        cfg = self.cfg
         self.t += 1
-        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
         for name, theta in params.items():
             if name not in self.m:
                 self.m[name] = np.zeros(theta.shape)
                 self.v[name] = np.zeros(theta.shape)
-            g = grads[name]
-            sparse = isinstance(g, RowSparse)
-            if sparse:
-                # Blocks of whole rows (of the flattened trailing axes), so that
-                # the touched rows of each block are one run of g.rows.
-                width = math.prod(theta.shape[1:]) or 1
-                block_rows = max(1, BLOCK // width)
-                step = block_rows * width
-                if step > self._s1.size:
-                    self._s1, self._s2 = np.empty(step), np.empty(step)
-                # The touched rows' new moments, from the same operations as below.
-                gv = g.values.reshape(g.rows.size, width)
-                m_rows = self.m[name].reshape(-1, width)[g.rows]
-                m_rows *= b1
-                s = gv * (1.0 - b1)
-                m_rows += s
-                v_rows = self.v[name].reshape(-1, width)[g.rows]
-                v_rows *= b2
-                np.multiply(gv, 1.0 - b2, out=s)
-                s *= gv
-                v_rows += s
-                # where each block's touched rows start in g.rows, and where the last ends
-                bounds = np.searchsorted(g.rows, range(0, theta.shape[0] + block_rows, block_rows)).tolist()
+            g, m, v = grads[name], self.m[name], self.v[name]
+            if isinstance(g, RowSparse):
+                # Every row takes the zero-gradient update; then the touched
+                # rows, gathered before it, take theirs and are put back.
+                th_g, m_g, v_g = theta[g.rows], m[g.rows], v[g.rows]
+                self._update(theta, None, m, v)
+                self._update(th_g, g.values, m_g, v_g)
+                theta[g.rows], m[g.rows], v[g.rows] = th_g, m_g, v_g
             else:
-                step = BLOCK
-                g_flat = g.reshape(-1)
-            flat = theta.reshape(-1)
-            m_flat = self.m[name].reshape(-1)
-            v_flat = self.v[name].reshape(-1)
-            for i, start in enumerate(range(0, flat.size, step)):
-                block = slice(start, start + step)
-                th, m, v = flat[block], m_flat[block], v_flat[block]
-                s1, s2 = self._s1[: th.size], self._s2[: th.size]
-                # The operations and operand order of the whole-tensor numpy
-                # expressions (tests/oracles.py ReferenceAdamW), so every
-                # result is bit-identical to them.
-                m *= b1
-                if sparse:
-                    # A zero gradient adds (1-b1)*0 = +0.0 to m, which turns a
-                    # -0.0 m*b1 into +0.0, and adds nothing to v. Above 0.5, b1
-                    # keeps a nonzero m nonzero (|m*b1| is over half the least
-                    # subnormal), so m, never -0.0, needs no pass for it.
-                    if b1 <= 0.5:
-                        m += 0.0
-                    v *= b2
-                    lo, hi = bounds[i], bounds[i + 1]
-                    if lo < hi:
-                        local = g.rows[lo:hi] - i * block_rows
-                        m.reshape(-1, width)[local] = m_rows[lo:hi]
-                        v.reshape(-1, width)[local] = v_rows[lo:hi]
-                else:
-                    gb = g_flat[block]
-                    np.multiply(gb, 1.0 - b1, out=s1)
-                    m += s1
-                    v *= b2
-                    np.multiply(gb, 1.0 - b2, out=s1)
-                    s1 *= gb
-                    v += s1
-                np.divide(m, bc1, out=s1)
-                s1 *= lr
-                np.divide(v, bc2, out=s2)
-                np.sqrt(s2, out=s2)
-                s2 += eps
-                s1 /= s2
-                if cfg.weight_decay != 0.0:
-                    np.multiply(th, lr * cfg.weight_decay, out=s2)
-                    s1 += s2
-                th -= s1
+                self._update(theta, g, m, v)
+
+    def _update(self, theta: np.ndarray, g: np.ndarray | None, m: np.ndarray, v: np.ndarray) -> None:
+        """One step on C-contiguous theta, m and v in place, block by block; ``g=None`` is a zero gradient."""
+        cfg = self.cfg
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        flat, m_flat, v_flat = theta.reshape(-1), m.reshape(-1), v.reshape(-1)
+        g_flat = None if g is None else g.reshape(-1)
+        for start in range(0, flat.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            th, m, v = flat[block], m_flat[block], v_flat[block]
+            s1, s2 = self._s1[: th.size], self._s2[: th.size]
+            # The operations and operand order of the whole-tensor numpy
+            # expressions (tests/oracles.py ReferenceAdamW), so every
+            # result is bit-identical to them.
+            m *= b1
+            if g_flat is None:
+                # A zero gradient adds (1-b1)*0 = +0.0 to m, which turns a
+                # -0.0 m*b1 into +0.0, and adds nothing to v. Above 0.5, b1
+                # keeps a nonzero m nonzero (|m*b1| is over half the least
+                # subnormal), so m, never -0.0, needs no pass for it.
+                if b1 <= 0.5:
+                    m += 0.0
+                v *= b2
+            else:
+                gb = g_flat[block]
+                np.multiply(gb, 1.0 - b1, out=s1)
+                m += s1
+                v *= b2
+                np.multiply(gb, 1.0 - b2, out=s1)
+                s1 *= gb
+                v += s1
+            np.divide(m, bc1, out=s1)
+            s1 *= lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            if cfg.weight_decay != 0.0:
+                np.multiply(th, lr * cfg.weight_decay, out=s2)
+                s1 += s2
+            th -= s1

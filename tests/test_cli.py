@@ -120,6 +120,16 @@ def test_augment_same_seed_byte_identical(tmp_path, corpora):
     assert (out1 / "augmented.tsv").read_bytes() == (out2 / "augmented.tsv").read_bytes()
 
 
+@pytest.mark.parametrize("scheme_flags", [("ba", "--total", 28), ("ra", "--count", 3)], ids=["ba", "ra"])
+def test_augment_negative_seed_exits_1_naming_it(tmp_path, corpora, capsys, scheme_flags):
+    scheme, *size = scheme_flags
+    assert run("augment", "--scheme", scheme, "--base", corpora / "train.tsv", "--pool", corpora / "pool.tsv",
+               *size, "--seed", -1, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "seed must be >= 0, got -1" in err
+
+
 def test_augment_missing_flag_is_validation_error(tmp_path, corpora):
     assert run("augment", "--scheme", "ba", "--base", corpora / "train.tsv",
                "--pool", corpora / "pool.tsv", "--out", tmp_path / "x") == 1

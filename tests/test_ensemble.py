@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miniaffect.data import EMOTIONS
 from miniaffect.ensemble import ensemble_classification, ensemble_regression
@@ -61,6 +65,16 @@ def test_regression_permutation_invariance_bitwise():
 def test_regression_id_misalignment_names_id():
     with pytest.raises(ValidationError, match="'b'"):
         ensemble_regression([reg(["a", "b"], empathy=[1, 2]), reg(["a", "c"], empathy=[1, 2])])
+
+
+@pytest.mark.parametrize("third_ids, message", [
+    (["a", "b", "d"], "member 3 id mismatch at row 3: 'd' != 'c'"),
+    (["a", "b"], "member 3 has 2 rows, expected 3"),
+])
+def test_alignment_fault_names_member_and_row(third_ids, message):
+    members = [reg(ids, empathy=np.ones(len(ids))) for ids in (["a", "b", "c"], ["a", "b", "c"], third_ids)]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ensemble_regression(members)
 
 
 def test_regression_column_mismatch():
@@ -161,3 +175,24 @@ def test_classification_unknown_space():
     rng = np.random.default_rng(7)
     with pytest.raises(ValidationError):
         ensemble_classification([rand_prob_member(rng, ["a"])], score_space="odds")
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_every_ensemble_is_bit_identical_under_member_permutation(k, n, seed, data):
+    rng = np.random.default_rng(seed)
+    ids = [f"r{i}" for i in range(n)]
+    # spread over many magnitudes, so that the sum order shows in the last bits
+    regs = [reg(ids, *(rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 9, (2, n)))) for _ in range(k)]
+    probs = [rand_prob_member(rng, ids) for _ in range(k)]
+    logits = [clf(ids, rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-8, 3, (n, 7))) for _ in range(k)]
+    order = data.draw(st.permutations(range(k)))
+    for combine, members, fields in (
+        (ensemble_regression, regs, ("ids", "empathy", "distress")),
+        (ensemble_classification, probs, ("ids", "summed", "normalized", "labels")),
+        (lambda ms: ensemble_classification(ms, "logit"), logits, ("ids", "summed", "normalized", "labels")),
+    ):
+        base, shuffled = combine(members), combine([members[i] for i in order])
+        for name in fields:
+            want, got = getattr(base, name), getattr(shuffled, name)
+            assert (got.tobytes() == want.tobytes()) if isinstance(want, np.ndarray) else got == want, name

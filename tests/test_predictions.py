@@ -1,10 +1,14 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miniaffect.data import EMOTIONS
-from miniaffect.errors import FormatError, RowError
+from miniaffect.errors import FormatError, RowError, ValidationError
 from miniaffect.predictions import (
     ClassificationPredictions,
     RegressionPredictions,
@@ -88,6 +92,53 @@ def test_read_rejects_a_repeated_id_naming_line_and_id(tmp_path, kind):
     write_predictions(preds, path)
     with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 4: duplicate id 'a'$"):
         read_predictions(path)
+
+
+def _preds(kind, ids):
+    if kind == "regression":
+        return RegressionPredictions(ids=ids, empathy=np.arange(len(ids), dtype=np.float64))
+    return ClassificationPredictions(ids=ids, scores=np.full((len(ids), 7), 1 / 7), labels=["joy"] * len(ids))
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("bad_id", ["a\tb", "a\nb"])
+def test_write_rejects_an_id_that_would_not_read_back(tmp_path, kind, bad_id):
+    with pytest.raises(ValidationError, match=f"^line 3, column 'id': {re.escape(repr(bad_id))} would not read back"):
+        write_predictions(_preds(kind, ["ok", bad_id]), tmp_path / "p.tsv")
+
+
+# Values a repr round trip must keep bit for bit: signed zeros, subnormals and the extremes.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+_VALUE = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"), min_size=1, max_size=6),
+             max_size=5, unique=True),
+    st.sampled_from(["empathy", "distress", "both", "classification"]),
+    st.data(),
+)
+def test_write_read_round_trip_property(ids, kind, data):
+    values = np.array(data.draw(st.lists(_VALUE, min_size=len(ids) * 7, max_size=len(ids) * 7)), dtype=np.float64)
+    if kind == "classification":
+        labels = data.draw(st.lists(st.sampled_from(EMOTIONS), min_size=len(ids), max_size=len(ids)))
+        preds = ClassificationPredictions(ids=ids, scores=values.reshape(len(ids), 7), labels=labels)
+    else:
+        columns = ["empathy", "distress"] if kind == "both" else [kind]
+        preds = RegressionPredictions(ids=ids, **{name: values[i :: 7] for i, name in enumerate(columns)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.tsv"
+        write_predictions(preds, path)
+        loaded = read_predictions(path)
+    assert type(loaded) is type(preds) and loaded.ids == ids
+    fields = ("scores", "labels") if kind == "classification" else ("empathy", "distress")
+    for name in fields:
+        want, got = getattr(preds, name), getattr(loaded, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
 
 
 def test_format_deterministic():

@@ -1,7 +1,11 @@
 import hashlib
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import miniaffect.text as text_module
 from miniaffect.data import Dataset, EssayRecord
@@ -118,6 +122,22 @@ def test_vocab_serialization_round_trip(tmp_path):
     path = tmp_path / "vocab.tsv"
     save_vocab(vocab, path)
     loaded = load_vocab(path)
+    assert loaded == vocab
+    assert loaded.sha256 == vocab.sha256
+
+
+_WORD = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(_WORD, max_size=8).map(" ".join), min_size=1, max_size=6),
+       st.integers(3, 12), st.integers(1, 3))
+def test_vocab_save_load_round_trip_property(essays, max_size, min_freq):
+    vocab = build_vocab(corpus(*essays), max_size=max_size, min_freq=min_freq)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vocab.tsv"
+        save_vocab(vocab, path)
+        loaded = load_vocab(path)
     assert loaded == vocab
     assert loaded.sha256 == vocab.sha256
 

@@ -208,8 +208,20 @@ def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 def format_table(header, rows) -> str:
     """TSV text for a header and rows of already-escaped cells, one line each.
 
-    ValidationError naming the line and column of a cell ``read_table`` would not read back.
+    ValidationError naming the line and column of a cell ``read_table`` would
+    not read back, or the line of an empty or repeated id in an ``id`` column.
     """
+    if "id" in header:
+        id_col = header.index("id")
+        ids = [row[id_col] for row in rows]
+        # Only a faulty id list is scanned again, row by row.
+        if "" in ids or len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for line_no, rec_id in enumerate(ids, start=2):
+                if rec_id == "" or rec_id in seen:
+                    fault = "empty id" if rec_id == "" else f"duplicate id {rec_id!r}"
+                    raise ValidationError(f"line {line_no}: {fault}, which would not read back")
+                seen.add(rec_id)
     lines = ["\t".join(header), *("\t".join(row) for row in rows)]
     text = "\n".join(lines) + "\n"
     # Only a faulty text is scanned again, cell by cell.

@@ -53,8 +53,9 @@ def format_predictions(preds) -> str:
 
 
 def write_predictions(preds, path) -> None:
+    text = format_predictions(preds)  # a rejected table leaves no file behind
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_predictions(preds))
+        fh.write(text)
 
 
 def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:

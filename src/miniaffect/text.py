@@ -11,8 +11,10 @@ import hashlib
 import json
 import string
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 
 from .data import Dataset, read_lines
 from .errors import FormatError, ValidationError
@@ -28,22 +30,22 @@ DEFAULT_MAX_SIZE = 8000
 DEFAULT_MIN_FREQ = 1
 
 
-def tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
+def _tokens(text: str) -> Iterator[str]:
+    """The tokens of ``tokenize`` one at a time, so that a caller can stop early."""
     for unit in text.lower().split():
-        lead: list[str] = []
-        while unit and unit[0] in _PUNCT:
-            lead.append(unit[0])
-            unit = unit[1:]
-        trail: list[str] = []
-        while unit and unit[-1] in _PUNCT:
-            trail.append(unit[-1])
-            unit = unit[:-1]
-        tokens.extend(lead)
-        if unit:
-            tokens.append(unit)
-        tokens.extend(reversed(trail))
-    return tokens
+        if unit[0] not in _PUNCT and unit[-1] not in _PUNCT:
+            yield unit
+            continue
+        rest = unit.lstrip(string.punctuation)
+        core = rest.rstrip(string.punctuation)
+        yield from unit[: len(unit) - len(rest)]
+        if core:
+            yield core
+        yield from rest[len(core) :]
+
+
+def tokenize(text: str) -> list[str]:
+    return list(_tokens(text))
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,8 @@ def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """Encode text as [CLS] + token ids, truncated and PAD-filled to max_len."""
     if max_len < 2:
         raise ValidationError(f"max_len {max_len} leaves no room after the CLS position")
-    ids = [CLS_ID]
-    for token in tokenize(text)[: max_len - 1]:
-        ids.append(vocab.lookup(token))
+    # Tokens past max_len - 1 are never produced; the lookup is Vocab.lookup without a call per token.
+    ids = [CLS_ID, *map(vocab.token_to_id.get, islice(_tokens(text), max_len - 1), repeat(UNK_ID))]
     true_length = len(ids)
     ids.extend([PAD_ID] * (max_len - true_length))
     return TokenSequence(ids=tuple(ids), true_length=true_length)

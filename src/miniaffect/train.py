@@ -39,7 +39,11 @@ from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocab, encode
 CHECKPOINT_MAGIC = b"MTAF"
 CHECKPOINT_VERSION = 1
 
-_EVAL_CHUNK = 64
+# Tokens (rows × longest true length) one eval forward may take. At 64 tokens a
+# chunk is 16 essays, whose [rows, heads, S, S] attention scores take 2 MB, the
+# size of a core's L2 on the 2-vCPU machine this was tuned on; 64-essay chunks
+# were slower and page-faulted on every call as glibc mapped and unmapped them.
+_EVAL_TOKENS = 1024
 
 
 @dataclass(frozen=True)
@@ -231,11 +235,27 @@ def _batch_loss(pnodes, enc_cfg, cfg, ids, lengths, targets, idxs, tape):
     return loss_mse(tape, *args)
 
 
+def _eval_spans(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) spans over the essays, in order, each within the eval token budget.
+
+    A span takes essays until one more would push rows × max(1, its longest
+    true length) past ``_EVAL_TOKENS``; an essay over the budget on its own
+    runs alone.
+    """
+    spans, start, width = [], 0, 1
+    for i, n in enumerate(lengths.tolist()):
+        width = max(width, n)
+        if i > start and (i + 1 - start) * width > _EVAL_TOKENS:
+            spans.append((start, i))
+            start, width = i, max(1, n)
+    return [*spans, (start, len(lengths))] if len(lengths) else []
+
+
 def _model_outputs(params, enc_cfg, labels, ids, lengths) -> dict[str, np.ndarray]:
-    """Eval-mode head outputs over a whole dataset, chunked, keyed by the label field each predicts."""
+    """Eval-mode head outputs over a whole dataset, in token-budget chunks, keyed by the label field each predicts."""
     chunks = []
-    for start in range(0, ids.shape[0], _EVAL_CHUNK):
-        out = run_model(params, enc_cfg, ids[start : start + _EVAL_CHUNK], lengths[start : start + _EVAL_CHUNK])
+    for start, stop in _eval_spans(lengths):
+        out = run_model(params, enc_cfg, ids[start:stop], lengths[start:stop])
         chunks.append(out if isinstance(out, tuple) else (out,))
     return {name: np.concatenate([chunk[i] for chunk in chunks]) for i, name in enumerate(labels)}
 
@@ -493,6 +513,10 @@ def load_checkpoint(path) -> Checkpoint:
         end = start + math.prod(shape) * 8
         params[name] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).copy()
         start = end
+    # One pass over the whole section; only a faulty one is scanned again, tensor by tensor.
+    if not np.isfinite(np.frombuffer(data, dtype="<f8")).all():
+        bad = next(name for name, arr in params.items() if not np.isfinite(arr).all())
+        raise FormatError(f"{path}: tensor {bad!r} holds a non-finite value")
     return Checkpoint(
         config=config, vocab_hash=vocab_hash, params=params, best_metric=best_metric, best_epoch=best_epoch
     )

@@ -5,6 +5,7 @@ math) and must stay independent of the implementation paths it verifies.
 """
 
 import math
+import string
 
 import numpy as np
 
@@ -86,6 +87,26 @@ def loop_unescape(text):
             out.append(text[i])
             i += 1
     return "".join(out)
+
+
+def peel_tokenize(text):
+    """tokenize as a character loop: lowercase, split on whitespace, peel edge punctuation one character at a time."""
+    punct = set(string.punctuation)
+    tokens = []
+    for unit in text.lower().split():
+        lead = []
+        while unit and unit[0] in punct:
+            lead.append(unit[0])
+            unit = unit[1:]
+        trail = []
+        while unit and unit[-1] in punct:
+            trail.append(unit[-1])
+            unit = unit[:-1]
+        tokens.extend(lead)
+        if unit:
+            tokens.append(unit)
+        tokens.extend(reversed(trail))
+    return tokens
 
 
 def reference_adam_step(theta, g, m, v, t, lr, beta1, beta2, eps):

@@ -332,6 +332,22 @@ def test_predict_checkpoint_header_fault_exits_1(tmp_path, corpora, message, edi
     assert message in err
 
 
+@pytest.mark.parametrize("name, value", [("head.b", math.nan), ("tok_emb", math.inf), ("layers.0.ff.w2", -math.inf)])
+def test_predict_checkpoint_with_non_finite_tensor_exits_1(tmp_path, corpora, name, value, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+    ckpt = load_checkpoint(out / "model.ckpt")
+    ckpt.params[name].flat[-1] = value
+    save_checkpoint(ckpt, out / "bad.ckpt")
+    assert run("predict", "--model", out / "bad.ckpt", "--vocab", out / "vocab.tsv",
+               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'bad.ckpt'}: tensor {name!r} holds a non-finite value" in err
+    assert not (tmp_path / "preds").exists() or not any((tmp_path / "preds").iterdir())
+
+
 def test_train_divergence_exits_1_naming_epoch_batch_and_tensor(tmp_path, capsys):
     train_path, dev_path, cfg_path = tmp_path / "train.tsv", tmp_path / "dev.tsv", tmp_path / "cfg.json"
     save_dataset(keyword_classification_corpus(40, "train", 1), train_path)

@@ -162,6 +162,14 @@ def test_format_table_rejects_a_cell_that_would_not_read_back(header, rows, mess
         format_table(header, rows)
 
 
+def test_format_table_rejects_an_empty_or_repeated_id_in_any_column():
+    with pytest.raises(ValidationError, match=r"^line 3: duplicate id 'a', which would not read back$"):
+        format_table(["text", "id"], [["x", "a"], ["y", "a"]])
+    with pytest.raises(ValidationError, match=r"^line 2: empty id, which would not read back$"):
+        format_table(["id"], [[""]])
+    assert format_table(["text", "ids"], [["x", ""], ["y", ""]]) == "text\tids\nx\t\ny\t\n"
+
+
 def test_load_task_missing_essay_column(tmp_path):
     path = write(tmp_path, "t.tsv", "text\tempathy\nhello\t3\n")
     with pytest.raises(FormatError, match="essay"):

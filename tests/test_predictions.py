@@ -85,11 +85,12 @@ def test_read_rejects_empty_file(tmp_path):
 @pytest.mark.parametrize("kind", ["regression", "classification"])
 def test_read_rejects_a_repeated_id_naming_line_and_id(tmp_path, kind):
     if kind == "regression":
-        preds = RegressionPredictions(ids=["a", "b", "a"], empathy=np.array([1.0, 2.0, 3.0]))
+        preds = RegressionPredictions(ids=["a", "b", "c"], empathy=np.array([1.0, 2.0, 3.0]))
     else:
-        preds = ClassificationPredictions(ids=["a", "b", "a"], scores=np.full((3, 7), 1 / 7), labels=["joy"] * 3)
+        preds = ClassificationPredictions(ids=["a", "b", "c"], scores=np.full((3, 7), 1 / 7), labels=["joy"] * 3)
     path = tmp_path / "p.tsv"
-    write_predictions(preds, path)
+    # write_predictions refuses a repeated id, so the file is edited after writing.
+    path.write_text(format_predictions(preds).replace("\nc\t", "\na\t"), encoding="utf-8")
     with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 4: duplicate id 'a'$"):
         read_predictions(path)
 
@@ -105,6 +106,20 @@ def _preds(kind, ids):
 def test_write_rejects_an_id_that_would_not_read_back(tmp_path, kind, bad_id):
     with pytest.raises(ValidationError, match=f"^line 3, column 'id': {re.escape(repr(bad_id))} would not read back"):
         write_predictions(_preds(kind, ["ok", bad_id]), tmp_path / "p.tsv")
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("ids, message", [
+    (["a", ""], "line 3: empty id"),
+    (["a", "a"], "line 3: duplicate id 'a'"),
+    (["", "b", "c"], "line 2: empty id"),
+    (["a", "b", "c", "b"], "line 5: duplicate id 'b'"),
+], ids=["empty", "repeated", "empty-first", "repeated-later"])
+def test_write_rejects_an_empty_or_repeated_id(tmp_path, kind, ids, message):
+    path = tmp_path / "p.tsv"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}, which would not read back$"):
+        write_predictions(_preds(kind, ids), path)
+    assert not path.exists()
 
 
 # Values a repr round trip must keep bit for bit: signed zeros, subnormals and the extremes.

@@ -22,6 +22,8 @@ from miniaffect.text import (
     tokenize,
 )
 
+from oracles import peel_tokenize
+
 
 def corpus(*texts):
     return Dataset("train", [EssayRecord(str(i), t) for i, t in enumerate(texts)])
@@ -115,6 +117,26 @@ def test_encode_rejects_max_len_below_two():
     vocab = build_vocab(corpus("a"))
     with pytest.raises(ValidationError):
         encode("a", vocab, max_len=1)
+
+
+# Units of letters, punctuation and non-ASCII characters, so some are punctuation only and
+# some have leading or trailing punctuation, joined by runs of mixed whitespace.
+_UNIT = st.text(st.sampled_from("abAB.,!'\"-()?éΣ1"), min_size=1, max_size=6)
+_SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\u00a0\u3000"), min_size=1, max_size=3)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_SPACE, _UNIT), max_size=30), _SPACE, st.integers(2, 24), st.integers(0, 3))
+def test_encode_equals_tokenize_then_truncate(pieces, tail, max_len, vocab_cut):
+    text = "".join(space + unit for space, unit in pieces) + tail
+    expected_tokens = peel_tokenize(text)
+    assert tokenize(text) == expected_tokens
+    # A vocabulary that knows only some of the tokens, so that UNK shows up too.
+    vocab = build_vocab(corpus(" ".join(expected_tokens[vocab_cut::2]) or "x"))
+    kept = [vocab.lookup(token) for token in expected_tokens[: max_len - 1]]
+    seq = encode(text, vocab, max_len)
+    assert seq.ids == (CLS_ID, *kept) + (PAD_ID,) * (max_len - 1 - len(kept))
+    assert seq.true_length == 1 + len(kept)
 
 
 def test_vocab_serialization_round_trip(tmp_path):

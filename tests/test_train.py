@@ -3,6 +3,7 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ import miniaffect.train as train_module
 from miniaffect.data import Dataset, EssayRecord
 from miniaffect.errors import DivergenceError, FormatError, ValidationError
 from miniaffect.metrics import build_report
+from miniaffect.nn import autodiff as ad
 from miniaffect.nn.autodiff import Node
-from miniaffect.nn.encoder import init_params
+from miniaffect.nn.encoder import init_params, param_shapes, run_model
 from miniaffect.text import build_vocab
 from miniaffect.train import (
     Checkpoint,
@@ -213,6 +215,57 @@ def test_checkpoint_round_trip(tmp_path, emotion_data):
         assert np.array_equal(loaded.params[name], ckpt.params[name])
 
 
+@functools.cache
+def _saved_checkpoint() -> tuple[bytes, int]:
+    """A small trained-shape checkpoint's bytes and the offset where its tensor section starts."""
+    encoder = tiny_encoder_kwargs(vocab_size=20, d_model=8, d_ff=8, n_layers=2)
+    cfg = make_config(task="multitask", epochs=2, seed=5, encoder=encoder)
+    ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, 5), best_metric=0.25,
+                      best_epoch=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+    return raw, 16 + int.from_bytes(raw[8:16], "little")
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(["truncate", "prefix", "header", "tensor_bits", "tensor_exponent"]),
+    spots=st.lists(st.tuples(st.integers(0, 2**31), st.integers(0, 255)), min_size=1, max_size=3),
+)
+def test_checkpoint_mutation_loads_finite_tensors_or_raises_format_error(kind, spots):
+    """A truncated file, overwritten magic, version, length or header bytes, or a corrupt tensor section
+    either fails with FormatError or loads finite tensors of the shapes its config names."""
+    raw, header_end = _saved_checkpoint()
+    blob = bytearray(raw)
+    for where, value in spots:
+        if kind == "truncate":
+            blob = blob[: where % len(blob)]
+            break
+        if kind in ("prefix", "header"):
+            blob[where % 16 if kind == "prefix" else 16 + where % (header_end - 16)] = value
+        else:
+            element = header_end + 8 * (where % ((len(raw) - header_end) // 8))
+            if kind == "tensor_bits":
+                blob[element + value % 8] ^= 1 << (value // 32)
+            else:  # an all-ones exponent: an infinity or a nan, whatever the mantissa
+                blob[element + 7] |= 0x7F
+                blob[element + 6] |= 0xF0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = load_checkpoint(path)
+        except FormatError:
+            assert kind != "tensor_bits" or not all(np.isfinite(np.frombuffer(blob[header_end:], "<f8")))
+            return
+    assert kind != "tensor_exponent"
+    shapes = {name: shape for name, shape, _ in param_shapes(loaded.config.encoder)}
+    assert {name: arr.shape for name, arr in loaded.params.items()} == shapes
+    assert all(np.isfinite(arr).all() for arr in loaded.params.values())
+
+
 _TASK_OF_HEAD = {"regression_single": "empathy", "regression_dual": "multitask", "classify7": "emotion"}
 
 
@@ -236,12 +289,16 @@ def test_checkpoint_round_trip_property(head_kind, n_heads, head_dim, n_layers, 
                    d_ff=d_ff, max_len=max_len, dropout_rate=dropout_rate)
     cfg = make_config(task=_TASK_OF_HEAD[head_kind], epochs=1, seed=seed, encoder=encoder)
     params = init_params(cfg.encoder, seed)
-    params["tok_emb"][-1, -1] = planted  # any float64, signed zeros and nan payloads included
+    params["tok_emb"][-1, -1] = planted  # any float64, signed zeros, subnormals, infinities and nans included
     best_metric, best_epoch = (None, None) if best is None else best
     ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=params, best_metric=best_metric, best_epoch=best_epoch)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(ckpt, path)
+        if not np.isfinite(planted):  # a non-finite tensor is refused on load, naming it
+            with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'tok_emb' holds a non-finite value$"):
+                load_checkpoint(path)
+            return
         loaded = load_checkpoint(path)
     assert loaded.config == cfg
     assert (loaded.vocab_hash, loaded.best_metric, loaded.best_epoch) == (ckpt.vocab_hash, best_metric, best_epoch)
@@ -470,6 +527,50 @@ def _alone(task, i):
 @settings(max_examples=25)
 @given(picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=len(_POOL), unique=True))
 def test_predict_output_independent_of_chunk_mates_and_order(task, picks):
-    outputs = _per_essay_outputs(task, [_POOL[i] for i in picks])
-    for i in picks:
-        assert np.abs(outputs[_POOL[i].id] - _alone(task, i)).max() < 1e-12
+    # The default budget puts every pick in one chunk; 24 tokens (at most one essay of
+    # 13 or more tokens) splits the picks over several, so outputs cross chunk boundaries.
+    for budget in (train_module._EVAL_TOKENS, 24):
+        with mock.patch.object(train_module, "_EVAL_TOKENS", budget):
+            outputs = _per_essay_outputs(task, [_POOL[i] for i in picks])
+        for i in picks:
+            assert np.abs(outputs[_POOL[i].id] - _alone(task, i)).max() < 1e-12
+
+
+# Short essays share spans; one of 1000 tokens or more runs alone, and some are over the budget on their own.
+_LENGTH = st.one_of(st.integers(0, 80), st.integers(1000, 1100))
+
+
+@settings(max_examples=200)
+@given(lengths=st.lists(_LENGTH, max_size=60))
+def test_eval_spans_cover_the_essays_in_order_within_the_token_budget(lengths):
+    budget = train_module._EVAL_TOKENS
+    spans = train_module._eval_spans(np.array(lengths, dtype=np.int64))
+    assert [i for start, stop in spans for i in range(start, stop)] == list(range(len(lengths)))
+    for start, stop in spans:
+        rows, width = stop - start, max(1, *lengths[start:stop])
+        assert stop > start
+        assert rows == 1 or rows * width <= budget
+        # Greedy: the next essay would have pushed the span past the budget.
+        if stop < len(lengths):
+            assert (rows + 1) * max(width, lengths[stop]) > budget
+
+
+def test_desk_scale_eval_hands_attention_at_most_the_token_budget(monkeypatch):
+    cfg = replace(make_config(task="emotion", epochs=1).encoder, vocab_size=50)
+    params = init_params(cfg, 3)
+    rng = np.random.default_rng(0)
+    ids = np.concatenate([np.full((64, 1), 2), rng.integers(3, 50, (64, cfg.max_len - 1))], axis=1)
+    lengths = np.full(64, cfg.max_len)
+    attention, shapes = ad.attention, []
+
+    def spy(tape, q, k, v, *args, **kwargs):
+        shapes.append(k.value.shape[:2])  # [rows, seq_len]
+        return attention(tape, q, k, v, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "attention", spy)
+    out = train_module._model_outputs(params, cfg, ("emotion",), ids, lengths)["emotion"]
+    assert len(shapes) > cfg.n_layers  # more than one chunk
+    assert all(rows * width <= train_module._EVAL_TOKENS for rows, width in shapes)
+    assert sum(rows for rows, _ in shapes) == 64 * cfg.n_layers
+    monkeypatch.setattr(ad, "attention", attention)
+    assert np.abs(out - run_model(params, cfg, ids, lengths)).max() < 1e-12

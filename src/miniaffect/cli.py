@@ -57,7 +57,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(text: str, path: Path) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
@@ -107,10 +107,14 @@ class _Run:
             raise ValidationError(f"cannot read input {path}: {exc.strerror}") from None
         return path
 
-    def out_path(self, name: str) -> Path:
+    def write(self, name: str, save, obj) -> None:
+        """``save(obj, path)`` for the output file ``name``; a path it cannot write is a ValidationError naming it."""
         path = self.out_dir / name
+        try:
+            save(obj, path)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output {path}: {exc.strerror}") from None
         self.outputs.append(str(path))
-        return path
 
     def say(self, message: str) -> None:
         if not self.quiet:
@@ -129,7 +133,7 @@ class _Run:
             "wall_time_s": time.perf_counter() - self.started,
             "environment": _environment(),
         }
-        _write_text(self.out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        self.write("manifest.json", _write_text, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_seed(run: _Run, seed: int | None) -> int:
@@ -140,11 +144,11 @@ def _resolve_seed(run: _Run, seed: int | None) -> int:
 def cmd_ingest(run: _Run, args) -> None:
     path = run.add_input(args.input)
     dataset = load_task_tsv(path, args.split)
-    save_dataset(dataset, run.out_path("dataset.tsv"))
+    run.write("dataset.tsv", save_dataset, dataset)
     run.config = {"split": args.split, "records": len(dataset)}
     if all(r.emotion is not None for r in dataset.records):
         hist = class_histogram(dataset)
-        _write_text(run.out_path("histogram.csv"), histogram_csv(dataset))
+        run.write("histogram.csv", _write_text, histogram_csv(dataset))
         run.notes["histogram"] = hist
         run.say(f"{len(dataset)} records; histogram: {hist}")
     else:
@@ -167,7 +171,7 @@ def cmd_augment(run: _Run, args) -> None:
             raise ValidationError("--scheme ra requires --count")
         spec = AugmentationSpec(scheme="ra", sample_count=args.count, seed=seed)
         out = random_augment(base, pool, spec)
-    save_dataset(out, run.out_path("augmented.tsv"))
+    run.write("augmented.tsv", save_dataset, out)
     run.config = {"scheme": args.scheme, "total": args.total, "count": args.count, "seed": seed}
     run.notes.update(out.meta)
     run.notes["records"] = len(out)
@@ -217,9 +221,9 @@ def _train_inputs(run: _Run, args):
 def cmd_train(run: _Run, args) -> None:
     cfg, train_set, dev_set, vocab = _train_inputs(run, args)
     ckpt, report = train(train_set, dev_set, vocab, cfg)
-    save_checkpoint(ckpt, run.out_path("model.ckpt"))
-    save_vocab(vocab, run.out_path("vocab.tsv"))
-    _write_text(run.out_path("train_report.json"), json.dumps(report.to_dict(), indent=2) + "\n")
+    run.write("model.ckpt", save_checkpoint, ckpt)
+    run.write("vocab.tsv", save_vocab, vocab)
+    run.write("train_report.json", _write_text, json.dumps(report.to_dict(), indent=2) + "\n")
     run.config = ckpt.config.to_dict()
     run.seeds = [cfg.seed]
     best = "n/a" if report.best_metric is None else f"{report.best_metric:.4f}"
@@ -231,7 +235,7 @@ def cmd_predict(run: _Run, args) -> None:
     vocab = load_vocab(run.add_input(args.vocab))
     dataset = load_task_tsv(run.add_input(args.input), args.split)
     preds = predict(ckpt, dataset, vocab, clamp=args.clamp)
-    write_predictions(preds, run.out_path("predictions.tsv"))
+    run.write("predictions.tsv", write_predictions, preds)
     run.config = {"task": ckpt.config.task, "clamp": args.clamp, "records": len(dataset)}
     run.say(f"wrote predictions for {len(dataset)} records ({ckpt.config.task})")
 
@@ -242,14 +246,14 @@ def cmd_ensemble(run: _Run, args) -> None:
         if not all(isinstance(m, RegressionPredictions) for m in members):
             raise ValidationError("regression ensemble requires regression prediction files")
         merged = ensemble_regression(members)
-        write_predictions(merged, run.out_path("ensemble.tsv"))
+        run.write("ensemble.tsv", write_predictions, merged)
     else:
         if not all(isinstance(m, ClassificationPredictions) for m in members):
             raise ValidationError("classification ensemble requires classification prediction files")
         combined = ensemble_classification(members, score_space=args.space)
         for name, scores in (("ensemble.tsv", combined.normalized), ("ensemble_summed.tsv", combined.summed)):
             preds = ClassificationPredictions(ids=combined.ids, scores=scores, labels=combined.labels)
-            write_predictions(preds, run.out_path(name))
+            run.write(name, write_predictions, preds)
     run.config = {"task": args.task, "space": args.space, "members": len(members)}
     run.say(f"combined {len(members)} member files")
 
@@ -258,11 +262,11 @@ def cmd_eval(run: _Run, args) -> None:
     preds = read_predictions(run.add_input(args.pred))
     gold = load_task_tsv(run.add_input(args.gold), args.split)
     report = build_report(args.task, preds, gold)
-    _write_text(run.out_path("report.json"), report.to_json())
+    run.write("report.json", _write_text, report.to_json())
     if args.task == "classification":
-        _write_text(run.out_path("confusion.csv"), confusion_csv(report.confusion))
-        _write_text(run.out_path("confusion_normalized.csv"), confusion_csv(report.confusion_normalized))
-        _write_text(run.out_path("histogram.csv"), histogram_csv(gold))
+        run.write("confusion.csv", _write_text, confusion_csv(report.confusion))
+        run.write("confusion_normalized.csv", _write_text, confusion_csv(report.confusion_normalized))
+        run.write("histogram.csv", _write_text, histogram_csv(gold))
     run.config = {"task": args.task, "n": report.n}
     summary = {k: v for k, v in report.to_dict().items() if isinstance(v, float)}
     run.say(f"eval over {report.n} records: " + json.dumps(summary, sort_keys=True))
@@ -275,7 +279,7 @@ def cmd_seed_sweep(run: _Run, args) -> None:
         raise ValidationError(f"--seeds must be a comma-separated integer list, got {args.seeds!r}") from None
     cfg, train_set, dev_set, vocab = _train_inputs(run, args)
     report = seed_sweep(train_set, dev_set, vocab, cfg, seeds)
-    _write_text(run.out_path("sweep.json"), json.dumps(report.to_dict(), indent=2) + "\n")
+    run.write("sweep.json", _write_text, json.dumps(report.to_dict(), indent=2) + "\n")
     run.config = cfg.to_dict()
     run.seeds = seeds
     run.say(
@@ -314,7 +318,7 @@ def cmd_report(run: _Run, args) -> None:
             cells.append("-" if value is None else f"{value:.4f}")
         lines.append("| " + " | ".join(cells) + " |")
     table = "\n".join(lines) + "\n"
-    _write_text(run.out_path("report.md"), table)
+    run.write("report.md", _write_text, table)
     run.config = {"reports": len(rows)}
     run.say(table.rstrip("\n"))
 

@@ -44,6 +44,9 @@ CHECKPOINT_VERSION = 1
 # size of a core's L2 on the 2-vCPU machine this was tuned on; 64-essay chunks
 # were slower and page-faulted on every call as glibc mapped and unmapped them.
 _EVAL_TOKENS = 1024
+# Padding tokens that cost about as much as one more eval forward: on that
+# machine, with one BLAS thread, run_model took about 0.3 ms plus 7-9 µs a token.
+_CHUNK_COST_TOKENS = 40
 
 
 @dataclass(frozen=True)
@@ -235,29 +238,35 @@ def _batch_loss(pnodes, enc_cfg, cfg, ids, lengths, targets, idxs, tape):
     return loss_mse(tape, *args)
 
 
-def _eval_spans(lengths: np.ndarray) -> list[tuple[int, int]]:
-    """Consecutive [start, stop) spans over the essays, in order, each within the eval token budget.
+def _eval_chunks(lengths: np.ndarray) -> list[np.ndarray]:
+    """Groups of essay indices for one eval forward each, in ascending true length, ties in file order.
 
-    A span takes essays until one more would push rows × max(1, its longest
-    true length) past ``_EVAL_TOKENS``; an essay over the budget on its own
-    runs alone.
+    A group is padded to its longest essay. It takes the next essay unless that
+    would push rows × width past ``_EVAL_TOKENS`` or add more than
+    ``_CHUNK_COST_TOKENS`` padding tokens (rows × the width it grows by); an
+    essay over the budget on its own runs alone.
     """
-    spans, start, width = [], 0, 1
-    for i, n in enumerate(lengths.tolist()):
-        width = max(width, n)
-        if i > start and (i + 1 - start) * width > _EVAL_TOKENS:
-            spans.append((start, i))
-            start, width = i, max(1, n)
-    return [*spans, (start, len(lengths))] if len(lengths) else []
+    order = np.argsort(lengths, kind="stable")
+    widths = np.maximum(lengths[order], 1).tolist()
+    groups, start = [], 0
+    for i, width in enumerate(widths):
+        rows = i - start
+        if rows and ((rows + 1) * width > _EVAL_TOKENS or rows * (width - widths[i - 1]) > _CHUNK_COST_TOKENS):
+            groups.append(order[start:i])
+            start = i
+    return [*groups, order[start:]] if widths else []
 
 
 def _model_outputs(params, enc_cfg, labels, ids, lengths) -> dict[str, np.ndarray]:
-    """Eval-mode head outputs over a whole dataset, in token-budget chunks, keyed by the label field each predicts."""
-    chunks = []
-    for start, stop in _eval_spans(lengths):
-        out = run_model(params, enc_cfg, ids[start:stop], lengths[start:stop])
-        chunks.append(out if isinstance(out, tuple) else (out,))
-    return {name: np.concatenate([chunk[i] for chunk in chunks]) for i, name in enumerate(labels)}
+    """Eval-mode head outputs over a whole dataset, in file order, keyed by the label field each predicts."""
+    out: dict[str, np.ndarray] = {}
+    for idx in _eval_chunks(lengths):
+        chunk = run_model(params, enc_cfg, ids[idx], lengths[idx])
+        for name, values in zip(labels, chunk if isinstance(chunk, tuple) else (chunk,)):
+            if name not in out:
+                out[name] = np.empty((len(lengths), *values.shape[1:]))
+            out[name][idx] = values
+    return out
 
 
 def _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets) -> dict[str, float]:

@@ -520,6 +520,34 @@ def test_unusable_path_exits_1_naming_it(tmp_path, corpora, command, fault, caps
     assert str(out if fault == "out_is_a_file" else bad) in err
 
 
+# Each command's argv, run from a directory holding the corpora, a trained run and its predictions,
+# and the output file it writes.
+_WRITING_COMMANDS = {
+    "train": (["train", "--train", "train.tsv", "--dev", "dev.tsv", "--task", "emotion", "--epochs", 0,
+               "--config", "tiny.json"], "model.ckpt"),
+    "predict": (["predict", "--model", "run/model.ckpt", "--vocab", "run/vocab.tsv", "--input", "dev.tsv"],
+                "predictions.tsv"),
+    "ensemble": (["ensemble", "--task", "classification", "preds/predictions.tsv"], "ensemble.tsv"),
+}
+
+
+@pytest.mark.parametrize("blocked", ["output", "manifest"])
+@pytest.mark.parametrize("command", sorted(_WRITING_COMMANDS))
+def test_output_path_taken_by_a_directory_exits_1_naming_it(tmp_path, corpora, monkeypatch, command, blocked, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("train.tsv", "dev.tsv", "tiny.json"):
+        Path(name).symlink_to(corpora / name)
+    assert run(*_WRITING_COMMANDS["train"][0], "--out", "run", "--quiet") == 0
+    assert run(*_WRITING_COMMANDS["predict"][0], "--out", "preds", "--quiet") == 0
+    argv, output = _WRITING_COMMANDS[command]
+    taken = Path("out") / (output if blocked == "output" else "manifest.json")
+    taken.mkdir(parents=True)
+    assert run(*argv, "--out", "out", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"error: cannot write output {taken}: Is a directory" in err
+
+
 @pytest.mark.parametrize("content, message", [
     ("not json at all", "is not JSON"),
     ("[0.5, 0.25]", "must hold a JSON object"),

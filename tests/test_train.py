@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import miniaffect.train as train_module
+from miniaffect import blas
 from miniaffect.data import Dataset, EssayRecord
 from miniaffect.errors import DivergenceError, FormatError, ValidationError
 from miniaffect.metrics import build_report
 from miniaffect.nn import autodiff as ad
 from miniaffect.nn.autodiff import Node
 from miniaffect.nn.encoder import init_params, param_shapes, run_model
+from miniaffect.nn.losses import softmax
 from miniaffect.text import build_vocab
 from miniaffect.train import (
     Checkpoint,
@@ -527,32 +529,58 @@ def _alone(task, i):
 @settings(max_examples=25)
 @given(picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=len(_POOL), unique=True))
 def test_predict_output_independent_of_chunk_mates_and_order(task, picks):
-    # The default budget puts every pick in one chunk; 24 tokens (at most one essay of
-    # 13 or more tokens) splits the picks over several, so outputs cross chunk boundaries.
-    for budget in (train_module._EVAL_TOKENS, 24):
-        with mock.patch.object(train_module, "_EVAL_TOKENS", budget):
+    # The defaults put the picks in a few chunks; 24 tokens (at most one essay of 13 or
+    # more tokens) splits them by budget, and a padding cost of 0 gives every distinct
+    # length its own chunk, so outputs cross chunk boundaries of both kinds.
+    budget, cost = train_module._EVAL_TOKENS, train_module._CHUNK_COST_TOKENS
+    for patched_budget, patched_cost in ((budget, cost), (24, cost), (budget, 0)):
+        with mock.patch.multiple(train_module, _EVAL_TOKENS=patched_budget, _CHUNK_COST_TOKENS=patched_cost):
             outputs = _per_essay_outputs(task, [_POOL[i] for i in picks])
         for i in picks:
             assert np.abs(outputs[_POOL[i].id] - _alone(task, i)).max() < 1e-12
 
 
-# Short essays share spans; one of 1000 tokens or more runs alone, and some are over the budget on their own.
+# Short essays share chunks; one of 1000 tokens or more runs alone, and some are over the budget on their own.
 _LENGTH = st.one_of(st.integers(0, 80), st.integers(1000, 1100))
 
 
 @settings(max_examples=200)
-@given(lengths=st.lists(_LENGTH, max_size=60))
-def test_eval_spans_cover_the_essays_in_order_within_the_token_budget(lengths):
+@given(lengths=st.lists(_LENGTH, max_size=60), cost=st.integers(0, 200))
+def test_eval_chunks_group_the_essays_by_ascending_length_within_the_token_budget(lengths, cost):
     budget = train_module._EVAL_TOKENS
-    spans = train_module._eval_spans(np.array(lengths, dtype=np.int64))
-    assert [i for start, stop in spans for i in range(start, stop)] == list(range(len(lengths)))
-    for start, stop in spans:
-        rows, width = stop - start, max(1, *lengths[start:stop])
-        assert stop > start
+    with mock.patch.object(train_module, "_CHUNK_COST_TOKENS", cost):
+        groups = [g.tolist() for g in train_module._eval_chunks(np.array(lengths, dtype=np.int64))]
+    widths = [max(1, n) for n in lengths]
+    # A partition of the essays in ascending length, ties in file order.
+    assert [i for g in groups for i in g] == sorted(range(len(lengths)), key=lambda i: lengths[i])
+    for k, g in enumerate(groups):
+        rows, width = len(g), widths[g[-1]]
         assert rows == 1 or rows * width <= budget
-        # Greedy: the next essay would have pushed the span past the budget.
-        if stop < len(lengths):
-            assert (rows + 1) * max(width, lengths[stop]) > budget
+        # Each essay joined within the padding cost, and each cut was for the budget or the padding.
+        assert all(r * (widths[g[r]] - widths[g[r - 1]]) <= cost for r in range(1, rows))
+        if k + 1 < len(groups):
+            nxt = widths[groups[k + 1][0]]
+            assert (rows + 1) * nxt > budget or rows * (nxt - width) > cost
+
+
+def test_equal_length_essays_run_in_file_order_spans():
+    # Every essay fills max_len 64, as on long-essay corpora: the chunks are the
+    # consecutive 16-essay spans in file order, and predict is bit-identical to them.
+    records = [
+        EssayRecord(f"long-{i}", " ".join(FILLER[(i + j) % len(FILLER)] for j in range(70)), None, None, "joy")
+        for i in range(40)
+    ]
+    d = Dataset(split="test", records=records)
+    vocab = build_vocab(d)
+    ckpt, _ = train(d, d, vocab, make_config(task="emotion", epochs=0, seed=5))
+    cfg = ckpt.config.encoder
+    ids, lengths = train_module.encode_dataset(d, vocab, cfg.max_len)
+    assert (lengths == cfg.max_len).all()
+    starts = range(0, 40, 16)
+    assert [g.tolist() for g in train_module._eval_chunks(lengths)] == [list(range(a, min(a + 16, 40))) for a in starts]
+    with blas.single_thread():  # as predict runs
+        logits = np.concatenate([run_model(ckpt.params, cfg, ids[a : a + 16], lengths[a : a + 16]) for a in starts])
+    assert np.array_equal(predict(ckpt, d, vocab).scores, softmax(logits, axis=1))
 
 
 def test_desk_scale_eval_hands_attention_at_most_the_token_budget(monkeypatch):

@@ -200,7 +200,7 @@ def _resolve_train_config(args, run: _Run):
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
     for key in ("task", "epochs", "preset", "seed", "batch_size", "snapshot_metric"):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)
     if args.no_shuffle:
         settings["shuffle"] = False
@@ -280,8 +280,9 @@ def cmd_seed_sweep(run: _Run, args) -> None:
     cfg, train_set, dev_set, vocab = _train_inputs(run, args)
     report = seed_sweep(train_set, dev_set, vocab, cfg, seeds)
     run.write("sweep.json", _write_text, json.dumps(report.to_dict(), indent=2) + "\n")
-    run.config = cfg.to_dict()
+    run.config = {key: value for key, value in cfg.to_dict().items() if key != "seed"}  # --seeds replaces it
     run.seeds = seeds
+    run.seed_defaulted = False
     run.say(
         f"swept {len(seeds)} seeds: mean {report.mean:.4f} std {report.std:.4f}"
         f" min {report.min:.4f} max {report.max:.4f}"
@@ -337,7 +338,6 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    _add_seed(p)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--train", required=True, help="training TSV")
     p.add_argument("--dev", required=True, help="development TSV")
@@ -372,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and keep the best-on-dev snapshot")
     _add_train_flags(p)
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -399,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("seed-sweep", help="train across seeds and summarize metric spread")
+    # No abbreviations, or --seed would be read as --seeds.
+    p = sub.add_parser("seed-sweep", help="train across seeds and summarize metric spread", allow_abbrev=False)
     _add_train_flags(p)
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
     _add_common(p)

@@ -21,8 +21,6 @@ arrays; ``dense`` gives the full array of either kind.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -291,58 +289,18 @@ def gelu(tape: Tape, x: Node) -> Node:
     return result
 
 
-# Fewest doubles a corner draw must skip between two kept runs before it
-# draws the runs one by one and advances the generator past the rest. Each run
-# costs about 3.5 us of calls, the time PCG64 takes to draw about 1000 doubles.
-MIN_SKIP = 1024
-
-
-def _corner_noise(rng: np.random.Generator, shape: tuple[int, ...], corner: tuple[int, ...]) -> np.ndarray:
-    """``rng.random(shape)`` cut to its leading ``corner``, leaving rng as the full draw would.
-
-    Generator.random spends one 64-bit PCG64 output per double, so the stretches
-    of the full draw outside the corner can be skipped with
-    ``bit_generator.advance`` when they are long enough to pay for drawing the
-    kept runs one at a time. Other bit generators always draw in full.
-    """
-    cut = [axis for axis, (c, n) in enumerate(zip(corner, shape)) if c < n]
-    if not cut:
-        return rng.random(shape)
-    t = cut[-1]  # axes after t are whole, so each index over axes < t keeps one contiguous run
-    inner = math.prod(shape[t + 1 :])
-    if (shape[t] - corner[t]) * inner < MIN_SKIP or not isinstance(rng.bit_generator, np.random.PCG64):
-        return rng.random(shape)[tuple(slice(0, c) for c in corner)]
-    run = corner[t] * inner
-    strides = [math.prod(shape[axis + 1 :]) for axis in range(t)]
-    out = np.empty(corner)
-    bitgen = rng.bit_generator
-    pos = 0
-    for row, index in zip(out.reshape(-1, run), np.ndindex(*corner[:t])):
-        start = sum(i * s for i, s in zip(index, strides))
-        bitgen.advance(start - pos)
-        rng.random(out=row)
-        pos = start + run
-    bitgen.advance(math.prod(shape) - pos)
-    return out
-
-
-def _dropout_mask(tape: Tape, rate: float, shape: tuple[int, ...], noise_shape) -> np.ndarray:
-    """Inverted-dropout multipliers (0 or 1/keep) at ``shape``, the leading corner of a ``noise_shape`` draw."""
+def _dropout_mask(tape: Tape, rate: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverted-dropout multipliers (0 or 1/keep) at ``shape``, from one ``tape.rng.random(shape)`` draw."""
     if tape.rng is None:
         raise ValueError("dropout requires a Tape constructed with an rng")
     keep = 1.0 - rate
-    noise = _corner_noise(tape.rng, shape if noise_shape is None else noise_shape, shape)
+    noise = tape.rng.random(shape)
     return np.divide(noise < keep, keep, out=noise)
 
 
-def dropout(tape: Tape, x: Node, rate: float, shape: tuple[int, ...] | None = None) -> Node:
-    """Inverted dropout; requires the tape to carry an rng.
-
-    The noise is drawn at ``shape`` (default: x's own) and its leading corner
-    of x's shape is used, so a forward that keeps only the first rows of a
-    tensor consumes the same rng stream as one that keeps them all.
-    """
-    mask = _dropout_mask(tape, rate, x.value.shape, shape)
+def dropout(tape: Tape, x: Node, rate: float) -> Node:
+    """Inverted dropout; requires the tape to carry an rng."""
+    mask = _dropout_mask(tape, rate, x.value.shape)
     out = Node(x.value * mask)
 
     def backward(g):
@@ -361,7 +319,6 @@ def attention(
     scale: float,
     n_heads: int,
     rate: float = 0.0,
-    noise_shape: tuple[int, ...] | None = None,
 ) -> Node:
     """Multi-head scaled dot-product attention over PAD-masked keys, recorded as one node.
 
@@ -369,8 +326,8 @@ def attention(
     n_heads heads. key_mask [B, S] is True at attendable keys, and every row
     must keep at least one (the CLS position guarantees it). The probabilities
     ``softmax(q k^T * scale)`` get inverted dropout at ``rate`` (drawn from
-    tape.rng like ``dropout``, at ``noise_shape``, default [B, H, Sq, S]) and
-    weight v; the heads are merged back to [B, Sq, d].
+    tape.rng like ``dropout``, at their shape [B, H, Sq, S]) and weight v;
+    the heads are merged back to [B, Sq, d].
 
     The backward keeps the probabilities P, the dropout mask and
     Pd = P * mask, but no scores or head-split copies: dV = Pd^T g,
@@ -390,7 +347,7 @@ def attention(
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    mask = _dropout_mask(tape, rate, probs.shape, noise_shape) if rate > 0.0 else None
+    mask = _dropout_mask(tape, rate, probs.shape) if rate > 0.0 else None
     dropped = probs if mask is None else probs * mask
     out = np.empty((batch, n_q, d))
     np.matmul(dropped, vh, out=heads(out, n_q))

@@ -59,6 +59,8 @@ class EncoderConfig:
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_len < 2:
+            raise ValidationError(f"max_len {self.max_len} leaves no room after the CLS position")
         if self.d_model % self.n_heads != 0:
             raise ValidationError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -174,11 +176,9 @@ def forward(
 
     With train_mode, dropout (rate cfg.dropout_rate) is applied to the embedding
     sum, the attention probabilities and each sublayer output, drawing noise
-    from the tape's rng. The CLS-only last layer's noise and the rng state it
-    leaves equal those of a full-width draw cut to the CLS rows, so the stream
-    is the same as a full-width layer's.
+    from the tape's rng at exactly the shape each one masks.
     """
-    batch, width = ids.shape
+    width = ids.shape[1]
     if width != cfg.max_len:
         raise ValueError(f"sequence length {width} != configured max_len {cfg.max_len}")
     seq_len = max(1, int(lengths.max()))
@@ -188,7 +188,7 @@ def forward(
     drop = train_mode and cfg.dropout_rate > 0.0
 
     def dropped(node: Node) -> Node:
-        return ad.dropout(tape, node, cfg.dropout_rate, (batch, seq_len, cfg.d_model)) if drop else node
+        return ad.dropout(tape, node, cfg.dropout_rate) if drop else node
 
     x = ad.add(
         tape,
@@ -199,7 +199,6 @@ def forward(
 
     scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
     attn_rate = cfg.dropout_rate if drop else 0.0
-    noise_shape = (batch, cfg.n_heads, seq_len, seq_len)
     cls_row = (slice(None), slice(0, 1))
 
     for i in range(cfg.n_layers):
@@ -212,7 +211,7 @@ def forward(
             x = ad.take(tape, x, cls_row)
             h = ad.take(tape, h, cls_row)
         q = ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"])
-        ctx = ad.attention(tape, q, k, v, key_mask, scale, cfg.n_heads, attn_rate, noise_shape)
+        ctx = ad.attention(tape, q, k, v, key_mask, scale, cfg.n_heads, attn_rate)
         attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
         x = ad.add(tape, x, attn_out)
 

@@ -411,12 +411,15 @@ def seed_sweep(
 ) -> SweepReport:
     """Train once per seed and summarize the best dev metrics.
 
-    ``std`` is the population standard deviation of the per-seed values.
+    Every seed is validated before the first run. ``std`` is the population
+    standard deviation of the per-seed values.
     """
     if len(seeds) < 2:
         raise ValidationError("seed sweep needs at least 2 seeds")
     if cfg.epochs < 1:
         raise ValidationError("seed sweep needs at least 1 epoch")
+    for seed in seeds:
+        replace(cfg, seed=seed).validate()
     entries = []
     for seed in seeds:
         _, report = train(train_set, dev_set, vocab, replace(cfg, seed=seed))

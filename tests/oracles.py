@@ -253,11 +253,16 @@ def masked_softmax(tape: Tape, scores: Node, key_mask: np.ndarray, scale: float)
     return out
 
 
-def full_draw_dropout(tape: Tape, x: Node, rate: float, shape: tuple[int, ...] | None = None) -> Node:
-    """Inverted dropout that draws all of ``shape`` and keeps the leading corner of x's shape."""
+def full_width_dropout(tape: Tape, x: Node, rate: float, cls_axis: int | None = None) -> Node:
+    """Inverted dropout over all of x, or with ``cls_axis`` only over index 0 of that axis (the CLS rows).
+
+    The noise is drawn at the shape it masks; rows outside the CLS rows are
+    left undropped.
+    """
     keep = 1.0 - rate
-    noise = tape.rng.random(x.value.shape if shape is None else shape)
-    mask = (noise[tuple(slice(0, n) for n in x.value.shape)] < keep) / keep
+    shape = tuple(1 if axis == cls_axis else n for axis, n in enumerate(x.value.shape))
+    mask = np.ones_like(x.value)
+    mask[tuple(slice(0, n) for n in shape)] = (tape.rng.random(shape) < keep) / keep
     out = Node(x.value * mask)
 
     def backward(g):
@@ -267,8 +272,11 @@ def full_draw_dropout(tape: Tape, x: Node, rate: float, shape: tuple[int, ...] |
     return out
 
 
-def unfused_attention(tape: Tape, q: Node, k: Node, v: Node, key_mask, scale, n_heads, rate=0.0, noise_shape=None):
-    """ad.attention as the chain of 13 nodes (12 without dropout) that it replaces."""
+def unfused_attention(tape: Tape, q: Node, k: Node, v: Node, key_mask, scale, n_heads, rate=0.0, cls_axis=None):
+    """ad.attention as the chain of 13 nodes (12 without dropout) that it replaces.
+
+    ``cls_axis`` 2 drops only the CLS query row's probabilities (see ``full_width_dropout``).
+    """
     batch, n_q, d = q.value.shape
 
     def split_heads(node: Node) -> Node:
@@ -279,7 +287,7 @@ def unfused_attention(tape: Tape, q: Node, k: Node, v: Node, key_mask, scale, n_
     scores = ad.matmul(tape, qh, transpose(tape, kh, (0, 1, 3, 2)))
     probs = masked_softmax(tape, scores, key_mask[:, None, None, :], scale)
     if rate > 0.0:
-        probs = full_draw_dropout(tape, probs, rate, noise_shape)
+        probs = full_width_dropout(tape, probs, rate, cls_axis)
     ctx = transpose(tape, ad.matmul(tape, probs, vh), (0, 2, 1, 3))
     return reshape(tape, ctx, (batch, n_q, d))
 
@@ -296,8 +304,8 @@ def full_width_forward(
 
     The encoder forward as it was before its last layer became CLS-only and its
     attention one node: every layer runs on all rows, through the unfused
-    attention chain and full-width noise draws. Kept as the reference that the
-    forward must match, outputs, gradients and dropout stream alike.
+    attention chain. Kept as the reference that the forward must match,
+    outputs, gradients and dropout stream alike.
 
     Internally the batch is trimmed to its longest true length: PAD keys are
     masked out of every attention row, so positions beyond the longest real
@@ -305,7 +313,8 @@ def full_width_forward(
 
     With train_mode, dropout (rate cfg.dropout_rate) is applied to the embedding
     sum, the attention probabilities and each sublayer output, drawing noise
-    from the tape's rng.
+    from the tape's rng. The last layer draws noise only for the CLS rows, the
+    only ones that reach an output, and leaves its other rows undropped.
     """
     batch, width = ids.shape
     if width != cfg.max_len:
@@ -316,8 +325,8 @@ def full_width_forward(
 
     drop = train_mode and cfg.dropout_rate > 0.0
 
-    def dropped(node: Node) -> Node:
-        return full_draw_dropout(tape, node, cfg.dropout_rate) if drop else node
+    def dropped(node: Node, cls_axis: int | None = None) -> Node:
+        return full_width_dropout(tape, node, cfg.dropout_rate, cls_axis) if drop else node
 
     x = ad.add(
         tape,
@@ -331,19 +340,20 @@ def full_width_forward(
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
+        last = i == cfg.n_layers - 1
         h = ad.layer_norm(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
         q = ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"])
         k = ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"])
         v = ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"])
-        ctx = unfused_attention(tape, q, k, v, key_mask, scale, cfg.n_heads, rate)
-        attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
+        ctx = unfused_attention(tape, q, k, v, key_mask, scale, cfg.n_heads, rate, 2 if last else None)
+        attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]), 1 if last else None)
         x = ad.add(tape, x, attn_out)
 
         h = ad.layer_norm(tape, x, pnodes[p + "ff_norm.gain"], pnodes[p + "ff_norm.bias"])
         f = ad.linear(tape, h, pnodes[p + "ff.w1"], pnodes[p + "ff.b1"])
         f = ad.gelu(tape, f)
         f = ad.linear(tape, f, pnodes[p + "ff.w2"], pnodes[p + "ff.b2"])
-        x = ad.add(tape, x, dropped(f))
+        x = ad.add(tape, x, dropped(f, 1 if last else None))
 
     x = ad.layer_norm(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
     return ad.take(tape, x, (slice(None), 0))

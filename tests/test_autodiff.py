@@ -1,5 +1,4 @@
 import inspect
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,45 +448,6 @@ def test_dropout_scales_and_masks():
     assert np.all((x.grad != 0) == kept)
 
 
-@pytest.mark.parametrize("shape, corner", [
-    ((8, 4, 64, 64), (8, 4, 1, 64)),
-    ((8, 64, 64), (8, 1, 64)),
-    ((3, 5, 7), (2, 1, 7)),
-    ((3, 5, 7), (3, 5, 2)),
-    ((2, 3, 4, 5), (1, 2, 3, 5)),
-    ((4, 6), (1, 6)),
-    ((5,), (2,)),
-    ((3, 4), (3, 4)),
-])
-@pytest.mark.parametrize("min_skip", [0, ad.MIN_SKIP], ids=["skip_every_gap", "skip_long_gaps"])
-def test_corner_noise_equals_full_draw_and_leaves_the_same_stream(shape, corner, min_skip):
-    full = np.random.Generator(np.random.PCG64(17))
-    cut = np.random.Generator(np.random.PCG64(17))
-    expected = full.random(shape)[tuple(slice(0, n) for n in corner)]
-    with mock.patch.object(ad, "MIN_SKIP", min_skip):
-        got = ad._corner_noise(cut, shape, corner)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(cut.random(4), full.random(4))
-
-
-def test_corner_noise_draws_in_full_without_pcg64():
-    full = np.random.Generator(np.random.MT19937(19))
-    cut = np.random.Generator(np.random.MT19937(19))
-    expected = full.random((8, 4, 64, 64))[:, :, :1]
-    assert np.array_equal(ad._corner_noise(cut, (8, 4, 64, 64), (8, 4, 1, 64)), expected)
-    assert np.array_equal(cut.random(4), full.random(4))
-
-
-def test_corner_noise_skips_only_long_gaps():
-    # The CLS-only layer at max_len 64 skips its unused draws; at 15 tokens the
-    # per-run calls would cost more than the doubles they skip.
-    rng = np.random.Generator(np.random.PCG64(18))
-    assert ad._corner_noise(rng, (8, 4, 64, 64), (8, 4, 1, 64)).base is None  # drawn run by run
-    assert ad._corner_noise(rng, (8, 64, 64), (8, 1, 64)).base is None
-    assert ad._corner_noise(rng, (8, 4, 15, 15), (8, 4, 1, 15)).base is not None  # cut from a full draw
-    assert ad._corner_noise(rng, (8, 15, 64), (8, 1, 64)).base is not None
-
-
 @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
 @pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_row"])
 def test_attention_gradients_match_fd(cls_only, rate):
@@ -506,8 +466,7 @@ def test_attention_gradients_match_fd(cls_only, rate):
     def build(arrs):
         tape = Tape(rng=np.random.Generator(np.random.PCG64(15)))  # the same dropout mask every call
         nodes = {name: Node(arr) for name, arr in arrs.items()}
-        out = ad.attention(tape, nodes["q"], nodes["k"], nodes["v"], key_mask, 1 / np.sqrt(3), n_heads,
-                           rate, (batch, n_heads, seq, seq))
+        out = ad.attention(tape, nodes["q"], nodes["k"], nodes["v"], key_mask, 1 / np.sqrt(3), n_heads, rate)
         return tape, nodes, ad.mse(tape, out, target)
 
     tape, nodes, loss = build({name: arr.copy() for name, arr in params.items()})
@@ -527,10 +486,9 @@ def test_attention_gradients_match_fd(cls_only, rate):
     d_head=st.integers(1, 3),
     cls_only=st.booleans(),
     rate=st.sampled_from([0.0, 0.1, 0.5]),
-    min_skip=st.sampled_from([0, ad.MIN_SKIP]),
     data=st.data(),
 )
-def test_attention_matches_unfused_chain_bit_for_bit(batch, seq, n_heads, d_head, cls_only, rate, min_skip, data):
+def test_attention_matches_unfused_chain_bit_for_bit(batch, seq, n_heads, d_head, cls_only, rate, data):
     lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     key_mask = np.arange(seq)[None, :] < lengths[:, None]
@@ -543,13 +501,11 @@ def test_attention_matches_unfused_chain_bit_for_bit(batch, seq, n_heads, d_head
     def run(op):
         tape = Tape(rng=np.random.Generator(np.random.PCG64(seed)))
         nodes = [Node(arr.copy()) for arr in (q, k, v)]
-        out = op(tape, *nodes, key_mask, scale, n_heads, rate, (batch, n_heads, seq, seq))
+        out = op(tape, *nodes, key_mask, scale, n_heads, rate)
         tape.backward(ad.mse(tape, out, target))
         return [out.value] + [node.grad for node in nodes] + [tape.rng.random(3)]
 
-    with mock.patch.object(ad, "MIN_SKIP", min_skip):
-        fused = run(ad.attention)
-    for got, expected in zip(fused, run(unfused_attention)):
+    for got, expected in zip(run(ad.attention), run(unfused_attention)):
         assert np.array_equal(got, expected)
 
 

@@ -212,6 +212,7 @@ def test_train_bad_config_is_validation_error(tmp_path, corpora, config, capsys)
     ("head_kind 'regression_single'", {"encoder": {"head_kind": "regression_single"}}),
     ("vocab_size 5", {"encoder": {"vocab_size": 5}}),
     ("vocab_size must be an integer", {"encoder": {"vocab_size": None}}),
+    ("max_len 1 leaves no room after the CLS position", {"encoder": {"max_len": 1}}),
 ])
 def test_train_mistyped_config_exits_1(tmp_path, corpora, key, config, capsys):
     cfg_path = tmp_path / "bad.json"
@@ -273,9 +274,10 @@ def _single_regression_head(ckpt):
     ("lr must be positive", _with_config("optimizer", lr=-1.0)),
     ("epochs must be >= 0", _with_config(epochs=-4)),
     ("does not fit task 'emotion'", _single_regression_head),
+    ("max_len 1 leaves no room after the CLS position", _with_config("encoder", max_len=1)),
 ], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "n_layers_1e10", "n_layers_past_manifest", "n_layers_2_of_1",
         "n_layers_not_int", "n_heads_not_dividing_d_model", "dropout_rate_5", "lr_negative",
-        "epochs_negative", "head_kind_not_fitting_task"])
+        "epochs_negative", "head_kind_not_fitting_task", "max_len_1"])
 def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
@@ -437,6 +439,8 @@ def test_seed_sweep_cli(tmp_path, corpora):
     assert payload["mean"] == pytest.approx(sum(values) / 3, abs=1e-12)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [1, 2, 3]
+    assert manifest["seed_defaulted"] is False
+    assert "seed" not in manifest["config"]  # only the swept seeds are recorded
 
 
 # Every config key, as its path in the config file's object.
@@ -565,7 +569,7 @@ def test_report_bad_file_exits_1(tmp_path, content, message, capsys):
 @pytest.mark.parametrize(
     "command, flag",
     [(c, f) for c in ("ensemble", "eval", "ingest", "predict", "report") for f in ("--seed", "--config")]
-    + [("augment", "--config")],
+    + [("augment", "--config"), ("seed-sweep", "--seed")],
 )
 def test_flag_the_command_never_reads_is_a_usage_error(tmp_path, command, flag, capsys):
     argv = [tmp_path / "x.tsv" if a is BAD else a for a in _COMMAND_ARGS[command]]

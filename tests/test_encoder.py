@@ -54,6 +54,8 @@ def test_config_validation():
         EncoderConfig(vocab_size=0).validate()
     with pytest.raises(ValueError):
         EncoderConfig(vocab_size=10, dropout_rate=1.0).validate()
+    with pytest.raises(ValueError, match="max_len 1 leaves no room after the CLS position"):
+        EncoderConfig(vocab_size=10, max_len=1).validate()
     with pytest.raises(ValueError):
         EncoderConfig(vocab_size=10, head_kind="regression_triple").validate()
 
@@ -332,10 +334,13 @@ def test_gradients_match_finite_differences(head_kind, n_layers):
     assert max_relative_error(ad_grads, fd) < 1e-4
 
 
-def _assert_matches_full_width_reference(head_kind, n_layers, train_mode, max_len=7):
+@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train_dropout"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("head_kind", HEAD_KINDS)
+def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
     # Same rng seed on both sides, so in train mode this also pins the dropout stream.
     cfg = EncoderConfig(vocab_size=20, d_model=8, n_layers=n_layers, n_heads=2, d_ff=16,
-                        max_len=max_len, dropout_rate=0.3, head_kind=head_kind)
+                        max_len=7, dropout_rate=0.3, head_kind=head_kind)
     params = init_params(cfg, seed=20 + n_layers)
     ids, lengths = batch_inputs(seed=21, batch=4, cfg=cfg)
     targets = random_targets(head_kind, 4, seed=22)
@@ -356,19 +361,21 @@ def _assert_matches_full_width_reference(head_kind, n_layers, train_mode, max_le
         assert np.abs(grads[name] - ref_grads[name]).max() < 1e-12, name
 
 
-@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train_dropout"])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
-@pytest.mark.parametrize("head_kind", HEAD_KINDS)
-def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
-    _assert_matches_full_width_reference(head_kind, n_layers, train_mode)
-
-
-@pytest.mark.parametrize("n_layers", [1, 2])
-def test_forward_with_skipped_draws_matches_full_width_reference(monkeypatch, n_layers):
-    # At these small shapes the CLS-only layer would cut its noise from full
-    # draws; MIN_SKIP 0 makes it draw only the CLS rows and advance past the rest.
-    monkeypatch.setattr(ad, "MIN_SKIP", 0)
-    _assert_matches_full_width_reference("classify7", n_layers, train_mode=True, max_len=12)
+def test_train_forward_draws_exactly_the_noise_it_masks(n_layers):
+    # The rng advances by the elements each dropout masks: B*S*d for the
+    # embedding, B*H*S*S + 2*B*S*d per full-width layer and B*H*S + 2*B*d for
+    # the CLS-only last layer, whose other rows reach no output.
+    cfg = EncoderConfig(vocab_size=20, d_model=8, n_layers=n_layers, n_heads=2, d_ff=16,
+                        max_len=7, dropout_rate=0.3, head_kind="classify7")
+    ids, lengths = batch_inputs(seed=24, batch=4, cfg=cfg)
+    b, s, d, h = 4, int(lengths.max()), cfg.d_model, cfg.n_heads
+    drawn = b * s * d + (n_layers - 1) * (b * h * s * s + 2 * b * s * d) + b * h * s + 2 * b * d
+    tape = Tape(rng=np.random.Generator(np.random.PCG64(25)))
+    forward(wrap_params(init_params(cfg, seed=26)), cfg, ids, lengths, tape, train_mode=True)
+    fresh = np.random.Generator(np.random.PCG64(25))
+    fresh.random(drawn)
+    assert np.array_equal(tape.rng.random(4), fresh.random(4))
 
 
 @pytest.mark.parametrize("head_kind, nodes", [("classify7", 38), ("regression_dual", 43), ("regression_single", 39)])

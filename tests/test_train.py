@@ -279,7 +279,7 @@ _TASK_OF_HEAD = {"regression_single": "empathy", "regression_dual": "multitask",
     n_layers=st.integers(1, 3),
     d_ff=st.integers(1, 6),
     vocab_size=st.integers(1, 9),
-    max_len=st.integers(1, 6),
+    max_len=st.integers(2, 6),
     dropout_rate=st.sampled_from([0.0, 0.1, 0.5]),
     seed=st.integers(0, 2**31),
     best=st.one_of(st.none(), st.tuples(st.floats(-1.0, 1.0), st.integers(0, 9))),
@@ -426,6 +426,16 @@ def test_seed_sweep_identical_seeds_zero_spread(emotion_data):
     report = seed_sweep(train_set, dev_set, vocab, tiny_config(epochs=1), seeds=[7, 7])
     assert report.entries[0].best_metric == report.entries[1].best_metric
     assert report.std == 0.0
+
+
+def test_seed_sweep_validates_every_seed_before_the_first_run(emotion_data, monkeypatch):
+    train_set, dev_set = emotion_data
+    vocab = build_vocab(train_set)
+    trained = mock.Mock(side_effect=AssertionError("trained before every seed was validated"))
+    monkeypatch.setattr(train_module, "train", trained)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        seed_sweep(train_set, dev_set, vocab, tiny_config(epochs=1), seeds=[0, 1, -1])
+    trained.assert_not_called()
 
 
 def test_seed_sweep_needs_two_seeds(emotion_data):

@@ -448,6 +448,33 @@ def test_dropout_scales_and_masks():
     assert np.all((x.grad != 0) == kept)
 
 
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4), (4, 1, 8)])
+def test_dropout_draws_exactly_the_shape_it_masks(shape):
+    tape = Tape(rng=np.random.Generator(np.random.PCG64(30)))
+    x = Node(np.arange(1.0, np.prod(shape) + 1).reshape(shape))
+    out = ad.dropout(tape, x, 0.4)
+    fresh = np.random.Generator(np.random.PCG64(30))
+    kept = fresh.random(shape) < 0.6
+    assert np.array_equal(out.value, np.where(kept, x.value / 0.6, 0.0))
+    assert np.array_equal(tape.rng.random(4), fresh.random(4))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_row"])
+def test_attention_draws_exactly_its_probabilities(cls_only, rate):
+    # With dropout, the noise is [B, H, Sq, S] and nothing more; without, none.
+    rng = np.random.default_rng(31)
+    batch, seq, n_heads, d = 3, 5, 2, 6
+    rows = 1 if cls_only else seq
+    q, k, v = (rng.standard_normal((batch, n, d)) for n in (rows, seq, seq))
+    key_mask = np.arange(seq)[None, :] < np.array([5, 3, 1])[:, None]
+    tape = Tape(rng=np.random.Generator(np.random.PCG64(32)))
+    ad.attention(tape, Node(q), Node(k), Node(v), key_mask, 1 / np.sqrt(3), n_heads, rate)
+    fresh = np.random.Generator(np.random.PCG64(32))
+    fresh.random(batch * n_heads * rows * seq if rate > 0.0 else 0)
+    assert np.array_equal(tape.rng.random(4), fresh.random(4))
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
 @pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_row"])
 def test_attention_gradients_match_fd(cls_only, rate):

@@ -361,21 +361,35 @@ def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
         assert np.abs(grads[name] - ref_grads[name]).max() < 1e-12, name
 
 
+@pytest.mark.parametrize("batch, n_heads, d_model, max_len", [(4, 2, 8, 7), (3, 4, 12, 10)],
+                         ids=["b4_h2_d8", "b3_h4_d12"])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
-def test_train_forward_draws_exactly_the_noise_it_masks(n_layers):
+def test_train_forward_draws_exactly_the_noise_it_masks(n_layers, batch, n_heads, d_model, max_len):
     # The rng advances by the elements each dropout masks: B*S*d for the
     # embedding, B*H*S*S + 2*B*S*d per full-width layer and B*H*S + 2*B*d for
     # the CLS-only last layer, whose other rows reach no output.
-    cfg = EncoderConfig(vocab_size=20, d_model=8, n_layers=n_layers, n_heads=2, d_ff=16,
-                        max_len=7, dropout_rate=0.3, head_kind="classify7")
-    ids, lengths = batch_inputs(seed=24, batch=4, cfg=cfg)
-    b, s, d, h = 4, int(lengths.max()), cfg.d_model, cfg.n_heads
+    cfg = EncoderConfig(vocab_size=20, d_model=d_model, n_layers=n_layers, n_heads=n_heads, d_ff=16,
+                        max_len=max_len, dropout_rate=0.3, head_kind="classify7")
+    ids, lengths = batch_inputs(seed=24, batch=batch, cfg=cfg)
+    b, s, d, h = batch, int(lengths.max()), cfg.d_model, cfg.n_heads
     drawn = b * s * d + (n_layers - 1) * (b * h * s * s + 2 * b * s * d) + b * h * s + 2 * b * d
     tape = Tape(rng=np.random.Generator(np.random.PCG64(25)))
     forward(wrap_params(init_params(cfg, seed=26)), cfg, ids, lengths, tape, train_mode=True)
     fresh = np.random.Generator(np.random.PCG64(25))
     fresh.random(drawn)
     assert np.array_equal(tape.rng.random(4), fresh.random(4))
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("train_mode, dropout_rate", [(False, 0.3), (True, 0.0)], ids=["eval", "train_no_dropout"])
+def test_forward_without_dropout_draws_nothing(train_mode, dropout_rate, n_layers):
+    # Eval outputs and dropout-0 training runs must not depend on the rng.
+    cfg = EncoderConfig(vocab_size=20, d_model=8, n_layers=n_layers, n_heads=2, d_ff=16,
+                        max_len=7, dropout_rate=dropout_rate, head_kind="classify7")
+    ids, lengths = batch_inputs(seed=27, batch=4, cfg=cfg)
+    tape = Tape(rng=np.random.Generator(np.random.PCG64(28)))
+    forward(wrap_params(init_params(cfg, seed=29)), cfg, ids, lengths, tape, train_mode=train_mode)
+    assert np.array_equal(tape.rng.random(4), np.random.Generator(np.random.PCG64(28)).random(4))
 
 
 @pytest.mark.parametrize("head_kind, nodes", [("classify7", 38), ("regression_dual", 43), ("regression_single", 39)])

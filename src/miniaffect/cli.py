@@ -199,6 +199,10 @@ def _resolve_train_config(args, run: _Run):
     unknown = sorted(settings.keys() - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+    if args.command == "seed-sweep" and "seed" in settings:
+        raise ValidationError(
+            f"config file {args.config} sets seed, which seed-sweep replaces: give the seeds with --seeds"
+        )
     for key in ("task", "epochs", "preset", "seed", "batch_size", "snapshot_metric"):
         if getattr(args, key, None) is not None:
             settings[key] = getattr(args, key)
@@ -354,13 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"miniaffect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a TSV and emit its class histogram")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # No abbreviated flags: a later flag sharing a prefix (as --seeds does
+        # --seed) would silently change what an existing command line means.
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = command("ingest", "validate a TSV and emit its class histogram")
     p.add_argument("--input", required=True)
     p.add_argument("--split", choices=_TASK_SPLITS, default="train")
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("augment", help="combine a base set with an external pool")
+    p = command("augment", "combine a base set with an external pool")
     p.add_argument("--scheme", choices=["ba", "ra"], required=True, help="ba: balanced top-up, ra: random draw")
     p.add_argument("--base", required=True)
     p.add_argument("--pool", required=True)
@@ -370,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("train", help="train a model and keep the best-on-dev snapshot")
+    p = command("train", "train a model and keep the best-on-dev snapshot")
     _add_train_flags(p)
     _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="run a checkpoint over a dataset")
+    p = command("predict", "run a checkpoint over a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
@@ -385,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("ensemble", help="combine member prediction files")
+    p = command("ensemble", "combine member prediction files")
     p.add_argument("--task", choices=["regression", "classification"], required=True)
     p.add_argument("--space", choices=["probability", "logit"], default="probability")
     p.add_argument("files", nargs="+")
     _add_common(p)
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("eval", help="score predictions against gold labels")
+    p = command("eval", "score predictions against gold labels")
     p.add_argument("--task", choices=["regression", "classification"], required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
@@ -400,14 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    # No abbreviations, or --seed would be read as --seeds.
-    p = sub.add_parser("seed-sweep", help="train across seeds and summarize metric spread", allow_abbrev=False)
+    p = command("seed-sweep", "train across seeds and summarize metric spread")
     _add_train_flags(p)
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
     _add_common(p)
     p.set_defaults(func=cmd_seed_sweep)
 
-    p = sub.add_parser("report", help="tabulate one or more eval report JSONs")
+    p = command("report", "tabulate one or more eval report JSONs")
     p.add_argument("files", nargs="+")
     _add_common(p)
     p.set_defaults(func=cmd_report)

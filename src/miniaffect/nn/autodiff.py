@@ -310,6 +310,20 @@ def dropout(tape: Tape, x: Node, rate: float) -> Node:
     return out
 
 
+# Largest score bound under which attention exponentiates its scores without
+# subtracting the row max. Every exp then lies in [e^-64, e^64], about
+# [1.6e-28, 6.2e27], which leaves headroom both ways: a row sum l over at
+# least one attendable key stays far above the subnormals, so dividing by it
+# loses no bits, and E @ V overflows only where |v| times the row length
+# passes about 1e280, and g / l only where |g| does.
+EXP_BOUND = 64.0
+
+
+def _max_sq_norm(a: np.ndarray) -> float:
+    """Largest squared Euclidean norm over the last axis of a (0 for an empty a)."""
+    return float(np.einsum("...i,...i->...", a, a).max(initial=0.0))
+
+
 def attention(
     tape: Tape,
     q: Node,
@@ -325,14 +339,29 @@ def attention(
     q is [B, Sq, d] and k, v are [B, S, d]; each splits its last axis into
     n_heads heads. key_mask [B, S] is True at attendable keys, and every row
     must keep at least one (the CLS position guarantees it). The probabilities
-    ``softmax(q k^T * scale)`` get inverted dropout at ``rate`` (drawn from
-    tape.rng like ``dropout``, at their shape [B, H, Sq, S]) and weight v;
-    the heads are merged back to [B, Sq, d].
+    ``P = softmax(q k^T * scale)`` get inverted dropout at ``rate`` (drawn
+    from tape.rng like ``dropout``, at their shape [B, H, Sq, S]) and weight
+    v; the heads are merged back to [B, Sq, d].
 
-    The backward keeps the probabilities P, the dropout mask and
-    Pd = P * mask, but no scores or head-split copies: dV = Pd^T g,
-    dP = (g V^T) * mask, dS = (dP - rowsum(dP * P)) * P * scale, dQ = dS K,
-    dK = dS^T Q.
+    The softmax is never formed as P. The scale is folded into q, so the
+    scores are S = (scale q) k^T, and the scores of padded keys are set to
+    -inf (only when some key is padded). E = exp(S - shift) and its row sums
+    l, taken as one product with a ones vector, give the output as
+    ((E * mask) V) / l, so the division runs on the [B, H, Sq, d/H] context
+    instead of on the H * S / (d/H) times larger probabilities. The shift
+    cancels in E / l, so either choice gives P up to rounding:
+
+    - 0, when the Cauchy-Schwarz bound c = max_i |scale q_i| * max_j |k_j|
+      over the full d, which bounds every head's scores, is at most
+      ``EXP_BOUND``: every exp then lies in [e^-64, e^64];
+    - the row max otherwise (an inf or NaN c included), as in any softmax.
+
+    The backward keeps E, the dropout mask, Ed = E * mask and l, but no
+    scores, probabilities or head-split copies. With P = E / l,
+    rowsum(dP * P) = rowsum(dP * E) / l, and the scale goes onto g:
+    dV = Ed^T (g / l), D = ((g * scale / l) V^T) * mask = scale dP / l,
+    dS * scale = E * (D - rowsum(D * E) / l), dQ = (dS * scale) K and
+    dK = (dS * scale)^T q.
     """
     batch, n_q, d = q.value.shape
     n_k = k.value.shape[1]
@@ -340,32 +369,34 @@ def attention(
     def heads(a: np.ndarray, rows: int) -> np.ndarray:  # [B, rows, d] -> [B, H, rows, d/H] view
         return a.reshape(batch, rows, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
+    q_scaled = q.value * scale
     qh, kh, vh = heads(q.value, n_q), heads(k.value, n_k), heads(v.value, n_k)
-    probs = qh @ kh.transpose(0, 1, 3, 2)
-    probs *= scale
-    probs += np.where(key_mask, 0.0, -np.inf)[:, None, None, :]
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    mask = _dropout_mask(tape, rate, probs.shape) if rate > 0.0 else None
-    dropped = probs if mask is None else probs * mask
+    exps = heads(q_scaled, n_q) @ kh.transpose(0, 1, 3, 2)
+    padded_rows, padded_keys = np.nonzero(~key_mask)
+    if padded_rows.size:
+        exps.transpose(0, 3, 1, 2)[padded_rows, padded_keys] = -np.inf
+    if not _max_sq_norm(q_scaled) * _max_sq_norm(k.value) <= EXP_BOUND**2:
+        exps -= np.fmax.reduce(exps, axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    sums = (exps.reshape(-1, n_k) @ np.ones(n_k)).reshape(batch, n_heads, n_q, 1)
+    mask = _dropout_mask(tape, rate, exps.shape) if rate > 0.0 else None
+    dropped = exps if mask is None else exps * mask
     out = np.empty((batch, n_q, d))
-    np.matmul(dropped, vh, out=heads(out, n_q))
+    out_heads = heads(out, n_q)
+    np.matmul(dropped, vh, out=out_heads)
+    out_heads /= sums
 
     def backward(g):
-        gh = heads(g, n_q)
+        g_over_sums = heads(g, n_q) / sums
         gv = np.empty_like(v.value)
-        np.matmul(dropped.swapaxes(-1, -2), gh, out=heads(gv, n_k))
+        np.matmul(dropped.swapaxes(-1, -2), g_over_sums, out=heads(gv, n_k))
         v.accumulate(gv)
-        ds = gh @ vh.swapaxes(-1, -2)
-        if mask is None:
-            dsp = ds * probs
-        else:
+        g_over_sums *= scale
+        ds = g_over_sums @ vh.swapaxes(-1, -2)
+        if mask is not None:
             ds *= mask
-            dsp = np.multiply(ds, probs, out=dropped)  # dropped is spent once dV is out
-        ds -= dsp.sum(axis=-1, keepdims=True)
-        ds *= probs
-        ds *= scale
+        ds -= np.einsum("...i,...i->...", ds, exps)[..., None] / sums
+        ds *= exps
         gq = np.empty_like(q.value)
         np.matmul(ds, kh, out=heads(gq, n_q))
         q.accumulate(gq)

@@ -475,20 +475,30 @@ def test_attention_draws_exactly_its_probabilities(cls_only, rate):
     assert np.array_equal(tape.rng.random(4), fresh.random(4))
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
-@pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_row"])
-def test_attention_gradients_match_fd(cls_only, rate):
+@pytest.mark.parametrize(
+    "cls_only, rate, q_gain",
+    [
+        pytest.param(cls_only, rate, q_gain, id="-".join(filter(None, (rows, drop, over))))
+        for q_gain, over in ((1.0, ""), (12.0, "over_bound"))
+        for cls_only, rows in ((False, "all_rows"), (True, "cls_row"))
+        for rate, drop in ((0.0, "no_dropout"), (0.3, "dropout"))
+    ],
+)
+def test_attention_gradients_match_fd(cls_only, rate, q_gain):
     rng = np.random.default_rng(14)
     batch, seq, n_heads, d = 3, 5, 2, 6
     rows = 1 if cls_only else seq
     params = {
-        "q": rng.standard_normal((batch, rows, d)),
+        "q": rng.standard_normal((batch, rows, d)) * q_gain,
         "k": rng.standard_normal((batch, seq, d)),
         "v": rng.standard_normal((batch, seq, d)),
     }
     lengths = np.array([5, 3, 1])
     key_mask = np.arange(seq)[None, :] < lengths[:, None]
     target = rng.standard_normal((batch, rows, d))
+    # over_bound takes the row-max path, under_bound the unshifted exp
+    bound = np.linalg.norm(params["q"] / np.sqrt(3), axis=-1).max() * np.linalg.norm(params["k"], axis=-1).max()
+    assert (bound > ad.EXP_BOUND) == (q_gain > 1.0)
 
     def build(arrs):
         tape = Tape(rng=np.random.Generator(np.random.PCG64(15)))  # the same dropout mask every call
@@ -513,27 +523,69 @@ def test_attention_gradients_match_fd(cls_only, rate):
     d_head=st.integers(1, 3),
     cls_only=st.booleans(),
     rate=st.sampled_from([0.0, 0.1, 0.5]),
+    pad_scale=st.sampled_from([1.0, 30.0, 300.0]),
     data=st.data(),
 )
-def test_attention_matches_unfused_chain_bit_for_bit(batch, seq, n_heads, d_head, cls_only, rate, data):
+def test_attention_matches_unfused_chain(batch, seq, n_heads, d_head, cls_only, rate, pad_scale, data):
+    # ad.attention folds the scale into q, exponentiates unshifted under
+    # EXP_BOUND and divides after P V, so it matches the chain up to rounding.
+    # pad_scale enlarges the padded keys: they count in the score bound but
+    # get no weight, so 30 and 300 push the bound past EXP_BOUND (the
+    # row-max path) while every softmax row stays as it was. Scaling the
+    # scores themselves would saturate rows, where both sides' q and k
+    # gradients are rounding noise.
     lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     key_mask = np.arange(seq)[None, :] < lengths[:, None]
     d, rows = n_heads * d_head, 1 if cls_only else seq
     rng = np.random.default_rng(seed)
     q, k, v = (rng.standard_normal((batch, n, d)) for n in (rows, seq, seq))
+    k[~key_mask] *= pad_scale
     target = rng.standard_normal((batch, rows, d))
-    scale = 1.0 / np.sqrt(d_head + 4.0)  # not a power of two, so operand order shows in the bits
+    scale = 1.0 / np.sqrt(d_head + 4.0)
 
     def run(op):
         tape = Tape(rng=np.random.Generator(np.random.PCG64(seed)))
         nodes = [Node(arr.copy()) for arr in (q, k, v)]
         out = op(tape, *nodes, key_mask, scale, n_heads, rate)
         tape.backward(ad.mse(tape, out, target))
-        return [out.value] + [node.grad for node in nodes] + [tape.rng.random(3)]
+        return [out.value] + [node.grad for node in nodes], tape.rng.random(3)
 
-    for got, expected in zip(run(ad.attention), run(unfused_attention)):
-        assert np.array_equal(got, expected)
+    (got, got_draws), (expected, expected_draws) = run(ad.attention), run(unfused_attention)
+    assert np.array_equal(got_draws, expected_draws)
+    # A row with one attendable key has zero q and k gradients in the chain;
+    # dividing by its row sum after the products leaves rounding there, so
+    # the output gradient's size is the floor of each comparison.
+    floor = np.abs(2.0 * (expected[0] - target) / target.size).max()
+    for got_array, expected_array in zip(got, expected):
+        assert np.abs(got_array - expected_array).max() <= 1e-12 * max(np.abs(expected_array).max(), floor)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
+def test_attention_shifts_scores_an_unshifted_exp_would_overflow(rate):
+    # Every key lies near one direction u, and the two query rows are +-700 u,
+    # so row 0 scores near +1000 (exp overflows) and row 1 near -1000 (every
+    # exp underflows to 0, and so would its row sum). The bound is far above
+    # EXP_BOUND, so the row max is subtracted first and both rows stay finite.
+    rng = np.random.default_rng(33)
+    batch, seq, d, n_heads = 2, 4, 4, 2
+    u = np.array([1.0, 1.0, 1.0, 1.0])
+    k = u + 0.01 * rng.standard_normal((batch, seq, d))
+    q = np.stack([700.0 * u, -700.0 * u])[None].repeat(batch, axis=0)
+    key_mask = np.arange(seq)[None, :] < np.array([4, 2])[:, None]
+    scale = 1 / np.sqrt(2)
+
+    def run(v):
+        tape = Tape(rng=np.random.Generator(np.random.PCG64(34)))
+        return ad.attention(tape, Node(q), Node(k), Node(v), key_mask, scale, n_heads, rate).value
+
+    assert np.abs(q[:, :, :2] @ k[:, :, :2].swapaxes(1, 2) * scale).min() > 900  # head 0; head 1 alike
+    ones = run(np.ones((batch, seq, d)))
+    assert np.isfinite(ones).all()
+    if rate == 0.0:
+        assert np.allclose(ones, 1.0, rtol=0.0, atol=1e-12)  # each row's weights sum to one
+    masked_keys = np.broadcast_to(~key_mask[:, :, None], (batch, seq, d)).astype(np.float64)
+    assert np.all(run(masked_keys) == 0.0)  # masked keys get exactly zero weight
 
 
 def test_dropout_requires_rng():

@@ -478,6 +478,18 @@ def test_train_config_of_wrong_type_exits_0_or_1(corpora, key, value):
         assert code == 0, err.getvalue()
 
 
+def test_seed_sweep_config_file_seed_exits_1_before_reading_data(tmp_path, corpora, capsys):
+    config = tmp_path / "seeded.json"
+    config.write_text(json.dumps({"seed": 7, "encoder": tiny_encoder_kwargs()}), encoding="utf-8")
+    missing = tmp_path / "missing.tsv"  # reading it would fail with another message
+    assert run("seed-sweep", "--train", missing, "--dev", missing, "--task", "emotion", "--epochs", 1,
+               "--seeds", "1,2", "--config", config, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"config file {config} sets seed" in err and "--seeds" in err
+    assert str(missing) not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_seed_sweep_bad_seed_list(tmp_path, corpora):
     assert run("seed-sweep", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
                "--task", "emotion", "--epochs", 1, "--seeds", "1,zebra",
@@ -569,7 +581,9 @@ def test_report_bad_file_exits_1(tmp_path, content, message, capsys):
 @pytest.mark.parametrize(
     "command, flag",
     [(c, f) for c in ("ensemble", "eval", "ingest", "predict", "report") for f in ("--seed", "--config")]
-    + [("augment", "--config"), ("seed-sweep", "--seed")],
+    + [("augment", "--config"), ("seed-sweep", "--seed")]
+    # abbreviations of flags the command does read (--epochs, --seed, --count)
+    + [("train", "--epoch"), ("train", "--se"), ("augment", "--co")],
 )
 def test_flag_the_command_never_reads_is_a_usage_error(tmp_path, command, flag, capsys):
     argv = [tmp_path / "x.tsv" if a is BAD else a for a in _COMMAND_ARGS[command]]

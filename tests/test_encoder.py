@@ -108,7 +108,8 @@ def test_forward_attention_rows_sum_to_one(monkeypatch):
     # rerun on its own q, k and key mask with probe values: v all ones gives
     # outputs of 1 when each probability row sums to one, and v zero on
     # attendable keys and 1 on masked keys gives exactly 0 when masked keys
-    # carry exactly zero attention.
+    # carry exactly zero attention. Each call is also probed with q scaled by
+    # 1000, whose scores an unshifted exp would overflow.
     cfg = replace(TINY, n_layers=2)
     params = init_params(cfg, seed=1)
     ids, lengths = batch_inputs(cfg=cfg)
@@ -124,11 +125,12 @@ def test_forward_attention_rows_sum_to_one(monkeypatch):
     assert [q.value.shape[1] for q, *_ in calls] == [int(lengths.max()), 1]
     assert not calls[0][3].all()  # some keys are masked
     for q, k, v, key_mask, scale, n_heads in calls:
-        ones = attention(Tape(), q, k, Node(np.ones_like(v.value)), key_mask, scale, n_heads)
-        assert np.allclose(ones.value, 1.0, atol=1e-10)
-        masked_keys = np.broadcast_to(~key_mask[:, :, None], v.value.shape).astype(np.float64)
-        zeros = attention(Tape(), q, k, Node(masked_keys), key_mask, scale, n_heads)
-        assert np.all(zeros.value == 0.0)
+        for probe in (q, Node(q.value * 1000.0)):
+            ones = attention(Tape(), probe, k, Node(np.ones_like(v.value)), key_mask, scale, n_heads)
+            assert np.allclose(ones.value, 1.0, atol=1e-10)
+            masked_keys = np.broadcast_to(~key_mask[:, :, None], v.value.shape).astype(np.float64)
+            zeros = attention(Tape(), probe, k, Node(masked_keys), key_mask, scale, n_heads)
+            assert np.all(zeros.value == 0.0)
 
 
 def test_forward_all_pad_after_cls_finite():

@@ -157,20 +157,19 @@ def cmd_ingest(run: _Run, args) -> None:
 
 
 def cmd_augment(run: _Run, args) -> None:
+    size, other = ("total", "count") if args.scheme == "ba" else ("count", "total")
+    if getattr(args, size) is None:
+        raise ValidationError(f"--scheme {args.scheme} requires --{size}")
+    if getattr(args, other) is not None:
+        raise ValidationError(f"--{other} does not apply to --scheme {args.scheme}, which reads only --{size}")
     base = load_task_tsv(run.add_input(args.base), "train")
     pool = load_pool_tsv(run.add_input(args.pool))
     seed = _resolve_seed(run, args.seed)
     run.seeds = [seed]
     if args.scheme == "ba":
-        if args.total is None:
-            raise ValidationError("--scheme ba requires --total")
-        spec = AugmentationSpec(scheme="ba", total_target=args.total, seed=seed)
-        out = balanced_augment(base, pool, spec)
+        out = balanced_augment(base, pool, AugmentationSpec(scheme="ba", total_target=args.total, seed=seed))
     else:
-        if args.count is None:
-            raise ValidationError("--scheme ra requires --count")
-        spec = AugmentationSpec(scheme="ra", sample_count=args.count, seed=seed)
-        out = random_augment(base, pool, spec)
+        out = random_augment(base, pool, AugmentationSpec(scheme="ra", sample_count=args.count, seed=seed))
     run.write("augmented.tsv", save_dataset, out)
     run.config = {"scheme": args.scheme, "total": args.total, "count": args.count, "seed": seed}
     run.notes.update(out.meta)

@@ -154,19 +154,21 @@ def matmul(tape: Tape, a: Node, b) -> Node:
     return out
 
 
-def linear(tape: Tape, x: Node, w: Node, b: Node) -> Node:
-    """Affine map ``x @ w + b`` over the last axis of x, recorded as one node."""
+def linear(tape: Tape, x: Node, w: Node, b: Node | None) -> Node:
+    """Affine map ``x @ w + b`` over the last axis of x, recorded as one node; ``b`` None adds no bias."""
     xv = x.value
     flat = xv.reshape(-1, xv.shape[-1])
     y = flat @ w.value
-    y += b.value
+    if b is not None:
+        y += b.value
     out = Node(y.reshape(*xv.shape[:-1], y.shape[-1]))
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         x.accumulate((g2 @ w.value.T).reshape(xv.shape))
         w.accumulate(flat.T @ g2)
-        b.accumulate(g2.sum(axis=0))
+        if b is not None:
+            b.accumulate(g2.sum(axis=0))
 
     tape.record(out, backward)
     return out

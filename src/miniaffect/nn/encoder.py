@@ -37,7 +37,7 @@ Parameters = dict[str, np.ndarray]
 # training run also holds the moments, gradients and the best snapshot).
 MAX_PARAMS = 2**28
 
-# Most tensors a config may ask for, about 250 layers. Every tensor costs a
+# Most tensors a config may ask for, about 270 layers. Every tensor costs a
 # manifest entry, an array and per-step optimizer work whatever its size, so
 # millions of tiny layers would pass MAX_PARAMS and still take minutes to build.
 MAX_TENSORS = 2**12
@@ -101,7 +101,6 @@ def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
             (p + "attn.wq", (d, d), "xavier"),
             (p + "attn.bq", (d,), "zeros"),
             (p + "attn.wk", (d, d), "xavier"),
-            (p + "attn.bk", (d,), "zeros"),
             (p + "attn.wv", (d, d), "xavier"),
             (p + "attn.bv", (d,), "zeros"),
             (p + "attn.wo", (d, d), "xavier"),
@@ -204,7 +203,8 @@ def forward(
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         h = ad.layer_norm(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
-        k = ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"])
+        # Keys carry no bias: it would add q·b to every score of a row, which the softmax cancels.
+        k = ad.linear(tape, h, pnodes[p + "attn.wk"], None)
         v = ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"])
         if i == cfg.n_layers - 1:
             # Keys and values above span every row; from the queries on, only the CLS row.

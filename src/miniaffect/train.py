@@ -37,7 +37,7 @@ from .predictions import ClassificationPredictions, RegressionPredictions
 from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocab, encode
 
 CHECKPOINT_MAGIC = b"MTAF"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Tokens (rows × longest true length) one eval forward may take. At 64 tokens a
 # chunk is 16 essays, whose [rows, heads, S, S] attention scores take 2 MB, the
@@ -369,8 +369,10 @@ def predict(
     """Eval-mode predictions over a dataset in its original record order.
 
     ``clamp`` clips regression outputs into the [1, 7] score range; raw
-    outputs are the default.
+    outputs are the default. A classification checkpoint refuses it.
     """
+    if clamp and ckpt.config.encoder.head_kind == "classify7":
+        raise ValidationError(f"clamp clips regression scores; task {ckpt.config.task!r} predicts classes")
     if vocab.sha256 != ckpt.vocab_hash:
         raise ValidationError("vocabulary hash does not match the one used to train this checkpoint")
     if not d.records:
@@ -411,14 +413,16 @@ def seed_sweep(
 ) -> SweepReport:
     """Train once per seed and summarize the best dev metrics.
 
-    Every seed is validated before the first run. ``std`` is the population
-    standard deviation of the per-seed values.
+    Every seed is validated, and must be listed once, before the first run.
+    ``std`` is the population standard deviation of the per-seed values.
     """
     if len(seeds) < 2:
         raise ValidationError("seed sweep needs at least 2 seeds")
     if cfg.epochs < 1:
         raise ValidationError("seed sweep needs at least 1 epoch")
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValidationError(f"seed sweep lists seed {seed} more than once")
         replace(cfg, seed=seed).validate()
     entries = []
     for seed in seeds:
@@ -436,30 +440,19 @@ def seed_sweep(
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the binary checkpoint format.
+    """Write the binary checkpoint format, version 2.
 
     Layout: magic ``MTAF``, little-endian u32 format version, little-endian
     u64 JSON header length, the UTF-8 JSON header (config echo, vocab hash,
-    best metric/epoch, seed, tensor manifest with name/shape/offset), then the
-    tensors as raw little-endian float64 in manifest order. Offsets are
-    relative to the start of the tensor section.
+    best metric/epoch, tensor manifest of name and shape), then the tensors
+    as raw little-endian float64, back to back in manifest order.
     """
-    manifest = []
-    blobs = []
-    offset = 0
-    for name, arr in ckpt.params.items():
-        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
     header = {
-        "version": CHECKPOINT_VERSION,
         "config": ckpt.config.to_dict(),
         "vocab_hash": ckpt.vocab_hash,
         "best_metric": ckpt.best_metric,
         "best_epoch": ckpt.best_epoch,
-        "seed": ckpt.config.seed,
-        "tensors": manifest,
+        "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in ckpt.params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -467,8 +460,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in ckpt.params.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -486,19 +479,16 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(raw[16:header_end].decode("utf-8"))
         config = TrainConfig.from_dict(header["config"])
-        keys = ("vocab_hash", "best_metric", "best_epoch", "seed")
-        vocab_hash, best_metric, best_epoch, seed = (header[key] for key in keys)
+        keys = ("vocab_hash", "best_metric", "best_epoch")
+        vocab_hash, best_metric, best_epoch = (header[key] for key in keys)
         manifest = header["tensors"]
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
-        offsets = [entry["offset"] for entry in manifest]
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
     try:
         config.validate()
     except ValidationError as exc:
         raise FormatError(f"{path}: invalid config echo: {exc}") from None
-    if seed != config.seed:
-        raise FormatError(f"{path}: header seed {seed!r} differs from the config echo's seed {config.seed}")
     needed = {name: shape for name, shape, _ in param_shapes(config.encoder)}
     if shapes != needed:
         for name, shape in needed.items():
@@ -518,10 +508,8 @@ def load_checkpoint(path) -> Checkpoint:
     params: Parameters = {}
     start = 0
     # Tensors lie back to back in manifest order, as save_checkpoint writes them.
-    for entry, offset in zip(manifest, offsets):
+    for entry in manifest:
         name, shape = entry["name"], needed[entry["name"]]
-        if type(offset) is not int or offset != start:
-            raise FormatError(f"{path}: tensor {name!r} has offset {offset!r}, expected {start}")
         end = start + math.prod(shape) * 8
         params[name] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).copy()
         start = end

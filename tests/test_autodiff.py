@@ -561,6 +561,46 @@ def test_attention_matches_unfused_chain(batch, seq, n_heads, d_head, cls_only, 
         assert np.abs(got_array - expected_array).max() <= 1e-12 * max(np.abs(expected_array).max(), floor)
 
 
+@settings(max_examples=60)
+@given(
+    batch=st.integers(1, 3),
+    seq=st.integers(1, 6),
+    n_heads=st.integers(1, 3),
+    d_head=st.integers(1, 3),
+    cls_only=st.booleans(),
+    rate=st.sampled_from([0.0, 0.3]),
+    shift=st.sampled_from([0.1, 1.0, 10.0]),
+    data=st.data(),
+)
+def test_attention_ignores_a_vector_added_to_every_key(batch, seq, n_heads, d_head, cls_only, rate, shift, data):
+    # A vector c added to every key, as a key bias would add, adds the same
+    # q.c to every score of a row, and the softmax cancels it. So the output
+    # does not depend on c, and the gradient a key bias would get, the sum of
+    # dK over the keys, is zero up to rounding.
+    lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    key_mask = np.arange(seq)[None, :] < lengths[:, None]
+    d, rows = n_heads * d_head, 1 if cls_only else seq
+    rng = np.random.default_rng(seed)
+    q, k, v, target = (rng.standard_normal((batch, n, d)) for n in (rows, seq, seq, rows))
+    c = shift * rng.standard_normal(d)
+
+    def run(keys):
+        tape = Tape(rng=np.random.Generator(np.random.PCG64(seed)))  # the same dropout mask on both sides
+        nodes = [Node(arr.copy()) for arr in (q, keys, v)]
+        out = ad.attention(tape, *nodes, key_mask, 1.0 / np.sqrt(d_head), n_heads, rate)
+        tape.backward(ad.mse(tape, out, target))
+        return out.value, nodes[1].grad
+
+    out, dk = run(k)
+    shifted, _ = run(k + c)
+    assert np.abs(shifted - out).max() <= 1e-12
+    # Where every row has one attendable key, dK is itself zero up to rounding,
+    # so the output gradient's size is the floor, as in the chain comparison above.
+    floor = np.abs(2.0 * (out - target) / target.size).max()
+    assert np.abs(dk.sum(axis=1)).max() <= 1e-12 * max(np.abs(dk).max(), floor)
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
 def test_attention_shifts_scores_an_unshifted_exp_would_overflow(rate):
     # Every key lies near one direction u, and the two query rows are +-700 u,

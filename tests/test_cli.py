@@ -135,6 +135,17 @@ def test_augment_missing_flag_is_validation_error(tmp_path, corpora):
                "--pool", corpora / "pool.tsv", "--out", tmp_path / "x") == 1
 
 
+@pytest.mark.parametrize("scheme, size, other", [("ba", ("--total", 14), ("--count", 5)),
+                                                 ("ra", ("--count", 3), ("--total", 700))], ids=["ba", "ra"])
+def test_augment_other_schemes_size_flag_exits_1_before_reading_input(tmp_path, scheme, size, other, capsys):
+    missing = tmp_path / "missing.tsv"  # reading it would fail with another message
+    assert run("augment", "--scheme", scheme, *size, *other, "--base", missing, "--pool", missing,
+               "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert f"{other[0]} does not apply to --scheme {scheme}" in err
+    assert str(missing) not in err
+
+
 def test_ingest_train_predict_eval_pipeline(tmp_path, corpora):
     ingest_dir = tmp_path / "ingested"
     assert run("ingest", "--input", corpora / "train.tsv", "--split", "train",
@@ -303,24 +314,11 @@ def _edit_header(src, dst, edit):
     dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length :])
 
 
-def _with_head_b_offset(change):
-    """Replace the manifest offset of ``head.b`` by ``change(true offset)``."""
-    def edit(header):
-        entry = next(e for e in header["tensors"] if e["name"] == "head.b")
-        entry["offset"] = change(entry["offset"])
-    return edit
-
-
 @pytest.mark.parametrize("message, edit", [
     *((f"corrupt checkpoint header: '{key}'", lambda header, key=key: header.pop(key))
-      for key in ("vocab_hash", "best_metric", "best_epoch", "seed")),
-    ("header seed 1 differs from the config echo's seed 0", lambda header: header.update(seed=1)),
-    *(("tensor 'head.b' has offset", _with_head_b_offset(change))
-      for change in (str, float, lambda offset: None, lambda offset: [offset])),
-    ("tensor 'head.b' has offset 0, expected", _with_head_b_offset(lambda offset: 0)),
+      for key in ("vocab_hash", "best_metric", "best_epoch")),
     ("names a tensor more than once", lambda header: header["tensors"].append(dict(header["tensors"][-1]))),
-], ids=["no_vocab_hash", "no_best_metric", "no_best_epoch", "no_seed", "seed_not_config_seed",
-        "offset_string", "offset_float", "offset_null", "offset_list", "offset_overlapping", "tensor_named_twice"])
+], ids=["no_vocab_hash", "no_best_metric", "no_best_epoch", "tensor_named_twice"])
 def test_predict_checkpoint_header_fault_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
@@ -332,6 +330,43 @@ def test_predict_checkpoint_header_fault_exits_1(tmp_path, corpora, message, edi
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert message in err
+
+
+def test_predict_version_1_checkpoint_exits_1(tmp_path, corpora, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+
+    def as_version_1(header):
+        # Version 1 also kept the format version, the seed and each tensor's byte offset in the header.
+        header.update(version=1, seed=header["config"]["seed"])
+        offset = 0
+        for entry in header["tensors"]:
+            entry["offset"] = offset
+            offset += 8 * math.prod(entry["shape"])
+
+    _edit_header(out / "model.ckpt", out / "v1.ckpt", as_version_1)
+    raw = (out / "v1.ckpt").read_bytes()
+    (out / "v1.ckpt").write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    assert run("predict", "--model", out / "v1.ckpt", "--vocab", out / "vocab.tsv",
+               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "unsupported checkpoint version 1" in err
+
+
+def test_predict_clamp_on_classification_checkpoint_exits_1(tmp_path, corpora, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+    assert run("predict", "--model", out / "model.ckpt", "--vocab", out / "vocab.tsv", "--clamp",
+               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "task 'emotion'" in err
+    assert not (tmp_path / "preds" / "predictions.tsv").exists()
 
 
 @pytest.mark.parametrize("name, value", [("head.b", math.nan), ("tok_emb", math.inf), ("layers.0.ff.w2", -math.inf)])
@@ -488,6 +523,16 @@ def test_seed_sweep_config_file_seed_exits_1_before_reading_data(tmp_path, corpo
     assert f"config file {config} sets seed" in err and "--seeds" in err
     assert str(missing) not in err
     assert not any((tmp_path / "out").iterdir())
+
+
+def test_seed_sweep_repeated_seed_exits_1(tmp_path, corpora, capsys):
+    assert run("seed-sweep", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 1, "--seeds", "3,3", "--config", corpora / "tiny.json",
+               "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "seed 3 more than once" in err
+    assert not (tmp_path / "x" / "sweep.json").exists()
 
 
 def test_seed_sweep_bad_seed_list(tmp_path, corpora):

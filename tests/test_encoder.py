@@ -68,11 +68,11 @@ def test_config_validation_caps_tensor_count():
     with pytest.raises(ValidationError, match="10000000 layers"):
         huge.validate()
     assert time.perf_counter() - started < 0.1
-    deepest = replace(huge, n_layers=255)
+    deepest = replace(huge, n_layers=272)
     deepest.validate()
-    assert len(param_shapes(deepest)) <= MAX_TENSORS < len(param_shapes(replace(deepest, n_layers=256)))
-    with pytest.raises(ValidationError, match="256 layers"):
-        replace(deepest, n_layers=256).validate()
+    assert len(param_shapes(deepest)) <= MAX_TENSORS < len(param_shapes(replace(deepest, n_layers=273)))
+    with pytest.raises(ValidationError, match="273 layers"):
+        replace(deepest, n_layers=273).validate()
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -347,7 +347,7 @@ def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
     ids, lengths = batch_inputs(seed=21, batch=4, cfg=cfg)
     targets = random_targets(head_kind, 4, seed=22)
 
-    def run(encode):
+    def run(encode, params):
         tape = Tape(rng=np.random.Generator(np.random.PCG64(23)))
         pnodes = wrap_params(params)
         out = head_apply(pnodes, cfg, encode(pnodes, cfg, ids, lengths, tape, train_mode=train_mode), tape)
@@ -355,12 +355,18 @@ def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
         values = [o.value for o in out] if isinstance(out, tuple) else [out.value]
         return values + [tape.rng.random(3)], dense_grads(pnodes, params)
 
-    values, grads = run(forward)
-    ref_values, ref_grads = run(full_width_forward)
+    values, grads = run(forward, params)
+    # The reference still projects keys with a bias; at zero it is the same model.
+    key_biases = {f"layers.{i}.attn.bk": np.zeros(cfg.d_model) for i in range(n_layers)}
+    ref_values, ref_grads = run(full_width_forward, {**params, **key_biases})
     for value, ref in zip(values, ref_values):
         assert np.abs(value - ref).max() < 1e-12
     for name in params:
         assert np.abs(grads[name] - ref_grads[name]).max() < 1e-12, name
+    # The softmax cancels a key bias, so the reference's gradient for it is rounding noise.
+    for name in key_biases:
+        wk = name.replace(".bk", ".wk")
+        assert np.abs(ref_grads[name]).max() <= 1e-12 * np.abs(ref_grads[wk]).max(), name
 
 
 @pytest.mark.parametrize("batch, n_heads, d_model, max_len", [(4, 2, 8, 7), (3, 4, 12, 10)],

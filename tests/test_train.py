@@ -1,5 +1,7 @@
 import functools
 import json
+import math
+import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +23,7 @@ from miniaffect.nn.encoder import init_params, param_shapes, run_model
 from miniaffect.nn.losses import softmax
 from miniaffect.text import build_vocab
 from miniaffect.train import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     TrainConfig,
     load_checkpoint,
@@ -330,6 +333,16 @@ def test_checkpoint_rejects_truncation(tmp_path, emotion_data):
         load_checkpoint(truncated)
 
 
+def test_checkpoint_header_holds_each_fact_once():
+    raw, header_end = _saved_checkpoint()
+    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (2,)
+    header = json.loads(raw[16:header_end])
+    assert set(header) == {"config", "vocab_hash", "best_metric", "best_epoch", "tensors"}
+    assert all(set(entry) == {"name", "shape"} for entry in header["tensors"])
+    # The tensors lie back to back in manifest order, so the section is exactly their sizes.
+    assert len(raw) - header_end == sum(8 * math.prod(entry["shape"]) for entry in header["tensors"])
+
+
 def test_checkpoint_rejects_wrong_version(tmp_path, emotion_data):
     train_set, dev_set = emotion_data
     vocab = build_vocab(train_set)
@@ -381,6 +394,14 @@ def test_predict_vocab_hash_mismatch(emotion_data):
         predict(ckpt, dev_set, other_vocab)
 
 
+def test_predict_clamp_refuses_a_classification_checkpoint(emotion_data):
+    train_set, dev_set = emotion_data
+    vocab = build_vocab(train_set)
+    ckpt, _ = train(train_set, dev_set, vocab, tiny_config(epochs=0))
+    with pytest.raises(ValidationError, match="task 'emotion'"):
+        predict(ckpt, dev_set, vocab, clamp=True)
+
+
 def test_predict_regression_columns_and_clamp(regression_data):
     train_set, dev_set = regression_data
     vocab = build_vocab(train_set)
@@ -420,12 +441,15 @@ def test_seed_sweep_report_arithmetic(emotion_data):
     assert report.std == pytest.approx(hand_std, abs=1e-12)
 
 
-def test_seed_sweep_identical_seeds_zero_spread(emotion_data):
+def test_seed_sweep_refuses_a_repeated_seed(emotion_data, monkeypatch):
+    # Two runs of one seed are one model: their spread would read 0 and say nothing.
     train_set, dev_set = emotion_data
     vocab = build_vocab(train_set)
-    report = seed_sweep(train_set, dev_set, vocab, tiny_config(epochs=1), seeds=[7, 7])
-    assert report.entries[0].best_metric == report.entries[1].best_metric
-    assert report.std == 0.0
+    trained = mock.Mock(side_effect=AssertionError("trained before the seeds were checked"))
+    monkeypatch.setattr(train_module, "train", trained)
+    with pytest.raises(ValidationError, match="seed 7 more than once"):
+        seed_sweep(train_set, dev_set, vocab, tiny_config(epochs=1), seeds=[7, 8, 7])
+    trained.assert_not_called()
 
 
 def test_seed_sweep_validates_every_seed_before_the_first_run(emotion_data, monkeypatch):

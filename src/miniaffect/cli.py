@@ -18,7 +18,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,6 @@ from .text import build_vocab, load_vocab, save_vocab
 from .train import (
     PRESETS,
     TASKS,
-    TrainConfig,
     load_checkpoint,
     make_config,
     predict,
@@ -195,10 +193,7 @@ def _resolve_train_config(args, run: _Run):
     settings = _load_file_config(args.config)
     if args.config:
         run.add_input(args.config)
-    unknown = sorted(settings.keys() - {f.name for f in fields(TrainConfig)})
-    if unknown:
-        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-    if args.command == "seed-sweep" and "seed" in settings:
+    if args.command == "seed-sweep" and settings.get("seed") is not None:
         raise ValidationError(
             f"config file {args.config} sets seed, which seed-sweep replaces: give the seeds with --seeds"
         )
@@ -244,6 +239,9 @@ def cmd_predict(run: _Run, args) -> None:
 
 
 def cmd_ensemble(run: _Run, args) -> None:
+    if args.task == "regression" and args.space is not None:
+        raise ValidationError("--space does not apply to --task regression, which averages the member scores")
+    space = None if args.task == "regression" else args.space or "probability"
     members = [read_predictions(run.add_input(p)) for p in args.files]
     if args.task == "regression":
         if not all(isinstance(m, RegressionPredictions) for m in members):
@@ -253,11 +251,11 @@ def cmd_ensemble(run: _Run, args) -> None:
     else:
         if not all(isinstance(m, ClassificationPredictions) for m in members):
             raise ValidationError("classification ensemble requires classification prediction files")
-        combined = ensemble_classification(members, score_space=args.space)
+        combined = ensemble_classification(members, score_space=space)
         for name, scores in (("ensemble.tsv", combined.normalized), ("ensemble_summed.tsv", combined.summed)):
             preds = ClassificationPredictions(ids=combined.ids, scores=scores, labels=combined.labels)
             run.write(name, write_predictions, preds)
-    run.config = {"task": args.task, "space": args.space, "members": len(members)}
+    run.config = {"task": args.task, "space": space, "members": len(members)}
     run.say(f"combined {len(members)} member files")
 
 
@@ -395,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("ensemble", "combine member prediction files")
     p.add_argument("--task", choices=["regression", "classification"], required=True)
-    p.add_argument("--space", choices=["probability", "logit"], default="probability")
+    p.add_argument("--space", choices=["probability", "logit"], default=None,
+                   help="score space of a classification ensemble (default: probability)")
     p.add_argument("files", nargs="+")
     _add_common(p)
     p.set_defaults(func=cmd_ensemble)

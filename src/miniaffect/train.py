@@ -37,7 +37,7 @@ from .predictions import ClassificationPredictions, RegressionPredictions
 from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocab, encode
 
 CHECKPOINT_MAGIC = b"MTAF"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Tokens (rows × longest true length) one eval forward may take. At 64 tokens a
 # chunk is 16 essays, whose [rows, heads, S, S] attention scores take 2 MB, the
@@ -82,8 +82,8 @@ class TrainConfig:
     optimizer: AdamWConfig
     encoder: EncoderConfig
     preset: str
-    vocab_max_size: int = DEFAULT_MAX_SIZE
-    vocab_min_freq: int = DEFAULT_MIN_FREQ
+    vocab_max_size: int
+    vocab_min_freq: int
 
     def validate(self) -> None:
         check_field_types(self)
@@ -97,6 +97,10 @@ class TrainConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.vocab_max_size < 3:
+            raise ValidationError(f"vocab_max_size {self.vocab_max_size} cannot hold the 3 reserved ids")
+        if self.vocab_min_freq < 1:
+            raise ValidationError(f"vocab_min_freq must be >= 1, got {self.vocab_min_freq}")
         spec = _TASKS[self.task]
         if self.snapshot_metric not in spec.snapshots:
             raise ValidationError(f"snapshot metric {self.snapshot_metric!r} is incompatible with task {self.task!r}")
@@ -113,60 +117,59 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**{**d, "optimizer": AdamWConfig(**d["optimizer"]), "encoder": EncoderConfig(**d["encoder"])})
+        """The validated config ``d`` describes: the one way a dict, from any source, becomes a TrainConfig."""
+
+        def checked(kind, d, name: str) -> dict:
+            if not isinstance(d, dict):
+                section = name if name == "config" else f"{name} config"
+                raise ValidationError(f"{section} must be an object, got {d!r}")
+            names = {f.name for f in fields(kind)}
+            for problem, keys in (("unknown", d.keys() - names), ("missing", names - d.keys())):
+                if keys:
+                    raise ValidationError(f"{problem} {name} key(s): {', '.join(sorted(keys))}")
+            return d
+
+        checked(cls, d, "config")
+        optimizer = AdamWConfig(**checked(AdamWConfig, d["optimizer"], "optimizer"))
+        encoder = EncoderConfig(**checked(EncoderConfig, d["encoder"], "encoder"))
+        cfg = cls(**{**d, "optimizer": optimizer, "encoder": encoder})
+        cfg.validate()
+        return cfg
 
 
-def _config_section(cls, defaults: dict, overrides, section: str):
-    """Build a config dataclass from defaults plus the caller's overrides, rejecting unknown keys."""
-    overrides = {} if overrides is None else overrides
-    if not isinstance(overrides, dict):
-        raise ValidationError(f"{section} config must be an object, got {overrides!r}")
-    unknown = sorted(set(overrides) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValidationError(f"unknown {section} key(s): {', '.join(unknown)}")
-    return cls(**{**defaults, **overrides})
+def make_config(task: str, epochs: int, preset: str | None = None, **settings) -> TrainConfig:
+    """Resolve a full TrainConfig: ``settings`` over the preset's and the task's defaults.
 
-
-def make_config(
-    task: str,
-    epochs: int,
-    preset: str = "desk_scale",
-    seed: int = 0,
-    batch_size: int | None = None,
-    shuffle: bool = True,
-    snapshot_metric: str | None = None,
-    optimizer: dict | None = None,
-    encoder: dict | None = None,
-    vocab_max_size: int = DEFAULT_MAX_SIZE,
-    vocab_min_freq: int = DEFAULT_MIN_FREQ,
-) -> TrainConfig:
-    """Resolve a full TrainConfig from a preset plus selective overrides.
-
-    The presets differ only in the default lr: ``desk_scale`` (default) uses
-    1e-3 so the randomly initialized micro encoder trains in minutes, and
-    ``paper_faithful`` the finetuning-style 1e-5. Both share the encoder,
-    the AdamW betas, eps and weight decay, and the per-task batch sizes.
+    A top-level None keeps the default, and ``optimizer`` and ``encoder`` merge
+    key by key. The presets differ only in the default lr: ``desk_scale``
+    (default) uses 1e-3 so the randomly initialized micro encoder trains in
+    minutes, and ``paper_faithful`` the finetuning-style 1e-5.
     """
+    preset = "desk_scale" if preset is None else preset
     if task not in TASKS:
         raise ValidationError(f"unknown task {task!r} (expected one of {', '.join(TASKS)})")
     if preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r} (expected one of {', '.join(PRESETS)})")
     spec = _TASKS[task]
-    cfg = TrainConfig(
-        task=task,
-        epochs=epochs,
-        batch_size=batch_size if batch_size is not None else spec.batch_size,
-        seed=seed,
-        shuffle=shuffle,
-        snapshot_metric=snapshot_metric if snapshot_metric is not None else spec.snapshots[0],
-        optimizer=_config_section(AdamWConfig, {"lr": _PRESET_LR[preset]}, optimizer, "optimizer"),
-        encoder=_config_section(EncoderConfig, {"head_kind": spec.head_kind}, encoder, "encoder"),
-        preset=preset,
-        vocab_max_size=vocab_max_size,
-        vocab_min_freq=vocab_min_freq,
-    )
-    cfg.validate()
-    return cfg
+    config = {
+        "task": task,
+        "epochs": epochs,
+        "batch_size": spec.batch_size,
+        "seed": 0,
+        "shuffle": True,
+        "snapshot_metric": spec.snapshots[0],
+        "optimizer": asdict(AdamWConfig(lr=_PRESET_LR[preset])),
+        "encoder": asdict(EncoderConfig(head_kind=spec.head_kind)),
+        "preset": preset,
+        "vocab_max_size": DEFAULT_MAX_SIZE,
+        "vocab_min_freq": DEFAULT_MIN_FREQ,
+    }
+    for key, value in settings.items():
+        if isinstance(value, dict) and isinstance(config.get(key), dict):
+            config[key] = {**config[key], **value}
+        elif value is not None or key not in config:
+            config[key] = value
+    return TrainConfig.from_dict(config)
 
 
 @dataclass
@@ -195,8 +198,6 @@ class Checkpoint:
     config: TrainConfig
     vocab_hash: str
     params: Parameters
-    best_metric: float | None
-    best_epoch: int | None
 
 
 def make_batches(d: Dataset, batch_size: int, shuffle: bool, seed: int, epoch: int) -> list[list[int]]:
@@ -315,8 +316,6 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     report = TrainReport(task=cfg.task, seed=cfg.seed, snapshot_metric=cfg.snapshot_metric)
 
     best_params = {name: arr.copy() for name, arr in params.items()}
-    best_metric: float | None = None
-    best_epoch: int | None = None
 
     for epoch in range(cfg.epochs):
         batches = make_batches(train_set, cfg.batch_size, cfg.shuffle, cfg.seed, epoch)
@@ -343,23 +342,12 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
         dev = _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets)
         report.epochs.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(train_set), dev=dev))
         metric = dev[cfg.snapshot_metric]
-        if best_metric is None or metric > best_metric:
-            best_metric = metric
-            best_epoch = epoch
+        if report.best_metric is None or metric > report.best_metric:
+            report.best_metric, report.best_epoch = metric, epoch
             best_params = {name: arr.copy() for name, arr in params.items()}
 
-    report.best_epoch = best_epoch
-    report.best_metric = best_metric
     report.wall_time_s = time.perf_counter() - started
-
-    ckpt = Checkpoint(
-        config=replace(cfg, encoder=enc_cfg),
-        vocab_hash=vocab.sha256,
-        params=best_params,
-        best_metric=best_metric,
-        best_epoch=best_epoch,
-    )
-    return ckpt, report
+    return Checkpoint(config=replace(cfg, encoder=enc_cfg), vocab_hash=vocab.sha256, params=best_params), report
 
 
 @blas.single_thread()
@@ -440,18 +428,16 @@ def seed_sweep(
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the binary checkpoint format, version 2.
+    """Write the binary checkpoint format, version 3.
 
     Layout: magic ``MTAF``, little-endian u32 format version, little-endian
     u64 JSON header length, the UTF-8 JSON header (config echo, vocab hash,
-    best metric/epoch, tensor manifest of name and shape), then the tensors
-    as raw little-endian float64, back to back in manifest order.
+    tensor manifest of name and shape), then the tensors as raw
+    little-endian float64, back to back in manifest order.
     """
     header = {
         "config": ckpt.config.to_dict(),
         "vocab_hash": ckpt.vocab_hash,
-        "best_metric": ckpt.best_metric,
-        "best_epoch": ckpt.best_epoch,
         "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in ckpt.params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -478,15 +464,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(raw[16:header_end].decode("utf-8"))
-        config = TrainConfig.from_dict(header["config"])
-        keys = ("vocab_hash", "best_metric", "best_epoch")
-        vocab_hash, best_metric, best_epoch = (header[key] for key in keys)
-        manifest = header["tensors"]
+        echo, vocab_hash, manifest = header["config"], header["vocab_hash"], header["tensors"]
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
     try:
-        config.validate()
+        config = TrainConfig.from_dict(echo)
     except ValidationError as exc:
         raise FormatError(f"{path}: invalid config echo: {exc}") from None
     needed = {name: shape for name, shape, _ in param_shapes(config.encoder)}
@@ -517,6 +500,4 @@ def load_checkpoint(path) -> Checkpoint:
     if not np.isfinite(np.frombuffer(data, dtype="<f8")).all():
         bad = next(name for name, arr in params.items() if not np.isfinite(arr).all())
         raise FormatError(f"{path}: tensor {bad!r} holds a non-finite value")
-    return Checkpoint(
-        config=config, vocab_hash=vocab_hash, params=params, best_metric=best_metric, best_epoch=best_epoch
-    )
+    return Checkpoint(config=config, vocab_hash=vocab_hash, params=params)

@@ -1,10 +1,12 @@
 import contextlib
+import functools
 import io
 import json
 import math
 import platform
 import struct
 import tempfile
+import typing
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -16,10 +18,11 @@ from hypothesis import strategies as st
 
 from miniaffect.cli import main
 from miniaffect.data import EMOTIONS, load_task_tsv, save_dataset, serialize_dataset
-from miniaffect.nn.encoder import EncoderConfig
+from miniaffect.errors import FormatError, ValidationError
+from miniaffect.nn.encoder import EncoderConfig, init_params
 from miniaffect.optim import AdamWConfig
 from miniaffect.predictions import read_predictions
-from miniaffect.train import TrainConfig, load_checkpoint, save_checkpoint
+from miniaffect.train import Checkpoint, TrainConfig, load_checkpoint, make_config, save_checkpoint
 
 from corpus import keyword_classification_corpus, tiny_encoder_kwargs
 
@@ -224,6 +227,10 @@ def test_train_bad_config_is_validation_error(tmp_path, corpora, config, capsys)
     ("vocab_size 5", {"encoder": {"vocab_size": 5}}),
     ("vocab_size must be an integer", {"encoder": {"vocab_size": None}}),
     ("max_len 1 leaves no room after the CLS position", {"encoder": {"max_len": 1}}),
+    ("vocab_max_size 2 cannot hold the 3 reserved ids", {"vocab_max_size": 2}),
+    ("vocab_min_freq must be >= 1, got -5", {"vocab_min_freq": -5}),
+    ("vocab_min_freq must be >= 1, got 0", {"vocab_min_freq": 0}),
+    ("optimizer config must be an object, got [0.001]", {"optimizer": [1e-3]}),
 ])
 def test_train_mistyped_config_exits_1(tmp_path, corpora, key, config, capsys):
     cfg_path = tmp_path / "bad.json"
@@ -233,6 +240,17 @@ def test_train_mistyped_config_exits_1(tmp_path, corpora, key, config, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert key in err
+
+
+def test_train_vocab_min_freq_below_1_exits_1_before_reading_data(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vocab_min_freq": 0}), encoding="utf-8")
+    missing = tmp_path / "missing.tsv"  # reading it would fail with another message
+    assert run("train", "--train", missing, "--dev", missing, "--task", "emotion", "--epochs", 1,
+               "--config", config, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "vocab_min_freq must be >= 1, got 0" in err
+    assert str(missing) not in err
 
 
 def test_train_empty_dev_is_validation_error(tmp_path, corpora, capsys):
@@ -286,9 +304,11 @@ def _single_regression_head(ckpt):
     ("epochs must be >= 0", _with_config(epochs=-4)),
     ("does not fit task 'emotion'", _single_regression_head),
     ("max_len 1 leaves no room after the CLS position", _with_config("encoder", max_len=1)),
+    ("vocab_max_size 2 cannot hold the 3 reserved ids", _with_config(vocab_max_size=2)),
+    ("vocab_min_freq must be >= 1", _with_config(vocab_min_freq=0)),
 ], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "n_layers_1e10", "n_layers_past_manifest", "n_layers_2_of_1",
         "n_layers_not_int", "n_heads_not_dividing_d_model", "dropout_rate_5", "lr_negative",
-        "epochs_negative", "head_kind_not_fitting_task", "max_len_1"])
+        "epochs_negative", "head_kind_not_fitting_task", "max_len_1", "vocab_max_size_2", "vocab_min_freq_0"])
 def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
@@ -315,10 +335,9 @@ def _edit_header(src, dst, edit):
 
 
 @pytest.mark.parametrize("message, edit", [
-    *((f"corrupt checkpoint header: '{key}'", lambda header, key=key: header.pop(key))
-      for key in ("vocab_hash", "best_metric", "best_epoch")),
+    ("corrupt checkpoint header: 'vocab_hash'", lambda header: header.pop("vocab_hash")),
     ("names a tensor more than once", lambda header: header["tensors"].append(dict(header["tensors"][-1]))),
-], ids=["no_vocab_hash", "no_best_metric", "no_best_epoch", "tensor_named_twice"])
+], ids=["no_vocab_hash", "tensor_named_twice"])
 def test_predict_checkpoint_header_fault_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
@@ -354,6 +373,22 @@ def test_predict_version_1_checkpoint_exits_1(tmp_path, corpora, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "unsupported checkpoint version 1" in err
+
+
+def test_predict_version_2_checkpoint_exits_1(tmp_path, corpora, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+    # Version 2 also kept the best dev metric and epoch in the header.
+    _edit_header(out / "model.ckpt", out / "v2.ckpt", lambda header: header.update(best_metric=None, best_epoch=None))
+    raw = (out / "v2.ckpt").read_bytes()
+    (out / "v2.ckpt").write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+    assert run("predict", "--model", out / "v2.ckpt", "--vocab", out / "vocab.tsv",
+               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "unsupported checkpoint version 2" in err
 
 
 def test_predict_clamp_on_classification_checkpoint_exits_1(tmp_path, corpora, capsys):
@@ -458,6 +493,45 @@ def test_ensemble_classification_writes_both_files(tmp_path):
     assert np.abs(combined.scores.sum(axis=1) - 1.0).max() < 1e-9
     summed = read_predictions(out / "ensemble_summed.tsv")
     assert np.allclose(summed.scores, 2 * probs)
+    assert json.loads((out / "manifest.json").read_text())["config"]["space"] == "probability"
+
+
+def test_ensemble_classification_logit_space_writes_both_files(tmp_path):
+    logits = np.random.default_rng(1).normal(size=(2, 3, 7))
+    header = "id\t" + "\t".join(f"p_{e}" for e in EMOTIONS) + "\tlabel"
+    members = []
+    for k, scores in enumerate(logits):
+        rows = [f"r{i}\t" + "\t".join(repr(float(v)) for v in row) + f"\t{EMOTIONS[int(np.argmax(row))]}"
+                for i, row in enumerate(scores)]
+        members.append(tmp_path / f"m{k}.tsv")
+        members[-1].write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("ensemble", "--task", "classification", "--space", "logit", *members, "--out", out) == 0
+    summed = read_predictions(out / "ensemble_summed.tsv")
+    assert np.allclose(summed.scores, logits.sum(axis=0))
+    combined = read_predictions(out / "ensemble.tsv")
+    mean = logits.mean(axis=0)
+    assert np.allclose(combined.scores, np.exp(mean) / np.exp(mean).sum(axis=1, keepdims=True))
+    assert combined.labels == [EMOTIONS[int(i)] for i in mean.argmax(axis=1)]
+    assert json.loads((out / "manifest.json").read_text())["config"]["space"] == "logit"
+
+
+@pytest.mark.parametrize("space", ["logit", "probability"])
+def test_ensemble_regression_with_space_exits_1_before_writing(tmp_path, space, capsys):
+    pred = tmp_path / "m.tsv"
+    pred.write_text("id\tempathy\na\t2.5\nb\t6.25\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("ensemble", "--task", "regression", "--space", space, pred, pred, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "--space does not apply to --task regression" in err
+    assert not any(out.iterdir())
+
+
+def test_ensemble_manifest_records_the_space_used(tmp_path):
+    pred = tmp_path / "m.tsv"
+    pred.write_text("id\tempathy\na\t2.5\n", encoding="utf-8")
+    assert run("ensemble", "--task", "regression", pred, "--out", tmp_path / "reg") == 0
+    assert json.loads((tmp_path / "reg" / "manifest.json").read_text())["config"]["space"] is None
 
 
 def test_seed_sweep_cli(tmp_path, corpora):
@@ -484,8 +558,8 @@ _CONFIG_KEYS = [
     *(("encoder", f.name) for f in fields(EncoderConfig)),
     *(("optimizer", f.name) for f in fields(AdamWConfig)),
 ]
-# Keys whose null falls back to a default, so the run trains.
-_NULL_DEFAULTS = {("seed",), ("batch_size",), ("snapshot_metric",), ("optimizer",), ("encoder",)}
+# Keys whose null falls back to a default, so the run trains: every top-level key but the two with none.
+_NULL_DEFAULTS = {(f.name,) for f in fields(TrainConfig)} - {("task",), ("epochs",)}
 # No finite number is drawn and numeric keys reject bools, so no size is valid but huge enough to take gigabytes.
 _WRONG_TYPED = st.one_of(
     st.none(),
@@ -513,6 +587,72 @@ def test_train_config_of_wrong_type_exits_0_or_1(corpora, key, value):
         assert code == 0, err.getvalue()
 
 
+_SECTIONS = {"optimizer": AdamWConfig, "encoder": EncoderConfig}
+# Values of the wrong type for each kind of config field; none of them is None, which means "unset" at the top level.
+_WRONG_VALUES = {int: ["1", 1.5, True, [1]], float: ["0.5", True, [1]], bool: [1, "true", [1]], str: [1, [1]],
+                 AdamWConfig: ["x", 1, [1]], EncoderConfig: ["x", 1, [1]]}
+
+
+@functools.cache
+def _tiny_checkpoint_bytes() -> bytes:
+    cfg = make_config("emotion", 1, encoder=tiny_encoder_kwargs(vocab_size=12, d_model=4, n_heads=1, d_ff=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, 0)),
+                        Path(tmp) / "model.ckpt")
+        return (Path(tmp) / "model.ckpt").read_bytes()
+
+
+@settings(max_examples=60)
+@given(fault=st.sampled_from(["unknown", "missing", "wrong_type"]), data=st.data())
+def test_config_fault_fails_alike_on_every_path(fault, data):
+    """An unknown key, a missing key or a wrong-typed value ends in a ValidationError that names the key,
+    whether it reaches TrainConfig.from_dict through make_config, a train --config file or a checkpoint's
+    config echo: never in a TypeError, a KeyError or exit 3."""
+    if fault == "unknown":
+        section = data.draw(st.sampled_from([None, *_SECTIONS]))
+        names = {f.name for f in fields(_SECTIONS.get(section, TrainConfig))}
+        key = data.draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(lambda k: k not in names))
+        path = (key,) if section is None else (section, key)
+        value, expected = 1, f"key(s): {key}"
+    elif fault == "missing":  # make_config and a config file take None as unset; the echo loses the key
+        path, value = (data.draw(st.sampled_from(["task", "epochs"])),), None
+        expected = path[0]
+    else:
+        path = data.draw(st.sampled_from(_CONFIG_KEYS))
+        owner = TrainConfig if len(path) == 1 else _SECTIONS[path[0]]
+        value = data.draw(st.sampled_from(_WRONG_VALUES[typing.get_type_hints(owner)[path[-1]]]))
+        expected = path[-1]
+
+    def with_fault(config, drop=False):
+        target = config if len(path) == 1 else config[path[0]]
+        if drop:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return config
+
+    config = with_fault({"task": "emotion", "epochs": 1, "encoder": tiny_encoder_kwargs(), "optimizer": {}})
+    with pytest.raises(ValidationError) as caught:
+        make_config(**config)
+    assert expected in str(caught.value)
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        missing = tmp / "missing.tsv"  # the config fails before any data is read
+        code = run("train", "--train", missing, "--dev", missing, "--config", tmp / "config.json", "--out", tmp / "out")
+        assert code == 1, err.getvalue()
+        assert "internal error" not in err.getvalue()
+        assert expected in err.getvalue() and str(missing) not in err.getvalue()
+
+        (tmp / "model.ckpt").write_bytes(_tiny_checkpoint_bytes())
+        _edit_header(tmp / "model.ckpt", tmp / "bad.ckpt",
+                     lambda header: with_fault(header["config"], drop=fault == "missing"))
+        with pytest.raises(FormatError) as caught:
+            load_checkpoint(tmp / "bad.ckpt")
+        assert "invalid config echo" in str(caught.value) and expected in str(caught.value)
+
+
 def test_seed_sweep_config_file_seed_exits_1_before_reading_data(tmp_path, corpora, capsys):
     config = tmp_path / "seeded.json"
     config.write_text(json.dumps({"seed": 7, "encoder": tiny_encoder_kwargs()}), encoding="utf-8")
@@ -523,6 +663,14 @@ def test_seed_sweep_config_file_seed_exits_1_before_reading_data(tmp_path, corpo
     assert f"config file {config} sets seed" in err and "--seeds" in err
     assert str(missing) not in err
     assert not any((tmp_path / "out").iterdir())
+
+
+def test_seed_sweep_config_file_null_seed_is_unset(tmp_path, corpora):
+    config = tmp_path / "unseeded.json"
+    config.write_text(json.dumps({"seed": None, "encoder": tiny_encoder_kwargs()}), encoding="utf-8")
+    assert run("seed-sweep", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv", "--task", "emotion",
+               "--epochs", 1, "--seeds", "1,2", "--config", config, "--out", tmp_path / "out", "--quiet") == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seeds"] == [1, 2]
 
 
 def test_seed_sweep_repeated_seed_exits_1(tmp_path, corpora, capsys):

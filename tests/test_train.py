@@ -125,7 +125,7 @@ def test_train_zero_epochs_returns_initialization(emotion_data):
     vocab = build_vocab(train_set)
     ckpt, report = train(train_set, dev_set, vocab, tiny_config(epochs=0))
     assert report.epochs == []
-    assert ckpt.best_metric is None and ckpt.best_epoch is None
+    assert report.best_metric is None and report.best_epoch is None
     from miniaffect.nn.encoder import init_params
 
     fresh = init_params(ckpt.config.encoder, ckpt.config.seed)
@@ -213,8 +213,6 @@ def test_checkpoint_round_trip(tmp_path, emotion_data):
     loaded = load_checkpoint(path)
     assert loaded.config == ckpt.config
     assert loaded.vocab_hash == ckpt.vocab_hash
-    assert loaded.best_metric == ckpt.best_metric
-    assert loaded.best_epoch == ckpt.best_epoch
     assert set(loaded.params) == set(ckpt.params)
     for name in ckpt.params:
         assert np.array_equal(loaded.params[name], ckpt.params[name])
@@ -225,8 +223,7 @@ def _saved_checkpoint() -> tuple[bytes, int]:
     """A small trained-shape checkpoint's bytes and the offset where its tensor section starts."""
     encoder = tiny_encoder_kwargs(vocab_size=20, d_model=8, d_ff=8, n_layers=2)
     cfg = make_config(task="multitask", epochs=2, seed=5, encoder=encoder)
-    ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, 5), best_metric=0.25,
-                      best_epoch=1)
+    ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, 5))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(ckpt, path)
@@ -285,18 +282,16 @@ _TASK_OF_HEAD = {"regression_single": "empathy", "regression_dual": "multitask",
     max_len=st.integers(2, 6),
     dropout_rate=st.sampled_from([0.0, 0.1, 0.5]),
     seed=st.integers(0, 2**31),
-    best=st.one_of(st.none(), st.tuples(st.floats(-1.0, 1.0), st.integers(0, 9))),
     planted=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
 def test_checkpoint_round_trip_property(head_kind, n_heads, head_dim, n_layers, d_ff, vocab_size, max_len,
-                                        dropout_rate, seed, best, planted):
+                                        dropout_rate, seed, planted):
     encoder = dict(vocab_size=vocab_size, d_model=n_heads * head_dim, n_layers=n_layers, n_heads=n_heads,
                    d_ff=d_ff, max_len=max_len, dropout_rate=dropout_rate)
     cfg = make_config(task=_TASK_OF_HEAD[head_kind], epochs=1, seed=seed, encoder=encoder)
     params = init_params(cfg.encoder, seed)
     params["tok_emb"][-1, -1] = planted  # any float64, signed zeros, subnormals, infinities and nans included
-    best_metric, best_epoch = (None, None) if best is None else best
-    ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=params, best_metric=best_metric, best_epoch=best_epoch)
+    ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=params)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(ckpt, path)
@@ -306,7 +301,7 @@ def test_checkpoint_round_trip_property(head_kind, n_heads, head_dim, n_layers, 
             return
         loaded = load_checkpoint(path)
     assert loaded.config == cfg
-    assert (loaded.vocab_hash, loaded.best_metric, loaded.best_epoch) == (ckpt.vocab_hash, best_metric, best_epoch)
+    assert loaded.vocab_hash == ckpt.vocab_hash
     assert list(loaded.params) == list(params)
     for name, arr in params.items():
         got = loaded.params[name]
@@ -335,9 +330,10 @@ def test_checkpoint_rejects_truncation(tmp_path, emotion_data):
 
 def test_checkpoint_header_holds_each_fact_once():
     raw, header_end = _saved_checkpoint()
-    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (2,)
+    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (3,)
     header = json.loads(raw[16:header_end])
-    assert set(header) == {"config", "vocab_hash", "best_metric", "best_epoch", "tensors"}
+    # The best dev metric and epoch are the train report's; the checkpoint holds only what loading needs.
+    assert set(header) == {"config", "vocab_hash", "tensors"}
     assert all(set(entry) == {"name", "shape"} for entry in header["tensors"])
     # The tensors lie back to back in manifest order, so the section is exactly their sizes.
     assert len(raw) - header_end == sum(8 * math.prod(entry["shape"]) for entry in header["tensors"])
@@ -525,8 +521,8 @@ def test_non_finite_loss_stops_training_naming_epoch_and_batch(emotion_data, mon
 def test_constant_dev_gold_allowed_with_zero_epochs(regression_data):
     train_set, dev_set = regression_data
     flat_dev = Dataset(split="dev", records=[replace(r, empathy=4.0) for r in dev_set.records])
-    ckpt, report = train(train_set, flat_dev, build_vocab(train_set), tiny_config(task="empathy", epochs=0))
-    assert report.best_metric is None and ckpt.best_epoch is None
+    _, report = train(train_set, flat_dev, build_vocab(train_set), tiny_config(task="empathy", epochs=0))
+    assert report.best_metric is None and report.best_epoch is None
 
 
 # Essays of 1 to 20 words (max_len 16), so an eval chunk trims to whatever its longest member needs.

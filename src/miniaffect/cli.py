@@ -309,7 +309,8 @@ def _load_report(path: Path) -> dict:
 
 
 def cmd_report(run: _Run, args) -> None:
-    rows = [(Path(path).stem, _load_report(run.add_input(path))) for path in args.files]
+    # A row is named by its path as given: eval writes every report as report.json.
+    rows = [(path, _load_report(run.add_input(path))) for path in args.files]
     columns = [c for c in _REPORT_COLUMNS if any(c in payload for _, payload in rows)]
     lines = ["| run | task | n | " + " | ".join(columns) + " |"]
     lines.append("|" + "---|" * (len(columns) + 3))

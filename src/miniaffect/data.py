@@ -1,13 +1,14 @@
 """Essay datasets and the TSV table format: records, ingestion/serialization, label histograms.
 
 ``read_table`` is the one reader of line-oriented TSV tables and
-``format_table`` the one writer. Three layouts use them:
+``format_table`` the one writer. Four layouts use them:
 
 * task files       -- required column ``essay``; optional ``id``, ``empathy``,
                       ``distress``, ``emotion``; anything else is kept
                       verbatim in ``extras``.
 * pool files       -- required columns ``text`` and ``emotion``; optional ``id``.
 * prediction files -- see ``predictions``.
+* vocabulary files -- the one column ``token``; see ``text``.
 
 Inside the essay/text field a literal tab is written ``\\t``, a newline
 ``\\n``, a carriage return ``\\r`` and a backslash ``\\\\``; there is no
@@ -20,6 +21,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -151,19 +153,6 @@ def _parse_score(raw: str, column: str, line_no: int) -> float | None:
     return value
 
 
-def read_lines(path) -> list[str]:
-    """A text file's lines without their LF or CRLF endings; no trailing empty line."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            raw = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
-
-
 @contextmanager
 def rows_of(path):
     """Name ``path`` in a RowError raised inside the block."""
@@ -176,41 +165,60 @@ def rows_of(path):
 def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """A TSV file's header and its data rows as (1-based line number, cells) pairs.
 
-    FormatError for an empty file or a header that repeats a column name;
-    RowError for a row whose cell count differs from the header's and, when
-    the header has an ``id`` column, for an empty or repeated id.
+    Lines end in LF or CRLF. FormatError for a file that is not UTF-8, an
+    empty file or a header that repeats a column name; RowError for a row
+    whose cell count differs from the header's and, when the header has an
+    ``id`` column, for an empty or repeated id.
     """
-    lines = read_lines(path)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            # A carriage return before a newline is part of the line ending.
+            lines = fh.read().replace("\r\n", "\n").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if lines[-1] == "":
+        lines.pop()
+    elif lines[-1].endswith("\r"):
+        lines[-1] = lines[-1][:-1]  # as is one that ends the file
     if not lines:
         raise FormatError(f"{path}: empty file, expected a header line")
     header = lines[0].split("\t")
     if len(set(header)) != len(header):
         raise FormatError(f"{path}: header repeats a column name (got {header})")
     id_col = header.index("id") if "id" in header else None
-    rows = []
-    seen_ids: set[str] = set()
-    with rows_of(path):
-        for line_no, line in enumerate(lines[1:], start=2):
-            cells = line.split("\t")
-            if len(cells) != len(header):
-                raise RowError(line_no, f"expected {len(header)} columns, found {len(cells)}")
-            if id_col is not None:
-                rec_id = cells[id_col]
-                if rec_id == "":
-                    raise RowError(line_no, "empty id")
-                if rec_id in seen_ids:
-                    raise RowError(line_no, f"duplicate id {rec_id!r}")
-                seen_ids.add(rec_id)
-            rows.append((line_no, cells))
-    return header, rows
+    rows = [line.split("\t") for line in lines[1:]]
+    valid = set(map(len, rows)) <= {len(header)}
+    if valid and id_col is not None:
+        ids = [cells[id_col] for cells in rows]
+        valid = "" not in ids and len(set(ids)) == len(ids)
+    # Only a faulty table is scanned again, row by row, to name its first faulty line.
+    if not valid:
+        seen_ids: set[str] = set()
+        with rows_of(path):
+            for line_no, cells in enumerate(rows, start=2):
+                if len(cells) != len(header):
+                    raise RowError(line_no, f"expected {len(header)} columns, found {len(cells)}")
+                if id_col is not None:
+                    rec_id = cells[id_col]
+                    if rec_id == "":
+                        raise RowError(line_no, "empty id")
+                    if rec_id in seen_ids:
+                        raise RowError(line_no, f"duplicate id {rec_id!r}")
+                    seen_ids.add(rec_id)
+    return header, list(enumerate(rows, start=2))
 
 
 def format_table(header, rows) -> str:
     """TSV text for a header and rows of already-escaped cells, one line each.
 
-    ValidationError naming the line and column of a cell ``read_table`` would
-    not read back, or the line of an empty or repeated id in an ``id`` column.
+    ValidationError naming a column the header repeats, the line and column
+    of a cell ``read_table`` would not read back, or the line of an empty or
+    repeated id in an ``id`` column. Callers format a table before they open
+    its file, so a refused table leaves no file behind.
     """
+    if len(set(header)) != len(header):
+        repeated = next(name for i, name in enumerate(header) if name in header[:i])
+        raise ValidationError(f"header repeats column {repeated!r}, which would not read back")
     if "id" in header:
         id_col = header.index("id")
         ids = [row[id_col] for row in rows]
@@ -306,8 +314,7 @@ def serialize_dataset(d: Dataset) -> str:
 
 
 def save_dataset(d: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize_dataset(d))
+    Path(path).write_text(serialize_dataset(d), encoding="utf-8", newline="")
 
 
 def gold_values(records, fields, role: str) -> dict[str, np.ndarray]:

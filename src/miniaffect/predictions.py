@@ -9,6 +9,7 @@ repr() so values round-trip exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -53,9 +54,7 @@ def format_predictions(preds) -> str:
 
 
 def write_predictions(preds, path) -> None:
-    text = format_predictions(preds)  # a rejected table leaves no file behind
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    Path(path).write_text(format_predictions(preds), encoding="utf-8", newline="")
 
 
 def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:

@@ -8,21 +8,21 @@ separate single-character tokens ("Great, stuff!" -> great , stuff !).
 from __future__ import annotations
 
 import hashlib
-import json
 import string
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
+from pathlib import Path
 
-from .data import Dataset, read_lines
-from .errors import FormatError, ValidationError
+from .data import Dataset, format_table, read_table, rows_of
+from .errors import FormatError, RowError, ValidationError
 
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
-_RESERVED = {PAD_ID: "<pad>", UNK_ID: "<unk>", CLS_ID: "<cls>"}
+_RESERVED = ("<pad>", "<unk>", "<cls>")  # the names of ids 0, 1 and 2
 
 _PUNCT = set(string.punctuation)
 
@@ -50,16 +50,20 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocab:
-    token_to_id: dict[str, int]
+    """Every id's token in id order: the three reserved names, then the learned tokens."""
+
     id_to_token: list[str]
-    max_size: int
-    min_freq: int
 
     def __len__(self) -> int:
         return len(self.id_to_token)
 
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
+
+    @cached_property
+    def token_to_id(self) -> dict[str, int]:
+        """Each learned token's id, 3 onwards; the reserved ids are not looked up by name."""
+        return dict(zip(self.id_to_token[3:], range(3, len(self))))
 
     @cached_property
     def sha256(self) -> str:
@@ -94,9 +98,7 @@ def build_vocab(train: Dataset, max_size: int = DEFAULT_MAX_SIZE, min_freq: int 
         key=lambda tok: (-counts[tok], tok),
     )[: max_size - 3]
 
-    id_to_token = [_RESERVED[PAD_ID], _RESERVED[UNK_ID], _RESERVED[CLS_ID], *ranked]
-    token_to_id = {tok: i + 3 for i, tok in enumerate(ranked)}
-    return Vocab(token_to_id=token_to_id, id_to_token=id_to_token, max_size=max_size, min_freq=min_freq)
+    return Vocab([*_RESERVED, *ranked])
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
@@ -111,49 +113,30 @@ def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
 
 
 def serialize_vocab(vocab: Vocab) -> str:
-    header = json.dumps(
-        {
-            "max_size": vocab.max_size,
-            "min_freq": vocab.min_freq,
-            "reserved": {"pad": PAD_ID, "unk": UNK_ID, "cls": CLS_ID},
-        },
-        sort_keys=True,
-    )
-    lines = [header]
-    lines.extend(f"{tok}\t{i}" for i, tok in enumerate(vocab.id_to_token[3:], start=3))
-    return "\n".join(lines) + "\n"
+    """The vocabulary table: header ``token``, then one learned token per line, so line n holds id n + 1.
+
+    Tokens are written raw: ``tokenize`` splits on every whitespace
+    character, so a token never holds a tab, a carriage return or a newline.
+    """
+    return format_table(["token"], [[tok] for tok in vocab.id_to_token[3:]])
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize_vocab(vocab))
+    Path(path).write_text(serialize_vocab(vocab), encoding="utf-8", newline="")
 
 
 def load_vocab(path) -> Vocab:
-    lines = read_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty vocabulary file")
-    try:
-        header = json.loads(lines[0])
-        max_size = int(header["max_size"])
-        min_freq = int(header["min_freq"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad vocabulary header: {exc}") from None
-
-    id_to_token = [_RESERVED[PAD_ID], _RESERVED[UNK_ID], _RESERVED[CLS_ID]]
-    token_to_id: dict[str, int] = {}
-    for offset, line in enumerate(lines[1:]):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}: malformed vocabulary line {offset + 2}")
-        token, id_str = parts
-        expected = offset + 3
-        try:
-            token_id = int(id_str)
-        except ValueError:
-            raise FormatError(f"{path}: line {offset + 2}: vocabulary id {id_str!r} is not an integer") from None
-        if token_id != expected:
-            raise FormatError(f"{path}: non-contiguous id {id_str} for token {token!r} (expected {expected})")
-        id_to_token.append(token)
-        token_to_id[token] = expected
-    return Vocab(token_to_id=token_to_id, id_to_token=id_to_token, max_size=max_size, min_freq=min_freq)
+    """A table written by ``save_vocab``; RowError naming the file and line of an empty or repeated token."""
+    header, rows = read_table(path)
+    if header != ["token"]:
+        raise FormatError(f"{path}: vocabulary header must be 'token', got {header}")
+    vocab = Vocab([*_RESERVED, *[cells[0] for _, cells in rows]])
+    # Only a faulty table is scanned again, row by row.
+    if "" in vocab.token_to_id or len(vocab.token_to_id) != len(rows):
+        seen: set[str] = set()
+        with rows_of(path):
+            for line_no, (token,) in rows:
+                if token == "" or token in seen:
+                    raise RowError(line_no, "empty token" if token == "" else f"repeated token {token!r}")
+                seen.add(token)
+    return vocab

@@ -37,7 +37,7 @@ from .predictions import ClassificationPredictions, RegressionPredictions
 from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocab, encode
 
 CHECKPOINT_MAGIC = b"MTAF"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Tokens (rows × longest true length) one eval forward may take. At 64 tokens a
 # chunk is 16 essays, whose [rows, heads, S, S] attention scores take 2 MB, the
@@ -428,7 +428,7 @@ def seed_sweep(
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the binary checkpoint format, version 3.
+    """Write the binary checkpoint format, version 4.
 
     Layout: magic ``MTAF``, little-endian u32 format version, little-endian
     u64 JSON header length, the UTF-8 JSON header (config echo, vocab hash,
@@ -466,6 +466,8 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[16:header_end].decode("utf-8"))
         echo, vocab_hash, manifest = header["config"], header["vocab_hash"], header["tensors"]
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
+        if not all(isinstance(name, str) for name in shapes):
+            raise TypeError("a tensor name is not a string")
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
     try:

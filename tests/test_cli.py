@@ -123,6 +123,20 @@ def test_augment_same_seed_byte_identical(tmp_path, corpora):
     assert (out1 / "augmented.tsv").read_bytes() == (out2 / "augmented.tsv").read_bytes()
 
 
+def test_augment_pool_column_repeating_essay_exits_1_writing_nothing(tmp_path, corpora, capsys):
+    # A pool's extra columns become the output's extras, so a pool column named essay would name it twice.
+    header, *rows = (corpora / "pool.tsv").read_text(encoding="utf-8").splitlines()
+    pool = tmp_path / "pool.tsv"
+    pool.write_text("\n".join([header + "\tessay", *(row + "\tx" for row in rows)]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("augment", "--scheme", "ra", "--base", corpora / "train.tsv", "--pool", pool,
+               "--count", 3, "--seed", 1, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "header repeats column 'essay'" in err
+    assert not (out / "augmented.tsv").exists()
+
+
 @pytest.mark.parametrize("scheme_flags", [("ba", "--total", 28), ("ra", "--count", 3)], ids=["ba", "ra"])
 def test_augment_negative_seed_exits_1_naming_it(tmp_path, corpora, capsys, scheme_flags):
     scheme, *size = scheme_flags
@@ -337,7 +351,9 @@ def _edit_header(src, dst, edit):
 @pytest.mark.parametrize("message, edit", [
     ("corrupt checkpoint header: 'vocab_hash'", lambda header: header.pop("vocab_hash")),
     ("names a tensor more than once", lambda header: header["tensors"].append(dict(header["tensors"][-1]))),
-], ids=["no_vocab_hash", "tensor_named_twice"])
+    ("corrupt checkpoint header: a tensor name is not a string",
+     lambda header: header["tensors"].extend([{"name": 5, "shape": [1]}, {"name": "zz", "shape": [1]}])),
+], ids=["no_vocab_hash", "tensor_named_twice", "tensor_name_not_a_string"])
 def test_predict_checkpoint_header_fault_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
@@ -389,6 +405,42 @@ def test_predict_version_2_checkpoint_exits_1(tmp_path, corpora, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "unsupported checkpoint version 2" in err
+
+
+def test_predict_version_3_checkpoint_exits_1(tmp_path, corpora, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+    # Version 3 had the same header, but its vocab_hash hashed the JSON-header vocabulary file.
+    raw = (out / "model.ckpt").read_bytes()
+    (out / "v3.ckpt").write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+    assert run("predict", "--model", out / "v3.ckpt", "--vocab", out / "vocab.tsv",
+               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "unsupported checkpoint version 3" in err
+
+
+@pytest.mark.parametrize("header", [
+    '{"max_size": 8000, "min_freq": 1, "reserved": {"cls": 2, "pad": 0, "unk": 1}}',
+    '{"max_size": 1e400, "min_freq": 1, "reserved": {"cls": 2, "pad": 0, "unk": 1}}',
+], ids=["as_written", "max_size_overflows"])
+def test_predict_json_header_vocabulary_exits_1_naming_it(tmp_path, corpora, header, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
+               "--out", out, "--quiet") == 0
+    # The format before the one-column table: a JSON header, then each token with its id.
+    tokens = (out / "vocab.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    old = out / "old_vocab.tsv"
+    old.write_text(header + "\n" + "".join(f"{tok}\t{i}\n" for i, tok in enumerate(tokens, start=3)), encoding="utf-8")
+    assert run("predict", "--model", out / "model.ckpt", "--vocab", old,
+               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"error: {old}: " in err
+    assert not (tmp_path / "preds" / "predictions.tsv").exists()
 
 
 def test_predict_clamp_on_classification_checkpoint_exits_1(tmp_path, corpora, capsys):
@@ -769,6 +821,16 @@ def test_report_bad_file_exits_1(tmp_path, content, message, capsys):
     assert run("report", path, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert message in err and str(path) in err
+
+
+def test_report_rows_named_by_path_tell_runs_apart(tmp_path):
+    paths = [tmp_path / name / "report.json" for name in ("e1", "e2")]
+    for accuracy, path in zip((0.5, 0.75), paths):
+        path.parent.mkdir()
+        path.write_text(json.dumps({"task": "classification", "n": 4, "accuracy": accuracy}), encoding="utf-8")
+    assert run("report", *paths, "--out", tmp_path / "out", "--quiet") == 0
+    rows = (tmp_path / "out" / "report.md").read_text(encoding="utf-8").splitlines()[2:]
+    assert rows == [f"| {paths[0]} | classification | 4 | 0.5000 |", f"| {paths[1]} | classification | 4 | 0.7500 |"]
 
 
 @pytest.mark.parametrize(

@@ -156,7 +156,8 @@ def test_format_table_read_table_round_trip_property(rows):
     (["a", "b"], [["1", "2\n"]], r"^line 2, column 'b': '2\\n' would not read back "),
     (["a", "b"], [["1", "2"], ["3", "4\r"]], r"^line 3, column 'b': '4\\r' would not read back "),
     (["a", "b\r"], [], r"^line 1, column 'b\\r': 'b\\r' would not read back "),
-], ids=["tab", "newline", "row-ending-cr", "header-cr"])
+    (["id", "essay", "emotion", "essay"], [], r"^header repeats column 'essay', which would not read back$"),
+], ids=["tab", "newline", "row-ending-cr", "header-cr", "repeated-column"])
 def test_format_table_rejects_a_cell_that_would_not_read_back(header, rows, message):
     with pytest.raises(ValidationError, match=message):
         format_table(header, rows)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import miniaffect.text as text_module
 from miniaffect.data import Dataset, EssayRecord
-from miniaffect.errors import FormatError, ValidationError
+from miniaffect.errors import FormatError, RowError, ValidationError
 from miniaffect.text import (
     CLS_ID,
     PAD_ID,
@@ -148,7 +148,12 @@ def test_vocab_serialization_round_trip(tmp_path):
     assert loaded.sha256 == vocab.sha256
 
 
-_WORD = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
+_WORD = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5),
+    # backslashes, digits and non-ASCII letters, which the table holds raw
+    st.text(st.sampled_from("a0\\9é日"), min_size=1, max_size=5),
+    st.just("token"),  # the header's own name as a token
+)
 
 
 @settings(max_examples=100)
@@ -159,9 +164,19 @@ def test_vocab_save_load_round_trip_property(essays, max_size, min_freq):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vocab.tsv"
         save_vocab(vocab, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
         loaded = load_vocab(path)
+    # Data line n holds the token of id n + 1.
+    assert lines == ["token", *vocab.id_to_token[3:]]
     assert loaded == vocab
+    assert loaded.token_to_id == vocab.token_to_id
     assert loaded.sha256 == vocab.sha256
+
+
+def test_vocab_hash_ignores_the_bounds_it_was_built_under():
+    data = corpus("alpha beta alpha beta gamma gamma")
+    hashes = {build_vocab(data, max_size, min_freq).sha256 for max_size, min_freq in [(6, 1), (100, 1), (100, 2)]}
+    assert len(hashes) == 1
 
 
 def test_vocab_hash_changes_with_content():
@@ -191,20 +206,23 @@ def test_vocab_hash_computed_once_per_vocab(tmp_path, monkeypatch):
 def test_load_vocab_rejects_garbage(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("not json\nfoo\t3\n", encoding="utf-8")
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError):
         load_vocab(path)
 
 
-def test_load_vocab_non_integer_id_names_file_and_line(tmp_path):
+def test_load_vocab_header_must_be_token(tmp_path):
     path = tmp_path / "vocab.tsv"
-    save_vocab(build_vocab(corpus("alpha beta gamma")), path)
-    path.write_text(path.read_text(encoding="utf-8") + "word\tabc\n", encoding="utf-8")
-    with pytest.raises(FormatError, match=re.escape(f"{path}: line 5: vocabulary id 'abc' is not an integer")):
+    path.write_text("word\nhello\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: vocabulary header must be 'token', got ['word']")):
         load_vocab(path)
 
 
-def test_serialize_vocab_contiguous_ids():
-    vocab = build_vocab(corpus("c b a"))
-    lines = serialize_vocab(vocab).strip().split("\n")[1:]
-    ids = [int(line.split("\t")[1]) for line in lines]
-    assert ids == list(range(3, 3 + len(ids)))
+@pytest.mark.parametrize("content, message", [
+    ("token\nhello\nworld\nhello\n", "line 4: repeated token 'hello'"),
+    ("token\nhello\n\nworld\n", "line 3: empty token"),
+], ids=["repeated", "empty"])
+def test_load_vocab_refuses_a_token_that_cannot_have_one_id(tmp_path, content, message):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(RowError, match=re.escape(f"{path}: {message}")):
+        load_vocab(path)

@@ -330,7 +330,7 @@ def test_checkpoint_rejects_truncation(tmp_path, emotion_data):
 
 def test_checkpoint_header_holds_each_fact_once():
     raw, header_end = _saved_checkpoint()
-    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (3,)
+    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (4,)
     header = json.loads(raw[16:header_end])
     # The best dev metric and epoch are the train report's; the checkpoint holds only what loading needs.
     assert set(header) == {"config", "vocab_hash", "tensors"}

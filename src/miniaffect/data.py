@@ -162,13 +162,13 @@ def rows_of(path):
         raise RowError(exc.line, exc.message, path) from None
 
 
-def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def read_table(path, key: str = "id") -> tuple[list[str], list[tuple[int, list[str]]]]:
     """A TSV file's header and its data rows as (1-based line number, cells) pairs.
 
     Lines end in LF or CRLF. FormatError for a file that is not UTF-8, an
     empty file or a header that repeats a column name; RowError for a row
-    whose cell count differs from the header's and, when the header has an
-    ``id`` column, for an empty or repeated id.
+    whose cell count differs from the header's and, when the header has a
+    ``key`` column, for an empty or repeated key.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -185,51 +185,51 @@ def read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     header = lines[0].split("\t")
     if len(set(header)) != len(header):
         raise FormatError(f"{path}: header repeats a column name (got {header})")
-    id_col = header.index("id") if "id" in header else None
+    key_col = header.index(key) if key in header else None
     rows = [line.split("\t") for line in lines[1:]]
     valid = set(map(len, rows)) <= {len(header)}
-    if valid and id_col is not None:
-        ids = [cells[id_col] for cells in rows]
-        valid = "" not in ids and len(set(ids)) == len(ids)
+    if valid and key_col is not None:
+        keys = {cells[key_col] for cells in rows}
+        valid = "" not in keys and len(keys) == len(rows)
     # Only a faulty table is scanned again, row by row, to name its first faulty line.
     if not valid:
-        seen_ids: set[str] = set()
+        seen: set[str] = set()
         with rows_of(path):
             for line_no, cells in enumerate(rows, start=2):
                 if len(cells) != len(header):
                     raise RowError(line_no, f"expected {len(header)} columns, found {len(cells)}")
-                if id_col is not None:
-                    rec_id = cells[id_col]
-                    if rec_id == "":
-                        raise RowError(line_no, "empty id")
-                    if rec_id in seen_ids:
-                        raise RowError(line_no, f"duplicate id {rec_id!r}")
-                    seen_ids.add(rec_id)
+                if key_col is not None:
+                    cell = cells[key_col]
+                    if cell == "":
+                        raise RowError(line_no, f"empty {key}")
+                    if cell in seen:
+                        raise RowError(line_no, f"duplicate {key} {cell!r}")
+                    seen.add(cell)
     return header, list(enumerate(rows, start=2))
 
 
-def format_table(header, rows) -> str:
+def format_table(header, rows, key: str = "id") -> str:
     """TSV text for a header and rows of already-escaped cells, one line each.
 
     ValidationError naming a column the header repeats, the line and column
     of a cell ``read_table`` would not read back, or the line of an empty or
-    repeated id in an ``id`` column. Callers format a table before they open
-    its file, so a refused table leaves no file behind.
+    repeated cell in a ``key`` column. Callers format a table before they
+    open its file, so a refused table leaves no file behind.
     """
     if len(set(header)) != len(header):
         repeated = next(name for i, name in enumerate(header) if name in header[:i])
         raise ValidationError(f"header repeats column {repeated!r}, which would not read back")
-    if "id" in header:
-        id_col = header.index("id")
-        ids = [row[id_col] for row in rows]
-        # Only a faulty id list is scanned again, row by row.
-        if "" in ids or len(set(ids)) != len(ids):
+    if key in header:
+        key_col = header.index(key)
+        keys = [row[key_col] for row in rows]
+        # Only a faulty key list is scanned again, row by row.
+        if "" in keys or len(set(keys)) != len(keys):
             seen: set[str] = set()
-            for line_no, rec_id in enumerate(ids, start=2):
-                if rec_id == "" or rec_id in seen:
-                    fault = "empty id" if rec_id == "" else f"duplicate id {rec_id!r}"
+            for line_no, cell in enumerate(keys, start=2):
+                if cell == "" or cell in seen:
+                    fault = f"empty {key}" if cell == "" else f"duplicate {key} {cell!r}"
                     raise ValidationError(f"line {line_no}: {fault}, which would not read back")
-                seen.add(rec_id)
+                seen.add(cell)
     lines = ["\t".join(header), *("\t".join(row) for row in rows)]
     text = "\n".join(lines) + "\n"
     # Only a faulty text is scanned again, cell by cell.

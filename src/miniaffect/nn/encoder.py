@@ -37,9 +37,9 @@ Parameters = dict[str, np.ndarray]
 # training run also holds the moments, gradients and the best snapshot).
 MAX_PARAMS = 2**28
 
-# Most tensors a config may ask for, about 270 layers. Every tensor costs a
-# manifest entry, an array and per-step optimizer work whatever its size, so
-# millions of tiny layers would pass MAX_PARAMS and still take minutes to build.
+# Most tensors a config may ask for, about 270 layers. Every tensor costs an
+# array and per-step optimizer work whatever its size, so millions of tiny
+# layers would pass MAX_PARAMS and still take minutes to build.
 MAX_TENSORS = 2**12
 
 

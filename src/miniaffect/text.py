@@ -16,8 +16,8 @@ from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
 
-from .data import Dataset, format_table, read_table, rows_of
-from .errors import FormatError, RowError, ValidationError
+from .data import Dataset, format_table, read_table
+from .errors import FormatError, ValidationError
 
 PAD_ID = 0
 UNK_ID = 1
@@ -118,7 +118,7 @@ def serialize_vocab(vocab: Vocab) -> str:
     Tokens are written raw: ``tokenize`` splits on every whitespace
     character, so a token never holds a tab, a carriage return or a newline.
     """
-    return format_table(["token"], [[tok] for tok in vocab.id_to_token[3:]])
+    return format_table(["token"], [[tok] for tok in vocab.id_to_token[3:]], key="token")
 
 
 def save_vocab(vocab: Vocab, path) -> None:
@@ -127,16 +127,7 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 def load_vocab(path) -> Vocab:
     """A table written by ``save_vocab``; RowError naming the file and line of an empty or repeated token."""
-    header, rows = read_table(path)
+    header, rows = read_table(path, key="token")
     if header != ["token"]:
         raise FormatError(f"{path}: vocabulary header must be 'token', got {header}")
-    vocab = Vocab([*_RESERVED, *[cells[0] for _, cells in rows]])
-    # Only a faulty table is scanned again, row by row.
-    if "" in vocab.token_to_id or len(vocab.token_to_id) != len(rows):
-        seen: set[str] = set()
-        with rows_of(path):
-            for line_no, (token,) in rows:
-                if token == "" or token in seen:
-                    raise RowError(line_no, "empty token" if token == "" else f"repeated token {token!r}")
-                seen.add(token)
-    return vocab
+    return Vocab([*_RESERVED, *[cells[0] for _, cells in rows]])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -37,7 +38,7 @@ from .predictions import ClassificationPredictions, RegressionPredictions
 from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocab, encode
 
 CHECKPOINT_MAGIC = b"MTAF"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # Tokens (rows × longest true length) one eval forward may take. At 64 tokens a
 # chunk is 16 essays, whose [rows, heads, S, S] attention scores take 2 MB, the
@@ -363,6 +364,8 @@ def predict(
         raise ValidationError(f"clamp clips regression scores; task {ckpt.config.task!r} predicts classes")
     if vocab.sha256 != ckpt.vocab_hash:
         raise ValidationError("vocabulary hash does not match the one used to train this checkpoint")
+    if ckpt.config.encoder.vocab_size != len(vocab):
+        raise ValidationError(f"checkpoint vocab_size {ckpt.config.encoder.vocab_size} is not the vocabulary's {len(vocab)}")
     if not d.records:
         raise ValidationError("cannot predict on an empty dataset")
     enc_cfg = ckpt.config.encoder
@@ -428,78 +431,63 @@ def seed_sweep(
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the binary checkpoint format, version 4.
+    """Write the binary checkpoint format, version 5.
 
     Layout: magic ``MTAF``, little-endian u32 format version, little-endian
-    u64 JSON header length, the UTF-8 JSON header (config echo, vocab hash,
-    tensor manifest of name and shape), then the tensors as raw
-    little-endian float64, back to back in manifest order.
+    u64 JSON header length, the UTF-8 JSON header (config echo and vocab
+    hash), then the tensors as raw little-endian float64, back to back in
+    the config's ``param_shapes`` order: the config alone names and shapes
+    them. ValidationError, before the file is opened, for a checkpoint that
+    would not load: an invalid config, or a missing, misshapen or extra tensor.
     """
-    header = {
-        "config": ckpt.config.to_dict(),
-        "vocab_hash": ckpt.vocab_hash,
-        "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in ckpt.params.items()],
-    }
+    ckpt.config.validate()
+    shapes = {name: shape for name, shape, _ in param_shapes(ckpt.config.encoder)}
+    for name, shape in shapes.items():
+        if name not in ckpt.params:
+            raise ValidationError(f"checkpoint lacks tensor {name!r}, which its config needs")
+        if ckpt.params[name].shape != shape:
+            raise ValidationError(f"tensor {name!r} has shape {ckpt.params[name].shape}, its config needs {shape}")
+    if extra := ckpt.params.keys() - shapes.keys():
+        raise ValidationError(f"tensor {min(extra)!r} is not part of the model its config describes")
+    header = {"config": ckpt.config.to_dict(), "vocab_hash": ckpt.vocab_hash}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for arr in ckpt.params.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)) + header_bytes)
+        for name in shapes:
+            fh.write(np.ascontiguousarray(ckpt.params[name], dtype="<f8"))
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header_end = 16 + header_len
-    if len(raw) < header_end:
-        raise FormatError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(raw[16:header_end].decode("utf-8"))
-        echo, vocab_hash, manifest = header["config"], header["vocab_hash"], header["tensors"]
-        shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest}
-        if not all(isinstance(name, str) for name in shapes):
-            raise TypeError("a tensor name is not a string")
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
-    try:
-        config = TrainConfig.from_dict(echo)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: invalid config echo: {exc}") from None
-    needed = {name: shape for name, shape, _ in param_shapes(config.encoder)}
-    if shapes != needed:
-        for name, shape in needed.items():
-            if name not in shapes:
-                raise FormatError(f"{path}: checkpoint lacks tensor {name!r}, which its config needs")
-            if shapes[name] != shape:
-                raise FormatError(f"{path}: tensor {name!r} has shape {shapes[name]}, its config needs {shape}")
-        extra = min(shapes.keys() - needed.keys())
-        raise FormatError(f"{path}: tensor {extra!r} is not part of the model its config describes")
-    if len(manifest) != len(shapes):
-        raise FormatError(f"{path}: tensor manifest names a tensor more than once")
-
-    data = memoryview(raw)[header_end:]
-    expected = sum(math.prod(shape) * 8 for shape in needed.values())
-    if len(data) != expected:
-        raise FormatError(f"{path}: tensor section is {len(data)} bytes, expected {expected}")
-    params: Parameters = {}
-    start = 0
-    # Tensors lie back to back in manifest order, as save_checkpoint writes them.
-    for entry in manifest:
-        name, shape = entry["name"], needed[entry["name"]]
-        end = start + math.prod(shape) * 8
-        params[name] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).copy()
-        start = end
-    # One pass over the whole section; only a faulty one is scanned again, tensor by tensor.
-    if not np.isfinite(np.frombuffer(data, dtype="<f8")).all():
-        bad = next(name for name, arr in params.items() if not np.isfinite(arr).all())
-        raise FormatError(f"{path}: tensor {bad!r} holds a non-finite value")
+        prefix = fh.read(16)
+        if len(prefix) < 16 or prefix[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file (bad magic)")
+        version, header_len = struct.unpack_from("<IQ", prefix, 4)
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        # Sizes come from the file's length, never from a read, so a huge length field allocates nothing.
+        section = os.fstat(fh.fileno()).st_size - 16 - header_len
+        if section < 0:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            echo, vocab_hash = header["config"], header["vocab_hash"]
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
+        try:
+            config = TrainConfig.from_dict(echo)
+        except ValidationError as exc:
+            raise FormatError(f"{path}: invalid config echo: {exc}") from None
+        shapes = param_shapes(config.encoder)
+        expected = sum(math.prod(shape) * 8 for _, shape, _ in shapes)
+        if section != expected:
+            raise FormatError(f"{path}: tensor section is {section} bytes, expected {expected}")
+        params: Parameters = {}
+        for name, shape, _ in shapes:  # straight from the file into each array, with no second copy
+            arr = params[name] = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"{path}: tensor {name!r} is cut short")
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name!r} holds a non-finite value")
     return Checkpoint(config=config, vocab_hash=vocab_hash, params=params)

@@ -14,6 +14,7 @@ from miniaffect.text import (
     CLS_ID,
     PAD_ID,
     UNK_ID,
+    Vocab,
     build_vocab,
     encode,
     load_vocab,
@@ -218,7 +219,7 @@ def test_load_vocab_header_must_be_token(tmp_path):
 
 
 @pytest.mark.parametrize("content, message", [
-    ("token\nhello\nworld\nhello\n", "line 4: repeated token 'hello'"),
+    ("token\nhello\nworld\nhello\n", "line 4: duplicate token 'hello'"),
     ("token\nhello\n\nworld\n", "line 3: empty token"),
 ], ids=["repeated", "empty"])
 def test_load_vocab_refuses_a_token_that_cannot_have_one_id(tmp_path, content, message):
@@ -226,3 +227,19 @@ def test_load_vocab_refuses_a_token_that_cannot_have_one_id(tmp_path, content, m
     path.write_text(content, encoding="utf-8")
     with pytest.raises(RowError, match=re.escape(f"{path}: {message}")):
         load_vocab(path)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.one_of(st.sampled_from(["", "a", "b", "<pad>"]), _WORD), max_size=6))
+def test_save_vocab_refuses_or_writes_what_loads_back_equal(tokens):
+    """save_vocab either raises ValidationError and leaves no file, or writes a table load_vocab reads back equal."""
+    vocab = Vocab(["<pad>", "<unk>", "<cls>", *tokens])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vocab.tsv"
+        try:
+            save_vocab(vocab, path)
+        except ValidationError:
+            assert not path.exists()
+            assert "" in tokens or len(set(tokens)) < len(tokens) or any(re.search("[\t\n]|\r$", t) for t in tokens)
+            return
+        assert load_vocab(path) == vocab

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import struct
 import tempfile
 from dataclasses import replace
@@ -218,15 +219,19 @@ def test_checkpoint_round_trip(tmp_path, emotion_data):
         assert np.array_equal(loaded.params[name], ckpt.params[name])
 
 
+def _small_checkpoint() -> Checkpoint:
+    """A freshly initialised two-layer multitask checkpoint, small enough to build per example."""
+    encoder = tiny_encoder_kwargs(vocab_size=20, d_model=8, d_ff=8, n_layers=2)
+    cfg = make_config(task="multitask", epochs=2, seed=5, encoder=encoder)
+    return Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, 5))
+
+
 @functools.cache
 def _saved_checkpoint() -> tuple[bytes, int]:
     """A small trained-shape checkpoint's bytes and the offset where its tensor section starts."""
-    encoder = tiny_encoder_kwargs(vocab_size=20, d_model=8, d_ff=8, n_layers=2)
-    cfg = make_config(task="multitask", epochs=2, seed=5, encoder=encoder)
-    ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, 5))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
-        save_checkpoint(ckpt, path)
+        save_checkpoint(_small_checkpoint(), path)
         raw = path.read_bytes()
     return raw, 16 + int.from_bytes(raw[8:16], "little")
 
@@ -328,15 +333,96 @@ def test_checkpoint_rejects_truncation(tmp_path, emotion_data):
         load_checkpoint(truncated)
 
 
+def test_checkpoint_short_tensor_read_is_a_format_error(tmp_path):
+    """A file that shrinks after its size was checked fails naming the tensor, not with a half-filled array."""
+    raw, _ = _saved_checkpoint()
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(raw[:-8])
+    with mock.patch.object(train_module.os, "fstat", return_value=mock.Mock(st_size=len(raw))):
+        with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'head_distress\.b' is cut short$"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_header_holds_each_fact_once():
     raw, header_end = _saved_checkpoint()
-    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (4,)
+    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (5,)
     header = json.loads(raw[16:header_end])
-    # The best dev metric and epoch are the train report's; the checkpoint holds only what loading needs.
-    assert set(header) == {"config", "vocab_hash", "tensors"}
-    assert all(set(entry) == {"name", "shape"} for entry in header["tensors"])
-    # The tensors lie back to back in manifest order, so the section is exactly their sizes.
-    assert len(raw) - header_end == sum(8 * math.prod(entry["shape"]) for entry in header["tensors"])
+    # The config echo names and shapes every tensor, so there is no tensor manifest; the best dev metric
+    # and epoch are the train report's. The checkpoint holds only what loading needs.
+    assert set(header) == {"config", "vocab_hash"}
+    shapes = [shape for _, shape, _ in param_shapes(TrainConfig.from_dict(header["config"]).encoder)]
+    assert len(raw) - header_end == sum(8 * math.prod(shape) for shape in shapes)
+
+
+def test_checkpoint_bytes_do_not_depend_on_dict_order(tmp_path):
+    ckpt = _small_checkpoint()
+    save_checkpoint(ckpt, tmp_path / "ordered.ckpt")
+    save_checkpoint(replace(ckpt, params=dict(reversed(ckpt.params.items()))), tmp_path / "reversed.ckpt")
+    raw = (tmp_path / "ordered.ckpt").read_bytes()
+    assert (tmp_path / "reversed.ckpt").read_bytes() == raw
+    # The tensors lie back to back in the config's param_shapes order.
+    section = b"".join(ckpt.params[name].tobytes() for name, _, _ in param_shapes(ckpt.config.encoder))
+    assert raw.endswith(section) and len(raw) == 16 + int.from_bytes(raw[8:16], "little") + len(section)
+
+
+def _with_encoder(**changes):
+    def edit(ckpt):
+        ckpt.config = replace(ckpt.config, encoder=replace(ckpt.config.encoder, **changes))
+    return edit
+
+
+@pytest.mark.parametrize("message, edit", [
+    ("checkpoint lacks tensor 'head.w', which its config needs", lambda ckpt: ckpt.params.pop("head.w")),
+    ("tensor 'pos_emb' has shape (10, 32), its config needs (16, 32)",
+     lambda ckpt: ckpt.params.update(pos_emb=ckpt.params["pos_emb"][:10])),
+    ("tensor 'zz' is not part of the model its config describes", lambda ckpt: ckpt.params.update(zz=np.zeros(1))),
+    ("10000000000 layers", _with_encoder(n_layers=10**10)),
+    ("not divisible by n_heads 3", _with_encoder(n_heads=3)),
+    ("epochs must be >= 0", lambda ckpt: setattr(ckpt, "config", replace(ckpt.config, epochs=-4))),
+], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "extra_tensor", "n_layers_1e10", "n_heads_not_dividing_d_model",
+        "epochs_negative"])
+def test_save_checkpoint_refuses_a_checkpoint_that_would_not_load(tmp_path, emotion_data, message, edit):
+    train_set, dev_set = emotion_data
+    ckpt, _ = train(train_set, dev_set, build_vocab(train_set), tiny_config(epochs=0))
+    edit(ckpt)
+    path = tmp_path / "bad.ckpt"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        save_checkpoint(ckpt, path)  # the config is validated first, so 1e10 layers are never walked
+    assert not path.exists()
+
+
+@settings(max_examples=100)
+@given(faults=st.lists(st.tuples(st.sampled_from(["drop", "reshape", "extra", "reverse"]), st.integers(0, 2**16)),
+                       max_size=3))
+def test_save_checkpoint_refuses_or_writes_what_loads_back_equal(faults):
+    """save_checkpoint either raises ValidationError and leaves no file, or writes a file that
+    load_checkpoint reads back equal; only a reordered params dict is saved."""
+    ckpt = _small_checkpoint()
+    for kind, pick in faults:
+        names = list(ckpt.params)
+        name = names[pick % len(names)]
+        if kind == "drop":
+            del ckpt.params[name]
+        elif kind == "reshape":
+            ckpt.params[name] = ckpt.params[name][..., None]
+        elif kind == "extra":
+            ckpt.params[f"extra.{pick}"] = np.zeros(pick % 4)
+        else:
+            ckpt.params = dict(reversed(ckpt.params.items()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        try:
+            save_checkpoint(ckpt, path)
+        except ValidationError:
+            assert not path.exists()
+            assert any(kind != "reverse" for kind, _ in faults)
+            return
+        loaded = load_checkpoint(path)
+    assert all(kind == "reverse" for kind, _ in faults)
+    assert loaded.config == ckpt.config and loaded.vocab_hash == ckpt.vocab_hash
+    assert loaded.params.keys() == ckpt.params.keys()
+    for name, arr in loaded.params.items():
+        assert arr.shape == ckpt.params[name].shape and arr.tobytes() == ckpt.params[name].tobytes(), name
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path, emotion_data):
@@ -396,6 +482,18 @@ def test_predict_clamp_refuses_a_classification_checkpoint(emotion_data):
     ckpt, _ = train(train_set, dev_set, vocab, tiny_config(epochs=0))
     with pytest.raises(ValidationError, match="task 'emotion'"):
         predict(ckpt, dev_set, vocab, clamp=True)
+
+
+@pytest.mark.parametrize("vocab_size", [0, 5])
+def test_predict_refuses_a_checkpoint_sized_for_another_vocabulary(emotion_data, vocab_size):
+    """A config echo and embedding cut to another vocab_size by hand load, but predict refuses them."""
+    train_set, dev_set = emotion_data
+    vocab = build_vocab(train_set)
+    ckpt, _ = train(train_set, dev_set, vocab, tiny_config(epochs=0))
+    ckpt.config = replace(ckpt.config, encoder=replace(ckpt.config.encoder, vocab_size=vocab_size))
+    ckpt.params["tok_emb"] = ckpt.params["tok_emb"][:vocab_size]
+    with pytest.raises(ValidationError, match=f"checkpoint vocab_size {vocab_size} is not the vocabulary's {len(vocab)}"):
+        predict(ckpt, dev_set, vocab)
 
 
 def test_predict_regression_columns_and_clamp(regression_data):

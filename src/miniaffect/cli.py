@@ -31,6 +31,7 @@ from .metrics import build_report, confusion_csv, histogram_csv
 from .predictions import (
     ClassificationPredictions,
     RegressionPredictions,
+    format_predictions,
     read_predictions,
     write_predictions,
 )
@@ -243,18 +244,19 @@ def cmd_ensemble(run: _Run, args) -> None:
         raise ValidationError("--space does not apply to --task regression, which averages the member scores")
     space = None if args.task == "regression" else args.space or "probability"
     members = [read_predictions(run.add_input(p)) for p in args.files]
+    kind = RegressionPredictions if args.task == "regression" else ClassificationPredictions
+    if not all(isinstance(m, kind) for m in members):
+        raise ValidationError(f"{args.task} ensemble requires {args.task} prediction files")
     if args.task == "regression":
-        if not all(isinstance(m, RegressionPredictions) for m in members):
-            raise ValidationError("regression ensemble requires regression prediction files")
-        merged = ensemble_regression(members)
-        run.write("ensemble.tsv", write_predictions, merged)
+        outputs = {"ensemble.tsv": ensemble_regression(members)}
     else:
-        if not all(isinstance(m, ClassificationPredictions) for m in members):
-            raise ValidationError("classification ensemble requires classification prediction files")
         combined = ensemble_classification(members, score_space=space)
-        for name, scores in (("ensemble.tsv", combined.normalized), ("ensemble_summed.tsv", combined.summed)):
-            preds = ClassificationPredictions(ids=combined.ids, scores=scores, labels=combined.labels)
-            run.write(name, write_predictions, preds)
+        scores = {"ensemble.tsv": combined.normalized, "ensemble_summed.tsv": combined.summed}
+        outputs = {name: ClassificationPredictions(combined.ids, values, combined.labels) for name, values in scores.items()}
+    # Every file is formatted, and so checked, before any is written.
+    texts = {name: format_predictions(preds) for name, preds in outputs.items()}
+    for name, text in texts.items():
+        run.write(name, _write_text, text)
     run.config = {"task": args.task, "space": space, "members": len(members)}
     run.say(f"combined {len(members)} member files")
 

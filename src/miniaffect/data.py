@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -211,10 +211,11 @@ def read_table(path, key: str = "id") -> tuple[list[str], list[tuple[int, list[s
 def format_table(header, rows, key: str = "id") -> str:
     """TSV text for a header and rows of already-escaped cells, one line each.
 
-    ValidationError naming a column the header repeats, the line and column
-    of a cell ``read_table`` would not read back, or the line of an empty or
-    repeated cell in a ``key`` column. Callers format a table before they
-    open its file, so a refused table leaves no file behind.
+    ValidationError naming a column the header repeats, the line of a row
+    with another cell count than the header's, the line and column of a cell
+    ``read_table`` would not read back, or the line of an empty or repeated
+    cell in a ``key`` column. Callers format a table before they open its
+    file, so a refused table leaves no file behind.
     """
     if len(set(header)) != len(header):
         repeated = next(name for i, name in enumerate(header) if name in header[:i])
@@ -232,9 +233,14 @@ def format_table(header, rows, key: str = "id") -> str:
                 seen.add(cell)
     lines = ["\t".join(header), *("\t".join(row) for row in rows)]
     text = "\n".join(lines) + "\n"
-    # Only a faulty text is scanned again, cell by cell.
-    if "\r\n" in text or text.count("\n") != len(lines) or text.count("\t") != len(lines) * (len(header) - 1):
+    # Only a faulty table is scanned again, cell by cell.
+    counts_ok = set(map(len, rows)) <= {len(header)} and text.count("\t") == len(lines) * (len(header) - 1)
+    if not counts_ok or "\r\n" in text or text.count("\n") != len(lines):
         for line_no, row in enumerate([header, *rows], start=1):
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"line {line_no}: expected {len(header)} columns, found {len(row)}, which would not read back"
+                )
             for col, (name, cell) in enumerate(zip(header, row)):
                 if "\t" in cell or "\n" in cell or (col == len(row) - 1 and cell.endswith("\r")):
                     raise ValidationError(
@@ -245,7 +251,11 @@ def format_table(header, rows, key: str = "id") -> str:
 
 
 def _load_tsv(path, split: str, text_column: str) -> Dataset:
-    header, rows = read_table(path)
+    return _table_dataset(*read_table(path), split, text_column, path)
+
+
+def _table_dataset(header, rows, split: str, text_column: str, path=None) -> Dataset:
+    """The Dataset a task or pool table's ``read_table`` header and rows hold; ``path`` names its file in errors."""
     if text_column not in header:
         raise FormatError(f"{path}: header has no {text_column!r} column (got {header})")
     if split == "pool" and "emotion" not in header:
@@ -291,26 +301,34 @@ def load_pool_tsv(path) -> Dataset:
 
 
 def serialize_dataset(d: Dataset) -> str:
-    """Render a Dataset back to TSV text.
+    """Render a Dataset back to TSV text that the loader reads back as the same records.
 
-    Loading the result reproduces every field value exactly. Column order is
-    canonical (id, essay/text, empathy, distress, emotion, sorted extras), so
-    two identical Datasets always serialize to identical bytes.
+    A record the loader would refuse is a RowError naming its line, and one it
+    would read back changed a ValidationError naming the record and the field.
+    Column order is canonical (id, essay/text, empathy, distress, emotion,
+    sorted extras), so two identical Datasets always serialize to identical bytes.
     """
     text_column = "text" if d.split == "pool" else "essay"
-    labels = [name for name in LABEL_FIELDS if any(getattr(r, name) is not None for r in d.records)]
+    # A pool file needs its emotion column even with no rows; the pool loader reads no scores.
+    labels = ["emotion"] if d.split == "pool" else [
+        name for name in LABEL_FIELDS if any(getattr(r, name) is not None for r in d.records)
+    ]
     extra_keys = sorted({k for r in d.records for k in r.extras})
 
-    rows = []
+    header, rows = ["id", text_column, *labels, *extra_keys], []
     for r in d.records:
-        if r.text.strip() == "":
-            raise ValidationError(f"record {r.id!r} has an empty {text_column} text, which no loader accepts")
         row = [r.id, escape_field(r.text)]
         for name in labels:
             value = getattr(r, name)
             row.append("" if value is None else value if name == "emotion" else repr(float(value)))
         rows.append(row + [r.extras.get(key, "") for key in extra_keys])
-    return format_table(["id", text_column, *labels, *extra_keys], rows)
+    text = format_table(header, rows)
+    loaded = _table_dataset(header, list(enumerate(rows, start=2)), d.split, text_column)
+    for r, back in zip(d.records, loaded.records):
+        if r != back:
+            name = next(f.name for f in fields(r) if getattr(r, f.name) != getattr(back, f.name))
+            raise ValidationError(f"record {r.id!r}: {name} {getattr(r, name)!r} would read back as {getattr(back, name)!r}")
+    return text
 
 
 def save_dataset(d: Dataset, path) -> None:

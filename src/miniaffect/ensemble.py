@@ -47,6 +47,8 @@ def _ordered_sum(stacked: np.ndarray) -> np.ndarray:
     return np.sort(stacked, axis=0).sum(axis=0)
 
 
+# Finite members can sum to an infinity, which logit softmax turns into NaN: the prediction writer refuses it.
+@np.errstate(all="ignore")
 def ensemble_regression(members: list[RegressionPredictions]) -> RegressionPredictions:
     """Element-wise arithmetic mean of the members' score columns."""
     ids = _check_alignment([m.ids for m in members])
@@ -66,6 +68,7 @@ def ensemble_regression(members: list[RegressionPredictions]) -> RegressionPredi
     return RegressionPredictions(ids=ids, empathy=empathy, distress=distress)
 
 
+@np.errstate(all="ignore")
 def ensemble_classification(
     members: list[ClassificationPredictions], score_space: str = "probability"
 ) -> ClassificationEnsemble:

@@ -18,6 +18,7 @@ def pearson(x, y) -> float:
 
     Raises on vectors shorter than 2 and on constant vectors: a degenerate
     variance usually means a collapsed model and should never read as r = 0.
+    Values whose float64 sums overflow or squared deviations underflow raise too.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -25,13 +26,17 @@ def pearson(x, y) -> float:
         raise ValidationError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("pearson needs two 1-d vectors of length >= 2")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = np.sqrt((dx * dx).sum())
-    sy = np.sqrt((dy * dy).sum())
-    if sx == 0.0 or sy == 0.0:
+    with np.errstate(all="ignore"):  # an overflow or underflow is reported below
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sx = np.sqrt((dx * dx).sum())
+        sy = np.sqrt((dy * dy).sum())
+        r = (dx * dy).sum() / (sx * sy)
+    if sx == 0.0 and (x == x[0]).all() or sy == 0.0 and (y == y[0]).all():
         raise ValidationError("pearson undefined: input vector is constant")
-    return float((dx * dy).sum() / (sx * sy))
+    if not 0.0 < sx * sy < np.inf:
+        raise ValidationError("pearson undefined: the values overflow float64 sums, or their deviations underflow")
+    return float(r)
 
 
 def accuracy(preds, golds) -> float:

@@ -14,7 +14,8 @@ checkpoint code can stay shape-agnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +46,7 @@ MAX_TENSORS = 2**12
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    vocab_size: int = 0  # 0 = fill in from the built vocabulary
+    vocab_size: int = 0  # 0 = fill in from the built vocabulary; init_params refuses it
     d_model: int = 64
     n_layers: int = 2
     n_heads: int = 4
@@ -54,9 +55,11 @@ class EncoderConfig:
     dropout_rate: float = 0.1
     head_kind: str = "classify7"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len"):
+        if self.vocab_size < 0:
+            raise ValidationError(f"vocab_size must be >= 0, got {self.vocab_size}")
+        for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_len"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_len < 2:
@@ -67,8 +70,9 @@ class EncoderConfig:
             raise ValidationError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         if self.head_kind not in HEAD_KINDS:
             raise ValidationError(f"unknown head_kind {self.head_kind!r}")
-        # Sized from a one-layer manifest so a huge n_layers costs nothing to check.
-        sizes = {name: shape for name, shape, _ in param_shapes(replace(self, n_layers=1))}
+        # Sized from a one-layer manifest so a huge n_layers costs nothing to check. The one-layer
+        # stand-in is no config, so building it neither checks it again nor refuses it first.
+        sizes = {name: shape for name, shape, _ in param_shapes(SimpleNamespace(**{**vars(self), "n_layers": 1}))}
         layer = [math.prod(s) for name, s in sizes.items() if name.startswith("layers.")]
         tensors = len(sizes) + (self.n_layers - 1) * len(layer)
         if tensors > MAX_TENSORS:
@@ -123,7 +127,8 @@ def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
 
 def init_params(cfg: EncoderConfig, seed: int) -> Parameters:
     """Seeded Xavier-uniform weights (PCG64); biases zero, norm gains one."""
-    cfg.validate()
+    if cfg.vocab_size == 0:
+        raise ValidationError("vocab_size must be positive to build a model, got 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     params: Parameters = {}
     for name, shape, kind in param_shapes(cfg):

@@ -28,7 +28,7 @@ class AdamWConfig:
     eps: float = 1e-6
     weight_decay: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)
         if self.lr <= 0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
@@ -53,7 +53,6 @@ class AdamW:
     """
 
     def __init__(self, cfg: AdamWConfig):
-        cfg.validate()
         self.cfg = cfg
         self.t = 0
         self.m: dict[str, np.ndarray] = {}

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EMOTIONS, format_table, number_columns, parse_label, read_table, rows_of
-from .errors import FormatError
+from .data import EMOTION_TO_ID, EMOTIONS, format_table, number_columns, parse_label, read_table, rows_of
+from .errors import FormatError, ValidationError
 
 _PROB_COLUMNS = tuple(f"p_{label}" for label in EMOTIONS)
 
@@ -34,21 +34,29 @@ class ClassificationPredictions:
 
 
 def format_predictions(preds) -> str:
+    """TSV text for ``preds``; ValidationError, by line and column, for what ``read_predictions`` would not read back."""
     if isinstance(preds, RegressionPredictions):
         columns = [name for name in ("empathy", "distress") if getattr(preds, name) is not None]
         if not columns:
-            raise ValueError("regression predictions carry no score columns")
+            raise ValidationError("regression predictions carry no score columns")
         values = np.column_stack([getattr(preds, name) for name in columns])
     elif isinstance(preds, ClassificationPredictions):
-        columns = [*_PROB_COLUMNS, "label"]
-        values = preds.scores
+        columns, values = list(_PROB_COLUMNS), preds.scores
     else:
         raise TypeError(f"unsupported prediction object {type(preds).__name__}")
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[1:] != (len(columns),):
+        raise ValidationError(f"columns {columns} need a [rows, {len(columns)}] array, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise ValidationError(f"line {row + 2}, column {columns[col]!r}: {float(values[row, col])!r} would not read back")
     # tolist() yields Python floats, whose repr() round-trips exactly
-    floats = np.asarray(values, dtype=np.float64).tolist()
-    rows = [[rec_id, *map(repr, row)] for rec_id, row in zip(preds.ids, floats, strict=True)]
+    rows = [[rec_id, *map(repr, row)] for rec_id, row in zip(preds.ids, values.tolist(), strict=True)]
     if isinstance(preds, ClassificationPredictions):
-        for row, label in zip(rows, preds.labels, strict=True):
+        columns.append("label")
+        for line_no, (row, label) in enumerate(zip(rows, preds.labels, strict=True), start=2):
+            if label not in EMOTION_TO_ID:
+                raise ValidationError(f"line {line_no}, column 'label': {label!r} would not read back as an emotion")
             row.append(label)
     return format_table(["id", *columns], rows)
 

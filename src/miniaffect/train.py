@@ -86,7 +86,7 @@ class TrainConfig:
     vocab_max_size: int
     vocab_min_freq: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r} (expected one of {', '.join(TASKS)})")
@@ -105,11 +105,6 @@ class TrainConfig:
         spec = _TASKS[self.task]
         if self.snapshot_metric not in spec.snapshots:
             raise ValidationError(f"snapshot metric {self.snapshot_metric!r} is incompatible with task {self.task!r}")
-        self.optimizer.validate()
-        # vocab_size 0 means train() fills it in from the built vocabulary; the
-        # types are checked first so that no falsy non-integer passes as that 0.
-        check_field_types(self.encoder)
-        replace(self.encoder, vocab_size=self.encoder.vocab_size or 1).validate()
         if self.encoder.head_kind != spec.head_kind:
             raise ValidationError(f"head_kind {self.encoder.head_kind!r} does not fit task {self.task!r}")
 
@@ -118,7 +113,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """The validated config ``d`` describes: the one way a dict, from any source, becomes a TrainConfig."""
+        """The config ``d`` describes: the one way a dict, from any source, becomes a TrainConfig."""
 
         def checked(kind, d, name: str) -> dict:
             if not isinstance(d, dict):
@@ -133,9 +128,7 @@ class TrainConfig:
         checked(cls, d, "config")
         optimizer = AdamWConfig(**checked(AdamWConfig, d["optimizer"], "optimizer"))
         encoder = EncoderConfig(**checked(EncoderConfig, d["encoder"], "encoder"))
-        cfg = cls(**{**d, "optimizer": optimizer, "encoder": encoder})
-        cfg.validate()
-        return cfg
+        return cls(**{**d, "optimizer": optimizer, "encoder": encoder})
 
 
 def make_config(task: str, epochs: int, preset: str | None = None, **settings) -> TrainConfig:
@@ -211,8 +204,6 @@ def make_batches(d: Dataset, batch_size: int, shuffle: bool, seed: int, epoch: i
     n = len(d.records)
     if n == 0:
         raise ValidationError("cannot batch an empty dataset")
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     if shuffle:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, epoch])))
         order = rng.permutation(n)
@@ -285,7 +276,6 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     Ties on the snapshot metric keep the earlier epoch. With epochs=0 the
     checkpoint holds the untouched initialization and no metric.
     """
-    cfg.validate()
     if not dev_set.records:
         raise ValidationError("dev set is empty: it is needed to pick the best epoch")
     targets = gold_values(train_set.records, _TASKS[cfg.task].labels, "train")
@@ -404,21 +394,22 @@ def seed_sweep(
 ) -> SweepReport:
     """Train once per seed and summarize the best dev metrics.
 
-    Every seed is validated, and must be listed once, before the first run.
+    Every seed must be listed once, and its config is built before the first run.
     ``std`` is the population standard deviation of the per-seed values.
     """
     if len(seeds) < 2:
         raise ValidationError("seed sweep needs at least 2 seeds")
     if cfg.epochs < 1:
         raise ValidationError("seed sweep needs at least 1 epoch")
+    configs = []
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:
             raise ValidationError(f"seed sweep lists seed {seed} more than once")
-        replace(cfg, seed=seed).validate()
+        configs.append(replace(cfg, seed=seed))
     entries = []
-    for seed in seeds:
-        _, report = train(train_set, dev_set, vocab, replace(cfg, seed=seed))
-        entries.append(SweepEntry(seed=seed, best_metric=report.best_metric, best_epoch=report.best_epoch))
+    for run_cfg in configs:
+        _, report = train(train_set, dev_set, vocab, run_cfg)
+        entries.append(SweepEntry(seed=run_cfg.seed, best_metric=report.best_metric, best_epoch=report.best_epoch))
     values = np.array([e.best_metric for e in entries], dtype=np.float64)
     return SweepReport(
         metric=cfg.snapshot_metric,
@@ -438,9 +429,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     hash), then the tensors as raw little-endian float64, back to back in
     the config's ``param_shapes`` order: the config alone names and shapes
     them. ValidationError, before the file is opened, for a checkpoint that
-    would not load: an invalid config, or a missing, misshapen or extra tensor.
+    would not load: a missing, misshapen or extra tensor.
     """
-    ckpt.config.validate()
     shapes = {name: shape for name, shape, _ in param_shapes(ckpt.config.encoder)}
     for name, shape in shapes.items():
         if name not in ckpt.params:

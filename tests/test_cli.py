@@ -22,6 +22,7 @@ from miniaffect.errors import FormatError, ValidationError
 from miniaffect.nn.encoder import EncoderConfig, init_params
 from miniaffect.optim import AdamWConfig
 from miniaffect.predictions import read_predictions
+from miniaffect.text import load_vocab
 from miniaffect.train import Checkpoint, TrainConfig, load_checkpoint, make_config, save_checkpoint
 
 from corpus import keyword_classification_corpus, tiny_encoder_kwargs
@@ -36,14 +37,29 @@ def strict_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
 
 
+# The reader that consumes each TSV output a command can write.
+_TSV_READERS = {
+    "dataset.tsv": lambda path: load_task_tsv(path, "derived"),
+    "augmented.tsv": lambda path: load_task_tsv(path, "derived"),
+    "vocab.tsv": load_vocab,
+    "predictions.tsv": read_predictions,
+    "ensemble.tsv": read_predictions,
+    "ensemble_summed.tsv": read_predictions,
+}
+
+
 def run(*argv):
-    """main() on argv; after a success, every JSON file the command wrote must be strict JSON."""
+    """main() on argv; after a success, every JSON file the command wrote must be strict JSON,
+    and every TSV file must load through the reader that consumes it."""
     argv = [str(a) for a in argv]
     code = main(argv)
     if code == 0 and "--out" in argv:
         manifest = Path(argv[argv.index("--out") + 1]) / "manifest.json"
-        for path in [manifest, *(p for p in strict_json(manifest)["outputs"] if p.endswith(".json"))]:
+        outputs = strict_json(manifest)["outputs"]
+        for path in [manifest, *(p for p in outputs if p.endswith(".json"))]:
             strict_json(path)
+        for path in (p for p in outputs if p.endswith(".tsv")):
+            _TSV_READERS[Path(path).name](path)
     return code
 
 
@@ -537,6 +553,43 @@ def test_ensemble_manifest_records_the_space_used(tmp_path):
     assert json.loads((tmp_path / "reg" / "manifest.json").read_text())["config"]["space"] is None
 
 
+_PROB_HEADER = "id\t" + "\t".join(f"p_{e}" for e in EMOTIONS) + "\tlabel\n"
+_UNIFORM = "\t".join([repr(1 / 7)] * 7)
+
+
+def _logit_member(p_anger):
+    rest = "\t0.0" * 6 + "\tanger\n"
+    return _PROB_HEADER + f"a\t{p_anger}{rest}b\t1.0{rest}"
+
+
+@pytest.mark.parametrize("task, space, member, fault", [
+    ("regression", None, "id\tempathy\na\t1e308\nb\t2.0\n", "column 'empathy': inf"),
+    # the softmax of the mean turns the summed infinity into NaN
+    ("classification", "logit", _logit_member("1e308"), "column 'p_anger': nan"),
+    # here ensemble.tsv, the softmax, is finite, and only ensemble_summed.tsv holds the infinity
+    ("classification", "logit", _logit_member("-1e308"), "column 'p_anger': -inf"),
+], ids=["regression_mean_overflows", "logit_softmax_of_an_infinity", "logit_sum_overflows_alone"])
+def test_ensemble_of_finite_members_that_overflows_exits_1_writing_nothing(tmp_path, task, space, member, fault,
+                                                                           capsys):
+    path = tmp_path / "m.tsv"
+    path.write_text(member, encoding="utf-8")
+    out = tmp_path / "out"
+    flags = ["--space", space] if space else []
+    assert run("ensemble", "--task", task, *flags, path, path, "--out", out) == 1
+    assert f"error: line 2, {fault} would not read back" in capsys.readouterr().err
+    assert not list(out.glob("ensemble*.tsv"))
+
+
+def test_eval_on_predictions_whose_sums_overflow_exits_1_writing_nothing(tmp_path, capsys):
+    pred, gold = tmp_path / "p.tsv", tmp_path / "g.tsv"
+    pred.write_text("id\tempathy\na\t1e308\nb\t1.7e308\nc\t-1e308\n", encoding="utf-8")
+    gold.write_text("id\tessay\tempathy\na\tx\t1.0\nb\ty\t2.0\nc\tz\t4.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("eval", "--task", "regression", "--pred", pred, "--gold", gold, "--out", out) == 1
+    assert "error: pearson undefined: the values overflow float64 sums" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_seed_sweep_cli(tmp_path, corpora):
     out = tmp_path / "out"
     code = run("seed-sweep", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
@@ -828,10 +881,6 @@ def test_strict_json_rejects_non_finite_constants(tmp_path):
         path.write_text(f'{{"pearson_empathy": {constant}}}', encoding="utf-8")
         with pytest.raises(ValueError, match="non-standard JSON constant"):
             strict_json(path)
-
-
-_PROB_HEADER = "id\t" + "\t".join(f"p_{e}" for e in EMOTIONS) + "\tlabel\n"
-_UNIFORM = "\t".join([repr(1 / 7)] * 7)
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])

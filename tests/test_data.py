@@ -1,5 +1,6 @@
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +158,10 @@ def test_format_table_read_table_round_trip_property(rows):
     (["a", "b"], [["1", "2"], ["3", "4\r"]], r"^line 3, column 'b': '4\\r' would not read back "),
     (["a", "b\r"], [], r"^line 1, column 'b\\r': 'b\\r' would not read back "),
     (["id", "essay", "emotion", "essay"], [], r"^header repeats column 'essay', which would not read back$"),
-], ids=["tab", "newline", "row-ending-cr", "header-cr", "repeated-column"])
+    (["a", "b"], [["1", "2"], ["3"]], r"^line 3: expected 2 columns, found 1, which would not read back$"),
+    # the tab count alone matches: the cell's tab stands in for the short row's
+    (["a", "b"], [["1", "x\ty"], ["3"]], r"^line 2, column 'b': 'x\\ty' would not read back "),
+], ids=["tab", "newline", "row-ending-cr", "header-cr", "repeated-column", "short-row", "short-row-and-tab"])
 def test_format_table_rejects_a_cell_that_would_not_read_back(header, rows, message):
     with pytest.raises(ValidationError, match=message):
         format_table(header, rows)
@@ -291,6 +295,45 @@ def test_serialize_load_round_trip_property(records, split):
     assert loaded.records == records
 
 
+# Edits that make a valid record one the loaders would refuse or read back changed; "scored" does so only in a pool.
+_RECORD_FAULTS = {
+    "emotion_bogus": lambda r: replace(r, emotion="bogus"),
+    "emotion_capitalised": lambda r: replace(r, emotion="Joy"),
+    "empathy_below_range": lambda r: replace(r, empathy=0.5),
+    "empathy_nan": lambda r: replace(r, empathy=float("nan")),
+    "empty_extra": lambda r: replace(r, extras={**r.extras, "note": ""}),
+    "extra_named_as_a_label": lambda r: replace(r, extras={**r.extras, "distress": "3.0"}),
+    "scored": lambda r: replace(r, empathy=3.0),
+}
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(_record, max_size=4, unique_by=lambda r: r.id),
+    st.sampled_from(["train", "pool"]),
+    st.lists(st.tuples(st.sampled_from(list(_RECORD_FAULTS)), st.integers(0, 2**16)), max_size=2),
+)
+def test_save_dataset_refuses_or_writes_what_loads_back_equal(records, split, faults):
+    """save_dataset either raises ValidationError and leaves no file, or writes a file that
+    load_task_tsv or load_pool_tsv reads back equal; only a faulty record is refused."""
+    if split == "pool":  # a valid pool record has an emotion and no scores
+        records = [replace(r, empathy=None, distress=None, emotion=r.emotion or "fear") for r in records]
+    for kind, pick in faults:
+        if records:
+            records[pick % len(records)] = _RECORD_FAULTS[kind](records[pick % len(records)])
+    faulty = bool(records) and any(kind != "scored" or split == "pool" for kind, _ in faults)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.tsv"
+        try:
+            save_dataset(Dataset(split, records), path)
+        except ValidationError:
+            assert not path.exists()
+            assert faulty
+            return
+        loaded = load_pool_tsv(path) if split == "pool" else load_task_tsv(path, split)
+    assert loaded.records == records
+
+
 def test_serialize_rejects_what_the_loader_would_not_read_back():
     with pytest.raises(ValidationError, match=r"^line 2, column 'id': 'a\\tb' would not read back"):
         serialize_dataset(Dataset("train", [EssayRecord("a\tb", "text")]))
@@ -298,6 +341,16 @@ def test_serialize_rejects_what_the_loader_would_not_read_back():
         serialize_dataset(Dataset("train", [EssayRecord("a", "text", extras={"note": "x\r"})]))
     with pytest.raises(ValidationError, match="empty essay text"):
         serialize_dataset(Dataset("train", [EssayRecord("a", " \t\n")]))
+    with pytest.raises(ValidationError, match=r"^line 2: empathy value 0\.5 outside the allowed range \[1,7\]$"):
+        serialize_dataset(Dataset("train", [EssayRecord("a", "text", empathy=0.5)]))
+    with pytest.raises(ValidationError, match="^record 'a': emotion 'Joy' would read back as 'joy'$"):
+        serialize_dataset(Dataset("train", [EssayRecord("a", "text", emotion="Joy")]))
+    with pytest.raises(ValidationError, match="^record 'a': empathy 3.0 would read back as None$"):
+        serialize_dataset(Dataset("pool", [EssayRecord("a", "text", empathy=3.0, emotion="joy")]))
+    with pytest.raises(ValidationError, match="^record 'a': extras {'note': ''} would read back as {}$"):
+        serialize_dataset(Dataset("train", [EssayRecord("a", "text", extras={"note": ""})]))
+    # A pool file has its emotion column even with no rows, which the pool loader requires.
+    assert serialize_dataset(Dataset("pool", [])) == "id\ttext\temotion\n"
 
 
 def test_serialize_load_round_trip(tmp_path):

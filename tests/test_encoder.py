@@ -1,3 +1,4 @@
+import re
 import time
 from dataclasses import replace
 
@@ -49,30 +50,43 @@ def batch_inputs(seed=0, batch=3, cfg=TINY):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=10, d_model=10, n_heads=3).validate()
+        EncoderConfig(vocab_size=10, d_model=10, n_heads=3)
     with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=0).validate()
-    with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=10, dropout_rate=1.0).validate()
+        EncoderConfig(vocab_size=10, dropout_rate=1.0)
     with pytest.raises(ValueError, match="max_len 1 leaves no room after the CLS position"):
-        EncoderConfig(vocab_size=10, max_len=1).validate()
+        EncoderConfig(vocab_size=10, max_len=1)
     with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=10, head_kind="regression_triple").validate()
+        EncoderConfig(vocab_size=10, head_kind="regression_triple")
+    with pytest.raises(ValidationError, match="vocab_size must be >= 0, got -1"):
+        EncoderConfig(vocab_size=-1)
+    with pytest.raises(ValidationError, match="n_heads must be positive, got 0"):
+        replace(TINY, n_heads=0)  # replace() builds, and so checks, a new config
+    # vocab_size 0 stands for the vocabulary's size, which train() fills in; no model is built at 0.
+    with pytest.raises(ValidationError, match="vocab_size must be positive to build a model, got 0"):
+        init_params(EncoderConfig(vocab_size=0), seed=0)
+
+
+@pytest.mark.parametrize("n_layers, total", [(1, 537219463), (3, 537879175)])
+def test_config_validation_caps_parameter_values(n_layers, total):
+    # A single layer is already over the cap; the message still counts every layer.
+    message = (f"encoder config needs {total} parameter values for {n_layers} layers,"
+               " more than the limit of 268435456 (largest tensor: tok_emb (2097152, 256))")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        EncoderConfig(vocab_size=2**21, d_model=256, n_layers=n_layers)
 
 
 def test_config_validation_caps_tensor_count():
     # 10**7 layers of width 1 stay under MAX_PARAMS, but building them would
-    # take minutes and about 50 GB; validate() refuses them without building.
-    huge = EncoderConfig(vocab_size=50, d_model=1, n_heads=1, d_ff=1, n_layers=10**7)
+    # take minutes and about 50 GB; the config refuses them without building.
     started = time.perf_counter()
     with pytest.raises(ValidationError, match="10000000 layers"):
-        huge.validate()
+        EncoderConfig(vocab_size=50, d_model=1, n_heads=1, d_ff=1, n_layers=10**7)
     assert time.perf_counter() - started < 0.1
-    deepest = replace(huge, n_layers=272)
-    deepest.validate()
-    assert len(param_shapes(deepest)) <= MAX_TENSORS < len(param_shapes(replace(deepest, n_layers=273)))
+    deepest = EncoderConfig(vocab_size=50, d_model=1, n_heads=1, d_ff=1, n_layers=272)
+    per_layer = len(param_shapes(deepest)) - len(param_shapes(replace(deepest, n_layers=271)))
+    assert len(param_shapes(deepest)) <= MAX_TENSORS < len(param_shapes(deepest)) + per_layer
     with pytest.raises(ValidationError, match="273 layers"):
-        replace(deepest, n_layers=273).validate()
+        replace(deepest, n_layers=273)
 
 
 def test_init_deterministic_and_seed_sensitive():

@@ -41,6 +41,16 @@ def test_pearson_constant_vector_raises():
         pearson([1, 2, 3], [5, 5, 5])
 
 
+@pytest.mark.parametrize("x", [[1e308, 1.7e308, -1e308], [1e200, -1e200, 0.0], [1e-320, 2e-320, 3e-320]],
+                         ids=["sum_overflows", "squares_overflow", "squares_underflow"])
+def test_pearson_refuses_values_beyond_float64_sums(x):
+    # Each vector is finite and not constant, so it must read neither as NaN, nor as a wrong r, nor as constant.
+    message = "pearson undefined: the values overflow float64 sums, or their deviations underflow"
+    for args in ((x, [1.0, 2.0, 4.0]), ([1.0, 2.0, 4.0], x)):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            pearson(*args)
+
+
 def test_pearson_too_short_raises():
     with pytest.raises(ValidationError):
         pearson([1], [2])

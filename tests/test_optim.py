@@ -20,13 +20,13 @@ def test_defaults_match_training_setup():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AdamWConfig(lr=0.0).validate()
+        AdamWConfig(lr=0.0)
     with pytest.raises(ValueError):
-        AdamWConfig(beta1=1.0).validate()
+        AdamWConfig(beta1=1.0)
     with pytest.raises(ValueError):
-        AdamWConfig(eps=0.0).validate()
+        AdamWConfig(eps=0.0)
     with pytest.raises(ValueError):
-        AdamWConfig(weight_decay=-0.1).validate()
+        AdamWConfig(weight_decay=-0.1)
 
 
 def test_zero_gradient_fresh_state_is_noop():

@@ -108,6 +108,23 @@ def test_write_rejects_an_id_that_would_not_read_back(tmp_path, kind, bad_id):
         write_predictions(_preds(kind, ["ok", bad_id]), tmp_path / "p.tsv")
 
 
+@pytest.mark.parametrize("kind, edit, message", [
+    ("regression", lambda p: p.empathy.__setitem__(1, np.inf), "line 3, column 'empathy': inf would not read back"),
+    ("regression", lambda p: setattr(p, "empathy", None), "regression predictions carry no score columns"),
+    ("classification", lambda p: p.scores.__setitem__((0, 2), np.nan), "line 2, column 'p_fear': nan would not read back"),
+    ("classification", lambda p: p.labels.__setitem__(1, "Joy"),
+     "line 3, column 'label': 'Joy' would not read back as an emotion"),
+    ("classification", lambda p: setattr(p, "scores", p.scores[:, :6]), "need a [rows, 7] array, got shape (2, 6)"),
+], ids=["infinity", "no_columns", "nan", "label", "six_columns"])
+def test_write_rejects_a_value_that_would_not_read_back(tmp_path, kind, edit, message):
+    preds = _preds(kind, ["a", "b"])
+    edit(preds)
+    path = tmp_path / "p.tsv"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        write_predictions(preds, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("kind", ["regression", "classification"])
 @pytest.mark.parametrize("ids, message", [
     (["a", ""], "line 3: empty id"),
@@ -154,6 +171,81 @@ def test_write_read_round_trip_property(ids, kind, data):
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
         else:
             assert got == want, name
+
+
+def _column(preds):
+    return preds.scores if isinstance(preds, ClassificationPredictions) else preds.empathy
+
+
+def _set_value(value):
+    def edit(preds, pick):
+        if _column(preds) is None or _column(preds).size == 0:
+            return False
+        _column(preds).flat[pick % _column(preds).size] = value
+        return True
+    return edit
+
+
+def _set_label(label):
+    def edit(preds, pick):
+        if not isinstance(preds, ClassificationPredictions) or not preds.labels:
+            return False
+        preds.labels[pick % len(preds.labels)] = label
+        return True
+    return edit
+
+
+def _drop_a_column(preds, pick):
+    if isinstance(preds, ClassificationPredictions):
+        preds.scores = np.delete(preds.scores, pick % preds.scores.shape[1], axis=1)
+    else:
+        preds.empathy = preds.distress = None
+    return True
+
+
+# Edits that make valid predictions ones read_predictions would refuse or read back changed;
+# each returns whether it applied.
+_PREDICTION_FAULTS = {
+    "nan": _set_value(np.nan),
+    "infinity": _set_value(-np.inf),
+    "label_bogus": _set_label("bogus"),
+    "label_capitalised": _set_label("Joy"),
+    "column_dropped": _drop_a_column,
+}
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"), min_size=1, max_size=6),
+             max_size=4, unique=True),
+    st.sampled_from(["empathy", "both", "classification"]),
+    st.lists(st.tuples(st.sampled_from(list(_PREDICTION_FAULTS)), st.integers(0, 2**16)), max_size=2),
+    st.data(),
+)
+def test_write_predictions_refuses_or_writes_what_reads_back_equal(ids, kind, faults, data):
+    """write_predictions either raises ValidationError and leaves no file, or writes a file that
+    read_predictions reads back equal; only faulty predictions are refused."""
+    values = np.array(data.draw(st.lists(_VALUE, min_size=len(ids) * 7, max_size=len(ids) * 7)), dtype=np.float64)
+    if kind == "classification":
+        labels = data.draw(st.lists(st.sampled_from(EMOTIONS), min_size=len(ids), max_size=len(ids)))
+        preds = ClassificationPredictions(ids=ids, scores=values.reshape(len(ids), 7), labels=labels)
+    else:
+        columns = ["empathy", "distress"] if kind == "both" else ["empathy"]
+        preds = RegressionPredictions(ids=ids, **{name: values[i :: 7] for i, name in enumerate(columns)})
+    applied = [fault for fault, pick in faults if _PREDICTION_FAULTS[fault](preds, pick)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.tsv"
+        try:
+            write_predictions(preds, path)
+        except ValidationError:
+            assert not path.exists()
+            assert applied
+            return
+        loaded = read_predictions(path)
+    assert type(loaded) is type(preds) and loaded.ids == ids
+    for name in ("scores", "labels") if kind == "classification" else ("empathy", "distress"):
+        want, got = getattr(preds, name), getattr(loaded, name)
+        assert got.tobytes() == want.tobytes() if isinstance(want, np.ndarray) else got == want, name
 
 
 def test_format_deterministic():

@@ -365,30 +365,32 @@ def test_checkpoint_bytes_do_not_depend_on_dict_order(tmp_path):
     assert raw.endswith(section) and len(raw) == 16 + int.from_bytes(raw[8:16], "little") + len(section)
 
 
-def _with_encoder(**changes):
-    def edit(ckpt):
-        ckpt.config = replace(ckpt.config, encoder=replace(ckpt.config.encoder, **changes))
-    return edit
-
-
 @pytest.mark.parametrize("message, edit", [
     ("checkpoint lacks tensor 'head.w', which its config needs", lambda ckpt: ckpt.params.pop("head.w")),
     ("tensor 'pos_emb' has shape (10, 32), its config needs (16, 32)",
      lambda ckpt: ckpt.params.update(pos_emb=ckpt.params["pos_emb"][:10])),
     ("tensor 'zz' is not part of the model its config describes", lambda ckpt: ckpt.params.update(zz=np.zeros(1))),
-    ("10000000000 layers", _with_encoder(n_layers=10**10)),
-    ("not divisible by n_heads 3", _with_encoder(n_heads=3)),
-    ("epochs must be >= 0", lambda ckpt: setattr(ckpt, "config", replace(ckpt.config, epochs=-4))),
-], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "extra_tensor", "n_layers_1e10", "n_heads_not_dividing_d_model",
-        "epochs_negative"])
+], ids=["missing_head_w", "pos_emb_cut_to_10_rows", "extra_tensor"])
 def test_save_checkpoint_refuses_a_checkpoint_that_would_not_load(tmp_path, emotion_data, message, edit):
     train_set, dev_set = emotion_data
     ckpt, _ = train(train_set, dev_set, build_vocab(train_set), tiny_config(epochs=0))
     edit(ckpt)
     path = tmp_path / "bad.ckpt"
     with pytest.raises(ValidationError, match=re.escape(message)):
-        save_checkpoint(ckpt, path)  # the config is validated first, so 1e10 layers are never walked
+        save_checkpoint(ckpt, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("message, edit", [
+    ("10000000000 layers", lambda cfg: replace(cfg, encoder=replace(cfg.encoder, n_layers=10**10))),
+    ("not divisible by n_heads 3", lambda cfg: replace(cfg, encoder=replace(cfg.encoder, n_heads=3))),
+    ("epochs must be >= 0", lambda cfg: replace(cfg, epochs=-4)),
+], ids=["n_layers_1e10", "n_heads_not_dividing_d_model", "epochs_negative"])
+def test_a_config_that_would_not_load_cannot_be_built(message, edit):
+    # A config is checked when it is built, so no checkpoint can carry one that would not load,
+    # and 1e10 layers are never walked.
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        edit(_small_checkpoint().config)
 
 
 @settings(max_examples=100)

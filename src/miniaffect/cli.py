@@ -254,7 +254,12 @@ def cmd_ensemble(run: _Run, args) -> None:
         scores = {"ensemble.tsv": combined.normalized, "ensemble_summed.tsv": combined.summed}
         outputs = {name: ClassificationPredictions(combined.ids, values, combined.labels) for name, values in scores.items()}
     # Every file is formatted, and so checked, before any is written.
-    texts = {name: format_predictions(preds) for name, preds in outputs.items()}
+    texts = {}
+    for name, preds in outputs.items():
+        try:
+            texts[name] = format_predictions(preds)
+        except ValidationError as exc:
+            raise ValidationError(f"{name}: {exc}") from None
     for name, text in texts.items():
         run.write(name, _write_text, text)
     run.config = {"task": args.task, "space": space, "members": len(members)}

@@ -124,12 +124,12 @@ def number_columns(header: list[str], rows, columns) -> np.ndarray:
     """
     idx = [header.index(name) for name in columns]
     try:
-        values = np.fromiter((float(cells[i]) for _, cells in rows for i in idx), np.float64, len(rows) * len(idx))
+        values = np.fromiter((float(cells[i]) for cells in rows for i in idx), np.float64, len(rows) * len(idx))
         valid = bool(np.isfinite(values).all())
     except ValueError:
         valid = False
     if not valid:
-        for line_no, cells in rows:
+        for line_no, cells in enumerate(rows, start=2):
             for name, i in zip(columns, idx):
                 parse_number(cells[i], name, line_no)
     return values.reshape(len(rows), len(idx))
@@ -162,8 +162,8 @@ def rows_of(path):
         raise RowError(exc.line, exc.message, path) from None
 
 
-def read_table(path, key: str = "id") -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """A TSV file's header and its data rows as (1-based line number, cells) pairs.
+def read_table(path, key: str = "id") -> tuple[list[str], list[list[str]]]:
+    """A TSV file's header and the cells of its data rows; data row i is on line i + 2.
 
     Lines end in LF or CRLF. FormatError for a file that is not UTF-8, an
     empty file or a header that repeats a column name; RowError for a row
@@ -205,7 +205,7 @@ def read_table(path, key: str = "id") -> tuple[list[str], list[tuple[int, list[s
                     if cell in seen:
                         raise RowError(line_no, f"duplicate {key} {cell!r}")
                     seen.add(cell)
-    return header, list(enumerate(rows, start=2))
+    return header, rows
 
 
 def format_table(header, rows, key: str = "id") -> str:
@@ -269,7 +269,7 @@ def _table_dataset(header, rows, split: str, text_column: str, path=None) -> Dat
 
     records = []
     with rows_of(path):
-        for row_idx, (line_no, cells) in enumerate(rows):
+        for line_no, cells in enumerate(rows, start=2):
             text = unescape_field(cells[text_idx])
             if text.strip() == "":
                 raise RowError(line_no, f"empty {text_column} text")
@@ -284,7 +284,7 @@ def _table_dataset(header, rows, split: str, text_column: str, path=None) -> Dat
                     raise RowError(line_no, "pool row without an emotion label")
             # empty extras cells mean "absent" so sparse columns round-trip cleanly
             extras = {name: cells[idx] for name, idx in extra_cols if cells[idx] != ""}
-            rec_id = str(row_idx) if id_idx is None else cells[id_idx]
+            rec_id = str(line_no - 2) if id_idx is None else cells[id_idx]
             records.append(EssayRecord(rec_id, text, empathy, distress, emotion, extras))
 
     return Dataset(split=split, records=records)
@@ -323,7 +323,7 @@ def serialize_dataset(d: Dataset) -> str:
             row.append("" if value is None else value if name == "emotion" else repr(float(value)))
         rows.append(row + [r.extras.get(key, "") for key in extra_keys])
     text = format_table(header, rows)
-    loaded = _table_dataset(header, list(enumerate(rows, start=2)), d.split, text_column)
+    loaded = _table_dataset(header, rows, d.split, text_column)
     for r, back in zip(d.records, loaded.records):
         if r != back:
             name = next(f.name for f in fields(r) if getattr(r, f.name) != getattr(back, f.name))

@@ -94,7 +94,7 @@ def ensemble_classification(
                 row = int(np.argmax(bad))
                 raise ValidationError(
                     f"member {member_idx} row for id {m.ids[row]!r} is not a probability vector"
-                    f" (sums to {sums[row]!r})"
+                    f" (sums to {float(sums[row])!r})"
                 )
 
     summed = _ordered_sum(np.stack([m.scores for m in members]))

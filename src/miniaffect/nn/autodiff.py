@@ -177,8 +177,9 @@ def linear(tape: Tape, x: Node, w: Node, b: Node | None) -> Node:
 # Fewest rows of the table per index entry for which an integer-array take
 # leaves a RowSparse gradient. A longer index touches so large a share of the
 # rows that sorting it and copying the touched rows (here and in AdamW) cost
-# more than the dense gradient's passes that they save; on 2 vCPUs the two
-# broke even near one entry per 4 rows.
+# more than the dense gradient's passes that they save. On 2 vCPUs, timing
+# this backward plus the AdamW step on 1000- and 5509-row tables of width 64,
+# the two broke even near one entry per 5 to 6 rows.
 MIN_ROWS_PER_ENTRY = 8
 
 

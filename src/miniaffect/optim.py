@@ -8,10 +8,22 @@ Update per tensor, with t the 1-based step count:
 
 The decay term uses the pre-update theta, decoupled from the gradient path;
 with weight_decay = 0 this is exactly plain Adam.
+
+The update is computed in the form Kingma & Ba (2015, arXiv:1412.6980, §2,
+last paragraph) give for efficiency, with both bias corrections folded into
+two scalars per step:
+
+    step = lr * sqrt(1 - b2^t) / (1 - b1^t)      eps_hat = eps * sqrt(1 - b2^t)
+    theta = theta - step * m / (sqrt(v) + eps_hat) - lr * weight_decay * theta
+
+Multiplying the numerator and the denominator of m_hat / (sqrt(v_hat) + eps)
+by sqrt(1 - b2^t) gives this form, so it is the update above, up to rounding.
+Each element then takes one divide and one sqrt, not three divides and a sqrt.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +46,14 @@ class AdamWConfig:
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValidationError(f"betas must lie in [0, 1): got ({self.beta1}, {self.beta2})")
-        if self.eps <= 0:
-            raise ValidationError(f"eps must be positive, got {self.eps}")
+        # The step size lr * sqrt(1 - beta2^t) / (1 - beta1^t) is at most lr / (1 - beta1).
+        if not math.isfinite(self.lr / (1.0 - self.beta1)):
+            raise ValidationError(f"lr / (1 - beta1) must be finite: got lr {self.lr}, beta1 {self.beta1}")
+        # A normal eps keeps eps * sqrt(1 - beta2^t) above zero, so a zero
+        # moment never divides 0 by 0.
+        tiny = float(np.finfo(np.float64).tiny)
+        if self.eps < tiny:
+            raise ValidationError(f"eps must be at least {tiny}, the least normal float, got {self.eps}")
         if self.weight_decay < 0:
             raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
@@ -95,9 +113,10 @@ class AdamW:
     def _update(self, theta: np.ndarray, g: np.ndarray | None, m: np.ndarray, v: np.ndarray) -> None:
         """One step on C-contiguous theta, m and v in place, block by block; ``g=None`` is a zero gradient."""
         cfg = self.cfg
-        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
+        b1, b2, lr = cfg.beta1, cfg.beta2, cfg.lr
+        root_bc2 = math.sqrt(1.0 - b2**self.t)
+        step = lr * root_bc2 / (1.0 - b1**self.t)
+        eps_hat = cfg.eps * root_bc2
         flat, m_flat, v_flat = theta.reshape(-1), m.reshape(-1), v.reshape(-1)
         g_flat = None if g is None else g.reshape(-1)
         for start in range(0, flat.size, BLOCK):
@@ -124,12 +143,10 @@ class AdamW:
                 np.multiply(gb, 1.0 - b2, out=s1)
                 s1 *= gb
                 v += s1
-            np.divide(m, bc1, out=s1)
-            s1 *= lr
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 /= s2
+            np.sqrt(v, out=s2)
+            s2 += eps_hat
+            np.divide(m, s2, out=s1)
+            s1 *= step
             if cfg.weight_decay != 0.0:
                 np.multiply(th, lr * cfg.weight_decay, out=s2)
                 s1 += s2

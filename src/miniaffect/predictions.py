@@ -74,7 +74,7 @@ def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
     header, rows = read_table(path)
     if header[:1] != ["id"]:
         raise FormatError(f"{path}: prediction header must start with 'id', got {header}")
-    ids = [cells[0] for _, cells in rows]
+    ids = [cells[0] for cells in rows]
 
     if "label" in header:
         expected = ["id", *_PROB_COLUMNS, "label"]
@@ -82,7 +82,7 @@ def read_predictions(path) -> RegressionPredictions | ClassificationPredictions:
             raise FormatError(f"{path}: classification header must be {expected}")
         with rows_of(path):
             scores = number_columns(header, rows, _PROB_COLUMNS)
-            labels = [parse_label(cells[8], line_no) for line_no, cells in rows]
+            labels = [parse_label(cells[8], line_no) for line_no, cells in enumerate(rows, start=2)]
         return ClassificationPredictions(ids=ids, scores=scores, labels=labels)
 
     allowed = {"empathy", "distress"}

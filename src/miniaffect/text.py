@@ -130,4 +130,4 @@ def load_vocab(path) -> Vocab:
     header, rows = read_table(path, key="token")
     if header != ["token"]:
         raise FormatError(f"{path}: vocabulary header must be 'token', got {header}")
-    return Vocab([*_RESERVED, *[cells[0] for _, cells in rows]])
+    return Vocab([*_RESERVED, *[cells[0] for cells in rows]])

@@ -137,8 +137,9 @@ class ReferenceAdamW:
                 raise ValueError(f"non-finite gradient for tensor {name!r}")
         cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        root_bc2 = math.sqrt(1.0 - cfg.beta2**self.t)
+        step = cfg.lr * root_bc2 / (1.0 - cfg.beta1**self.t)
+        eps_hat = cfg.eps * root_bc2
         for name, theta in params.items():
             g = grads[name]
             if name not in self.m:
@@ -150,7 +151,7 @@ class ReferenceAdamW:
             m += (1.0 - cfg.beta1) * g
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * g * g
-            update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            update = step * (m / (np.sqrt(v) + eps_hat))
             if cfg.weight_decay != 0.0:
                 update = update + cfg.lr * cfg.weight_decay * theta
             theta -= update

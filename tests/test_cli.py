@@ -563,11 +563,11 @@ def _logit_member(p_anger):
 
 
 @pytest.mark.parametrize("task, space, member, fault", [
-    ("regression", None, "id\tempathy\na\t1e308\nb\t2.0\n", "column 'empathy': inf"),
+    ("regression", None, "id\tempathy\na\t1e308\nb\t2.0\n", "ensemble.tsv: line 2, column 'empathy': inf"),
     # the softmax of the mean turns the summed infinity into NaN
-    ("classification", "logit", _logit_member("1e308"), "column 'p_anger': nan"),
+    ("classification", "logit", _logit_member("1e308"), "ensemble.tsv: line 2, column 'p_anger': nan"),
     # here ensemble.tsv, the softmax, is finite, and only ensemble_summed.tsv holds the infinity
-    ("classification", "logit", _logit_member("-1e308"), "column 'p_anger': -inf"),
+    ("classification", "logit", _logit_member("-1e308"), "ensemble_summed.tsv: line 2, column 'p_anger': -inf"),
 ], ids=["regression_mean_overflows", "logit_softmax_of_an_infinity", "logit_sum_overflows_alone"])
 def test_ensemble_of_finite_members_that_overflows_exits_1_writing_nothing(tmp_path, task, space, member, fault,
                                                                            capsys):
@@ -576,7 +576,17 @@ def test_ensemble_of_finite_members_that_overflows_exits_1_writing_nothing(tmp_p
     out = tmp_path / "out"
     flags = ["--space", space] if space else []
     assert run("ensemble", "--task", task, *flags, path, path, "--out", out) == 1
-    assert f"error: line 2, {fault} would not read back" in capsys.readouterr().err
+    assert f"error: {fault} would not read back" in capsys.readouterr().err
+    assert not list(out.glob("ensemble*.tsv"))
+
+
+def test_ensemble_of_a_member_that_is_no_probability_vector_prints_its_sum_as_a_float(tmp_path, capsys):
+    path = tmp_path / "m.tsv"
+    path.write_text(_logit_member("1e308"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("ensemble", "--task", "classification", path, path, "--out", out) == 1
+    message = "member 1 row for id 'a' is not a probability vector (sums to 1e+308)"
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not list(out.glob("ensemble*.tsv"))
 
 

@@ -80,9 +80,9 @@ def test_load_task_non_finite_score_names_line_and_column(tmp_path, raw):
         load_task_tsv(path, "train")
 
 
-def test_read_table_returns_header_and_numbered_rows(tmp_path):
+def test_read_table_returns_header_and_row_cells(tmp_path):
     path = write(tmp_path, "t.tsv", "id\tx\r\na\t1\r\nb\t\r\n")
-    assert read_table(path) == (["id", "x"], [(2, ["a", "1"]), (3, ["b", ""])])
+    assert read_table(path) == (["id", "x"], [["a", "1"], ["b", ""]])
 
 
 @pytest.mark.parametrize("text, message", [
@@ -109,12 +109,12 @@ def test_read_table_rejects_a_bad_row_naming_its_line(tmp_path, text, message):
 
 def test_read_table_without_id_column_allows_repeated_cells(tmp_path):
     _, rows = read_table(write(tmp_path, "t.tsv", "x\n\n\n"))
-    assert rows == [(2, [""]), (3, [""])]
+    assert rows == [[""], [""]]
 
 
 def test_number_columns_reads_named_columns_in_order():
     header = ["id", "a", "b"]
-    rows = [(2, ["r0", "1.5", "-2"]), (3, ["r1", "1e3", " 7 "])]
+    rows = [["r0", "1.5", "-2"], ["r1", "1e3", " 7 "]]
     values = number_columns(header, rows, ["b", "a"])
     assert values.dtype == np.float64
     assert values.tolist() == [[-2.0, 1.5], [7.0, 1000.0]]
@@ -131,7 +131,7 @@ def test_number_columns_reads_named_columns_in_order():
 ])
 def test_number_columns_names_the_first_bad_cell(raw, message):
     header = ["id", "a", "b"]
-    rows = [(2, ["r0", "1", "2"]), (3, ["r1", "3", raw]), (4, ["r2", "nan", "x"])]
+    rows = [["r0", "1", "2"], ["r1", "3", raw], ["r2", "nan", "x"]]
     with pytest.raises(RowError, match=f"^line 3: b value {message}$"):
         number_columns(header, rows, ["a", "b"])
 
@@ -149,7 +149,7 @@ def test_format_table_read_table_round_trip_property(rows):
         path.write_text(format_table(["a", "b"], rows), encoding="utf-8", newline="")
         header, read_back = read_table(path)
     assert header == ["a", "b"]
-    assert read_back == [(line_no, row) for line_no, row in enumerate(rows, start=2)]
+    assert read_back == rows
 
 
 @pytest.mark.parametrize("header, rows, message", [

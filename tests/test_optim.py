@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from miniaffect import optim
 from miniaffect.errors import DivergenceError
 from miniaffect.nn.autodiff import RowSparse, dense
 from miniaffect.optim import BLOCK, AdamW, AdamWConfig
@@ -25,6 +28,10 @@ def test_config_validation():
         AdamWConfig(beta1=1.0)
     with pytest.raises(ValueError):
         AdamWConfig(eps=0.0)
+    with pytest.raises(ValueError, match="least normal float"):
+        AdamWConfig(eps=5e-324)  # a subnormal eps * sqrt(1 - beta2^t) could round to 0
+    with pytest.raises(ValueError, match="must be finite"):
+        AdamWConfig(lr=1e305, beta1=0.999999999)  # the step size would overflow
     with pytest.raises(ValueError):
         AdamWConfig(weight_decay=-0.1)
 
@@ -254,3 +261,97 @@ def test_row_sparse_nan_raises_and_leaves_state_unchanged():
     for saved, now in zip(before, (params, opt.m, opt.v)):
         for name in params:
             assert np.array_equal(saved[name], now[name])
+
+
+_configs = st.builds(
+    AdamWConfig,
+    lr=st.floats(1e-6, 1.0),
+    beta1=st.floats(0.0, 0.99),
+    beta2=st.floats(0.0, 0.999),
+    eps=st.floats(1e-12, 1e-3),
+    weight_decay=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+)
+# Zero, or a magnitude whose square is a finite normal float.
+_grad = st.one_of(st.just(0.0), st.floats(1e-8, 1e8), st.floats(-1e8, -1e-8))
+
+
+@settings(max_examples=200)
+@given(
+    cfg=_configs,
+    theta=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_step_matches_textbook_adamw_property(cfg, theta, data):
+    # The scalar textbook update plus the decoupled decay term. The folded form
+    # differs from it only by rounding, so each element stays within 1e-12 of
+    # the largest |theta| or |update| it has seen.
+    n = len(theta)
+    steps = data.draw(st.lists(st.lists(_grad, min_size=n, max_size=n), min_size=1, max_size=8))
+    params = {"w": np.array(theta)}
+    opt = AdamW(cfg)
+    ref_theta, m, v = list(theta), [0.0] * n, [0.0] * n
+    scale = np.abs(params["w"])
+    for t, g in enumerate(steps, start=1):
+        opt.step(params, {"w": np.array(g)})
+        for i in range(n):
+            before = ref_theta[i]
+            adam, m[i], v[i] = reference_adam_step(before, g[i], m[i], v[i], t, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            ref_theta[i] = adam - cfg.lr * cfg.weight_decay * before
+            scale[i] = max(scale[i], abs(ref_theta[i]), abs(ref_theta[i] - before))
+        assert np.all(np.abs(params["w"] - np.array(ref_theta)) <= 1e-12 * scale), (t, params["w"], ref_theta)
+
+
+@st.composite
+def _row_sparse_runs(draw):
+    """A table shape and per-step RowSparse gradients on it, some steps touching no row."""
+    tail = tuple(draw(st.lists(st.integers(1, 40), max_size=2)))
+    n_rows = draw(st.integers(1, max(1, min(2000, 4 * BLOCK // math.prod(tail)))))
+    shape = (n_rows, *tail)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grads = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows = np.array(sorted(draw(st.sets(st.integers(0, n_rows - 1), max_size=30))), dtype=np.int64)
+        values = rng.standard_normal((rows.size, *tail))
+        # Zeros and tiny negatives, so that m * beta1 meets signed zeros and underflows.
+        values[rng.random(values.shape) < 0.2] = 0.0
+        values[rng.random(values.shape) < 0.1] = -1e-323
+        grads.append(RowSparse(rows, values, shape))
+    return shape, grads
+
+
+@settings(max_examples=60)
+@given(cfg=_configs, run=_row_sparse_runs(), seed=st.integers(0, 2**32 - 1))
+def test_row_sparse_step_matches_dense_step_bit_for_bit_property(cfg, run, seed):
+    shape, grads = run
+    params = {"emb": np.random.default_rng(seed).standard_normal(shape)}
+    dense_params = {"emb": params["emb"].copy()}
+    opt, dense_opt = AdamW(cfg), AdamW(cfg)
+    for sparse in grads:
+        opt.step(params, {"emb": sparse})
+        dense_opt.step(dense_params, {"emb": dense(sparse)})
+        for got, want in ((params["emb"], dense_params["emb"]), (opt.m["emb"], dense_opt.m["emb"]), (opt.v["emb"], dense_opt.v["emb"])):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_each_block_takes_one_divide_and_one_sqrt(monkeypatch):
+    # The folded bias corrections leave one np.divide and one np.sqrt per block,
+    # on the zero-gradient sweep and on the gradient path alike.
+    calls = {"divide": 0, "sqrt": 0}
+    for name in calls:
+        ufunc = getattr(optim.np, name)
+
+        def counted(*args, _ufunc=ufunc, _name=name, **kwargs):
+            calls[_name] += 1
+            return _ufunc(*args, **kwargs)
+
+        monkeypatch.setattr(optim.np, name, counted)
+    k = 3
+    shape = (k * BLOCK // 64, 64)
+    params = {"emb": np.zeros(shape)}
+    opt = AdamW(AdamWConfig(lr=1e-3))
+    no_rows = RowSparse(np.zeros(0, dtype=np.int64), np.zeros((0, 64)), shape)
+    for grad in (no_rows, np.ones(shape)):
+        calls.update(divide=0, sqrt=0)
+        opt.step(params, {"emb": grad})
+        assert calls == {"divide": k, "sqrt": k}

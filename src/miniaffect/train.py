@@ -29,6 +29,7 @@ from .nn.encoder import (
     head_apply,
     init_params,
     param_shapes,
+    peak_bytes,
     run_model,
     wrap_params,
 )
@@ -48,6 +49,8 @@ _EVAL_TOKENS = 1024
 # Padding tokens that cost about as much as one more eval forward: on that
 # machine, with one BLAS thread, run_model took about 0.3 ms plus 7-9 µs a token.
 _CHUNK_COST_TOKENS = 40
+# Most bytes a run's estimated peak (see peak_bytes) may reach; 2**28 parameter values still fit.
+MAX_BYTES = 2**34
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,13 @@ class TrainConfig:
             raise ValidationError(f"snapshot metric {self.snapshot_metric!r} is incompatible with task {self.task!r}")
         if self.encoder.head_kind != spec.head_kind:
             raise ValidationError(f"head_kind {self.encoder.head_kind!r} does not fit task {self.task!r}")
+        terms = peak_bytes(self.encoder, self.batch_size, max(1, _EVAL_TOKENS // self.encoder.max_len))
+        if (total := sum(terms.values())) > MAX_BYTES:
+            largest = max(terms, key=terms.get)
+            raise ValidationError(
+                f"config needs about {total >> 20} MiB for {self.encoder.n_layers} layers, more than the limit"
+                f" of {MAX_BYTES >> 20} MiB; the largest term is {largest}, {terms[largest] >> 20} MiB"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -219,7 +229,7 @@ def encode_dataset(d: Dataset, vocab: Vocab, max_len: int) -> tuple[np.ndarray, 
     return ids, lengths
 
 
-def _batch_loss(pnodes, enc_cfg, cfg, ids, lengths, targets, idxs, tape):
+def _batch_loss(pnodes, enc_cfg, ids, lengths, targets, idxs, tape):
     cls = forward(pnodes, enc_cfg, ids[idxs], lengths[idxs], tape, train_mode=True)
     out = head_apply(pnodes, enc_cfg, cls, tape)
     # One head output per label field, then the gold values in the same order.
@@ -262,6 +272,7 @@ def _model_outputs(params, enc_cfg, labels, ids, lengths) -> dict[str, np.ndarra
     return out
 
 
+@np.errstate(over="raise", invalid="raise")  # a forward that overflows float64 has no meaningful output
 def _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets) -> dict[str, float]:
     out = _model_outputs(params, enc_cfg, dev_targets, dev_ids, dev_lengths)
     if "emotion" in out:
@@ -282,7 +293,8 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     dev_targets = gold_values(dev_set.records, _TASKS[cfg.task].labels, "dev")
     if cfg.encoder.vocab_size not in (0, len(vocab)):
         raise ValidationError(f"encoder vocab_size {cfg.encoder.vocab_size} must be 0 or the vocabulary size {len(vocab)}")
-    enc_cfg = replace(cfg.encoder, vocab_size=len(vocab))
+    run_cfg = replace(cfg, encoder=replace(cfg.encoder, vocab_size=len(vocab)))
+    enc_cfg = run_cfg.encoder
 
     started = time.perf_counter()
     ids, lengths = encode_dataset(train_set, vocab, enc_cfg.max_len)
@@ -317,7 +329,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
             pnodes = wrap_params(params)
             # A diverging run overflows long before it fails a check; the checks below report it.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss = _batch_loss(pnodes, enc_cfg, cfg, ids, lengths, targets, idxs, tape)
+                loss = _batch_loss(pnodes, enc_cfg, ids, lengths, targets, idxs, tape)
                 tape.backward(loss)
                 try:
                     optimizer.step(params, collect_grads(pnodes, params))
@@ -330,7 +342,10 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
                     ) from None
             loss_sum += float(loss.value) * len(idxs)
 
-        dev = _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets)
+        try:
+            dev = _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets)
+        except FloatingPointError as exc:
+            raise DivergenceError(f"training diverged in epoch {epoch + 1} of {cfg.epochs}: {exc} in the dev evaluation") from None
         report.epochs.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(train_set), dev=dev))
         metric = dev[cfg.snapshot_metric]
         if report.best_metric is None or metric > report.best_metric:
@@ -338,7 +353,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
             best_params = {name: arr.copy() for name, arr in params.items()}
 
     report.wall_time_s = time.perf_counter() - started
-    return Checkpoint(config=replace(cfg, encoder=enc_cfg), vocab_hash=vocab.sha256, params=best_params), report
+    return Checkpoint(config=run_cfg, vocab_hash=vocab.sha256, params=best_params), report
 
 
 @blas.single_thread()

@@ -196,6 +196,22 @@ def test_matmul_batched_gradients():
     assert max_relative_error({"a": na.grad, "b": nb.grad}, fd) < 1e-7
 
 
+def test_matmul_broadcast_size_1_axis_gradients():
+    # a's leading axis of size 1 is broadcast against b's 2, so a's gradient sums over that axis.
+    rng = np.random.default_rng(5)
+    params = {"a": rng.standard_normal((1, 3, 4)), "b": rng.standard_normal((2, 4, 5))}
+    target = rng.standard_normal((2, 3, 5))
+
+    def value(arrs):
+        return float(ad.mse(Tape(), ad.matmul(Tape(), Node(arrs["a"]), Node(arrs["b"])), target).value)
+
+    tape = Tape()
+    na, nb = Node(params["a"].copy()), Node(params["b"].copy())
+    tape.backward(ad.mse(tape, ad.matmul(tape, na, nb), target))
+    assert na.grad.shape == (1, 3, 4) and nb.grad.shape == (2, 4, 5)
+    assert max_relative_error({"a": na.grad, "b": nb.grad}, fd_gradients(value, params, eps=1e-6)) < 1e-7
+
+
 def test_reshape_transpose_roundtrip_grad():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 3, 4))
@@ -626,6 +642,26 @@ def test_attention_shifts_scores_an_unshifted_exp_would_overflow(rate):
         assert np.allclose(ones, 1.0, rtol=0.0, atol=1e-12)  # each row's weights sum to one
     masked_keys = np.broadcast_to(~key_mask[:, :, None], (batch, seq, d)).astype(np.float64)
     assert np.all(run(masked_keys) == 0.0)  # masked keys get exactly zero weight
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5], ids=["no_dropout", "dropout"])
+def test_attention_shifts_scores_when_query_and_key_norms_are_balanced(rate):
+    # |scale q|^2 and |k|^2 are both near 2e3, so their product, not their ratio, is what
+    # exceeds EXP_BOUND^2: each head's scores lie near +-990, and unshifted exps would overflow.
+    rng = np.random.default_rng(35)
+    batch, seq, d, n_heads = 2, 4, 4, 2
+    scale = 1 / np.sqrt(2)
+    u = np.ones(d)
+    k = 22.25 * u + 0.01 * rng.standard_normal((batch, seq, d))
+    q = np.stack([22.25 / scale * u, -22.25 / scale * u])[None].repeat(batch, axis=0)
+    assert 1e3 < np.sum((scale * q) ** 2, axis=-1).min() and 1e3 < np.sum(k**2, axis=-1).min()
+    assert np.abs(q[:, :, :2] @ k[:, :, :2].swapaxes(1, 2) * scale).min() > 900
+    key_mask = np.arange(seq)[None, :] < np.array([4, 2])[:, None]
+    tape = Tape(rng=np.random.Generator(np.random.PCG64(36)))
+    out = ad.attention(tape, Node(q), Node(k), Node(np.ones((batch, seq, d))), key_mask, scale, n_heads, rate).value
+    assert np.isfinite(out).all()
+    if rate == 0.0:
+        assert np.allclose(out, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_dropout_requires_rng():

@@ -10,12 +10,14 @@ import typing
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miniaffect import train as train_module
 from miniaffect.cli import main
 from miniaffect.data import EMOTIONS, load_task_tsv, save_dataset, serialize_dataset
 from miniaffect.errors import FormatError, ValidationError
@@ -251,7 +253,7 @@ def test_train_bad_config_is_validation_error(tmp_path, corpora, config, capsys)
     ("seed", {"seed": "x"}),
     ("seed", {"seed": -1}),
     ("weight_decay", {"optimizer": {"weight_decay": float("inf")}}),
-    ("pos_emb", {"encoder": {"max_len": 100000000000}}),
+    ("largest term is training activations", {"encoder": {"max_len": 100000000000}}),
     ("epoch, learning_rate", {"epoch": 50, "learning_rate": 5}),
     ("head_kind 'regression_single'", {"encoder": {"head_kind": "regression_single"}}),
     ("vocab_size 5", {"encoder": {"vocab_size": 5}}),
@@ -280,6 +282,23 @@ def test_train_vocab_min_freq_below_1_exits_1_before_reading_data(tmp_path, caps
                "--config", config, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert "vocab_min_freq must be >= 1, got 0" in err
+    assert str(missing) not in err
+
+
+@pytest.mark.parametrize("encoder, term", [
+    # One full-length essay's eval scores alone would take 8 heads x (2**22)**2 x 8 bytes, 1 PiB.
+    ({"vocab_size": 600, "d_model": 8, "n_heads": 8, "d_ff": 8, "max_len": 2**22}, "training activations"),
+    # A training step would keep three 4 GiB attention arrays per layer.
+    ({"max_len": 4096}, "training activations"),
+], ids=["max_len_2_22", "max_len_4096"])
+def test_train_config_over_the_memory_bound_exits_1_before_reading_data(tmp_path, encoder, term, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"encoder": encoder}), encoding="utf-8")
+    missing = tmp_path / "missing.tsv"  # reading it would fail with another message
+    assert run("train", "--train", missing, "--dev", missing, "--task", "emotion", "--epochs", 1,
+               "--config", config, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"for 2 layers, more than the limit of 16384 MiB; the largest term is {term}" in err
     assert str(missing) not in err
 
 
@@ -323,7 +342,8 @@ def _with_layers(n_layers):
 
 @pytest.mark.parametrize("message, edit", [
     ("10000000000 layers", _with_layers(10**10)),
-    ("1000 layers", _with_layers(1000)),
+    # 1000 tiny layers fit the memory bound, so the file is too short for them.
+    ("tensor section is 82488 bytes, expected 68110392", _with_layers(1000)),
     # A second tiny layer is 8512 more float64 values, 68096 bytes.
     ("tensor section is 82488 bytes, expected 150584", _with_layers(2)),
     ("n_layers must be an integer", _with_layers("2")),
@@ -657,6 +677,32 @@ _SECTIONS = {"optimizer": AdamWConfig, "encoder": EncoderConfig}
 # Values of the wrong type for each kind of config field; none of them is None, which means "unset" at the top level.
 _WRONG_VALUES = {int: ["1", 1.5, True, [1]], float: ["0.5", True, [1]], bool: [1, "true", [1]], str: [1, [1]],
                  AdamWConfig: ["x", 1, [1]], EncoderConfig: ["x", 1, [1]]}
+
+
+_NUMERIC_KEYS = [key for key in _CONFIG_KEYS
+                 if typing.get_type_hints(TrainConfig if len(key) == 1 else _SECTIONS[key[0]])[key[-1]] in (int, float)]
+# Zero, negative and fractional numbers, sizes past any memory, the largest float and the non-finite constants.
+_SENTINELS = [0, -1, 0.5, 1.5, 2**40, 10**12, 1e308, math.inf, math.nan]
+
+
+# Two keys at a time: almost every sentinel is refused, so more would rarely let a run train.
+@settings(max_examples=300)
+@given(values=st.dictionaries(st.sampled_from(_NUMERIC_KEYS), st.sampled_from(_SENTINELS), max_size=2))
+def test_train_config_of_extreme_numbers_exits_0_or_1(corpora, values):
+    config = {"task": "emotion", "epochs": 1, "encoder": tiny_encoder_kwargs(), "optimizer": {}}
+    for key, value in values.items():
+        if key == ("epochs",) and isinstance(value, int):
+            value = min(value, 1)  # one epoch shows what more would
+        (config if len(key) == 1 else config[key[0]])[key[-1]] = value
+    # The bound, lowered so that no config it admits allocates more than a few tens of MB.
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err, \
+            mock.patch.object(train_module, "MAX_BYTES", 32 * 2**20):
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code = run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+                   "--config", config_path, "--out", Path(tmp) / "out", "--quiet")
+    assert code in (0, 1), err.getvalue()
+    assert "internal error" not in err.getvalue()
 
 
 @functools.cache

@@ -1,5 +1,6 @@
-import re
+import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,17 +10,18 @@ from miniaffect.errors import ValidationError
 from miniaffect.nn import autodiff as ad
 from miniaffect.nn.autodiff import Node, Tape
 from miniaffect.nn.encoder import (
-    MAX_TENSORS,
     EncoderConfig,
     collect_grads,
     forward,
     head_apply,
     init_params,
     param_shapes,
+    peak_bytes,
     run_model,
     wrap_params,
 )
 from miniaffect.nn.losses import loss_cross_entropy, loss_mse, loss_multitask
+from miniaffect.train import make_config
 
 from oracles import fd_gradients, full_width_forward, max_relative_error
 
@@ -68,25 +70,47 @@ def test_config_validation():
 
 @pytest.mark.parametrize("n_layers, total", [(1, 537219463), (3, 537879175)])
 def test_config_validation_caps_parameter_values(n_layers, total):
-    # A single layer is already over the cap; the message still counts every layer.
-    message = (f"encoder config needs {total} parameter values for {n_layers} layers,"
-               " more than the limit of 268435456 (largest tensor: tok_emb (2097152, 256))")
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        EncoderConfig(vocab_size=2**21, d_model=256, n_layers=n_layers)
+    # A single layer is already over the memory bound; the parameter term still counts every
+    # layer's values, five float64 copies each, plus a fixed cost per array.
+    encoder = {"vocab_size": 2**21, "d_model": 256, "n_layers": n_layers}
+    with pytest.raises(ValidationError, match=f"for {n_layers} layers, .* the largest term is parameters"):
+        make_config("emotion", 1, encoder=encoder)
+    cfg = EncoderConfig(**encoder)
+    shapes = param_shapes(cfg)
+    assert sum(math.prod(shape) for _, shape, _ in shapes) == total
+    per_array, rest = divmod(peak_bytes(cfg, 8, 16)["parameters"] - 5 * 8 * total, 5 * len(shapes))
+    assert rest == 0 and 112 <= per_array <= 1024  # at least numpy's array header
 
 
 def test_config_validation_caps_tensor_count():
-    # 10**7 layers of width 1 stay under MAX_PARAMS, but building them would
-    # take minutes and about 50 GB; the config refuses them without building.
+    # 10**7 layers of width 1 hold about 10 GB of float64 values, parameters and activations
+    # together, under the 16 GiB bound; but every array also costs its header, node and closure,
+    # and counting that refuses them, without building one layer.
+    encoder = dict(vocab_size=50, d_model=1, n_heads=1, d_ff=1, max_len=2)
     started = time.perf_counter()
-    with pytest.raises(ValidationError, match="10000000 layers"):
-        EncoderConfig(vocab_size=50, d_model=1, n_heads=1, d_ff=1, n_layers=10**7)
+    with pytest.raises(ValidationError, match="for 10000000 layers, .* the largest term is parameters"):
+        make_config("emotion", 1, batch_size=1, encoder={**encoder, "n_layers": 10**7})
     assert time.perf_counter() - started < 0.1
-    deepest = EncoderConfig(vocab_size=50, d_model=1, n_heads=1, d_ff=1, n_layers=272)
-    per_layer = len(param_shapes(deepest)) - len(param_shapes(replace(deepest, n_layers=271)))
-    assert len(param_shapes(deepest)) <= MAX_TENSORS < len(param_shapes(deepest)) + per_layer
-    with pytest.raises(ValidationError, match="273 layers"):
-        replace(deepest, n_layers=273)
+    # The bound caps bytes, not tensors: a thousand tiny layers fit.
+    assert make_config("emotion", 1, batch_size=1, encoder={**encoder, "n_layers": 1000}).encoder.n_layers == 1000
+
+
+@pytest.mark.parametrize("seq", [64, 32])
+def test_peak_bytes_training_term_tracks_a_measured_step(seq):
+    cfg = EncoderConfig(vocab_size=100, max_len=seq)  # default dims, dropout on
+    params = init_params(cfg, seed=0)
+    ids, lengths = np.full((8, seq), 3), np.full(8, seq)
+    tracemalloc.start()
+    try:
+        tape = Tape(rng=np.random.default_rng(0))
+        pnodes = wrap_params(params)
+        logits = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
+        tape.backward(loss_cross_entropy(tape, logits, np.zeros(8, dtype=np.int64)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = peak_bytes(cfg, 8, 16)["training activations"]
+    assert peak / 1.5 <= estimate <= peak * 1.5, (estimate, peak)
 
 
 def test_init_deterministic_and_seed_sensitive():

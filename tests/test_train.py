@@ -20,7 +20,7 @@ from miniaffect.errors import DivergenceError, FormatError, ValidationError
 from miniaffect.metrics import build_report
 from miniaffect.nn import autodiff as ad
 from miniaffect.nn.autodiff import Node
-from miniaffect.nn.encoder import init_params, param_shapes, run_model
+from miniaffect.nn.encoder import init_params, param_shapes, peak_bytes, run_model
 from miniaffect.nn.losses import softmax
 from miniaffect.text import build_vocab
 from miniaffect.train import (
@@ -601,6 +601,27 @@ def test_identically_encoded_dev_set_rejected_before_any_forward(regression_data
     with pytest.raises(ValidationError, match="all 2 dev set essays encode to the same token ids"):
         train(train_set, oov_dev, build_vocab(train_set), tiny_config(task="multitask", epochs=1))
     assert forwards == []
+
+
+def test_train_checks_the_memory_bound_at_the_vocabulary_size(emotion_data, monkeypatch):
+    # make_config sizes the token table at vocab_size 0; train() checks again at the real size.
+    train_set, dev_set = emotion_data
+    cfg = tiny_config()
+    eval_rows = train_module._EVAL_TOKENS // cfg.encoder.max_len
+    monkeypatch.setattr(train_module, "MAX_BYTES", sum(peak_bytes(cfg.encoder, cfg.batch_size, eval_rows).values()))
+    monkeypatch.setattr(train_module, "init_params", lambda *args: pytest.fail("built a model over the bound"))
+    assert replace(cfg) == cfg  # exactly at the bound is allowed
+    with pytest.raises(ValidationError, match="for 1 layers, more than the limit"):
+        train(train_set, dev_set, build_vocab(train_set), cfg)
+
+
+def test_dev_evaluation_that_overflows_stops_training(emotion_data):
+    # Every step's loss and gradients stay finite, but the weights grow by a factor of lr * weight_decay
+    # a step, until the dev forward's layer norm squares values past float64's range.
+    train_set, dev_set = emotion_data
+    cfg = tiny_config(epochs=1, optimizer={"lr": 2.0**40, "weight_decay": 2.0**40})
+    with pytest.raises(DivergenceError, match=r"^training diverged in epoch 1 of 1: overflow .* in the dev evaluation$"):
+        train(train_set, dev_set, build_vocab(train_set), cfg)
 
 
 def test_non_finite_loss_stops_training_naming_epoch_and_batch(emotion_data, monkeypatch):

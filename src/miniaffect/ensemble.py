@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import EMOTIONS
 from .errors import ValidationError
-from .nn.losses import softmax
+from .nn.autodiff import softmax
 from .predictions import ClassificationPredictions, RegressionPredictions
 
 PROB_ROW_SUM_TOL = 1e-6

@@ -48,7 +48,7 @@ def dense(grad):
 
 
 class Node:
-    """A value in the computation graph; ``grad`` is filled by Tape.backward."""
+    """A value in the computation graph; Tape.backward fills a leaf's ``grad`` and frees an op output's."""
 
     __slots__ = ("value", "grad")
 
@@ -90,8 +90,11 @@ class Tape:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
         loss.grad = np.ones_like(loss.value)
         for out, fn in reversed(self._ops):
-            if out.grad is not None:
-                fn(dense(out.grad))
+            # Every consumer of out ran before it, so its gradient is complete, and no closure reads it
+            # again: it is freed here rather than held until the tape goes. Leaves keep theirs.
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(dense(g))
 
 
 class EvalTape(Tape):
@@ -442,6 +445,12 @@ def shifted_exp(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray, 
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
     return m, e, e.sum(axis=axis, keepdims=True)
+
+
+def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax of a plain array; rows sum to 1 to within accumulated rounding."""
+    _, exp, total = shifted_exp(np.asarray(scores, dtype=np.float64), axis)
+    return exp / total
 
 
 def cross_entropy(tape: Tape, logits: Node, gold: np.ndarray) -> Node:

@@ -222,26 +222,23 @@ def forward(
     return ad.take(tape, x, (slice(None), 0))
 
 
-def head_apply(pnodes: dict[str, Node], cfg: EncoderConfig, cls_vectors: Node, tape: Tape):
-    """Map CLS vectors to raw head outputs.
+def head_apply(pnodes: dict[str, Node], cfg: EncoderConfig, cls_vectors: Node, tape: Tape) -> tuple[Node, ...]:
+    """Map CLS vectors to raw head outputs: one Node per head, in ``HEADS`` order.
 
-    regression_single -> Node [batch]; regression_dual -> (empathy Node,
-    distress Node), each [batch]; classify7 -> Node [batch, 7] of logits.
+    regression_single -> (score [batch],); regression_dual -> (empathy
+    [batch], distress [batch]); classify7 -> (logits [batch, 7],).
     Regression outputs are raw and unclipped.
     """
     outs = []
     for prefix, width in HEADS[cfg.head_kind]:
         out = ad.linear(tape, cls_vectors, pnodes[prefix + ".w"], pnodes[prefix + ".b"])
         outs.append(ad.take(tape, out, (slice(None), 0)) if width == 1 else out)
-    return outs[0] if len(outs) == 1 else tuple(outs)
+    return tuple(outs)
 
 
-def run_model(params: Parameters, cfg: EncoderConfig, ids: np.ndarray, lengths: np.ndarray):
-    """Eval-mode forward + head on raw parameter arrays; returns plain ndarrays."""
+def run_model(params: Parameters, cfg: EncoderConfig, ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Eval-mode forward + head on raw parameter arrays: ``head_apply``'s outputs as plain ndarrays."""
     tape = EvalTape()
     pnodes = wrap_params(params)
     cls = forward(pnodes, cfg, ids, lengths, tape, train_mode=False)
-    out = head_apply(pnodes, cfg, cls, tape)
-    if isinstance(out, tuple):
-        return out[0].value, out[1].value
-    return out.value
+    return tuple(out.value for out in head_apply(pnodes, cfg, cls, tape))

@@ -1,4 +1,4 @@
-"""Word-level vocabulary and fixed-length token-id encoding.
+"""Word-level vocabulary and token-id encoding.
 
 Tokenization is deliberately simple and self-contained: lowercase, split on
 whitespace, then peel leading/trailing ASCII punctuation off each unit into
@@ -71,14 +71,6 @@ class Vocab:
         return hashlib.sha256(serialize_vocab(self).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Fixed-length id sequence: [CLS] + tokens, PAD-filled to max_len."""
-
-    ids: tuple[int, ...]
-    true_length: int
-
-
 def build_vocab(train: Dataset, max_size: int = DEFAULT_MAX_SIZE, min_freq: int = DEFAULT_MIN_FREQ) -> Vocab:
     """Frequency-ranked vocabulary over the training essays.
 
@@ -101,15 +93,12 @@ def build_vocab(train: Dataset, max_size: int = DEFAULT_MAX_SIZE, min_freq: int 
     return Vocab([*_RESERVED, *ranked])
 
 
-def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
-    """Encode text as [CLS] + token ids, truncated and PAD-filled to max_len."""
+def encode(text: str, vocab: Vocab, max_len: int) -> list[int]:
+    """[CLS] + the text's token ids, truncated to max_len ids in all; its length is the true length."""
     if max_len < 2:
         raise ValidationError(f"max_len {max_len} leaves no room after the CLS position")
     # Tokens past max_len - 1 are never produced; the lookup is Vocab.lookup without a call per token.
-    ids = [CLS_ID, *map(vocab.token_to_id.get, islice(_tokens(text), max_len - 1), repeat(UNK_ID))]
-    true_length = len(ids)
-    ids.extend([PAD_ID] * (max_len - true_length))
-    return TokenSequence(ids=tuple(ids), true_length=true_length)
+    return [CLS_ID, *map(vocab.token_to_id.get, islice(_tokens(text), max_len - 1), repeat(UNK_ID))]
 
 
 def serialize_vocab(vocab: Vocab) -> str:

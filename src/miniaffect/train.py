@@ -13,6 +13,7 @@ import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import blas
 from . import metrics as M
 from .data import EMOTIONS, Dataset, gold_values
 from .errors import DivergenceError, FormatError, ValidationError, check_field_types
-from .nn.autodiff import Tape
+from .nn.autodiff import Tape, softmax
 from .nn.encoder import (
     EncoderConfig,
     Parameters,
@@ -33,10 +34,10 @@ from .nn.encoder import (
     run_model,
     wrap_params,
 )
-from .nn.losses import loss_cross_entropy, loss_mse, loss_multitask, softmax
+from .nn.losses import loss_cross_entropy, loss_mse, loss_multitask
 from .optim import AdamW, AdamWConfig
 from .predictions import ClassificationPredictions, RegressionPredictions
-from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocab, encode
+from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, PAD_ID, Vocab, encode
 
 CHECKPOINT_MAGIC = b"MTAF"
 CHECKPOINT_VERSION = 5
@@ -223,17 +224,18 @@ def make_batches(d: Dataset, batch_size: int, shuffle: bool, seed: int, epoch: i
 
 
 def encode_dataset(d: Dataset, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The records' ids as the rows of one PAD-filled [n, max_len] matrix, and each row's true length."""
     seqs = [encode(r.text, vocab, max_len) for r in d.records]
-    ids = np.array([s.ids for s in seqs], dtype=np.int64)
-    lengths = np.array([s.true_length for s in seqs], dtype=np.int64)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.full((len(seqs), max_len), PAD_ID, dtype=np.int64)
+    ids[np.arange(max_len) < lengths[:, None]] = list(chain.from_iterable(seqs))  # row by row, as the mask runs
     return ids, lengths
 
 
 def _batch_loss(pnodes, enc_cfg, ids, lengths, targets, idxs, tape):
     cls = forward(pnodes, enc_cfg, ids[idxs], lengths[idxs], tape, train_mode=True)
-    out = head_apply(pnodes, enc_cfg, cls, tape)
     # One head output per label field, then the gold values in the same order.
-    args = (*(out if isinstance(out, tuple) else (out,)), *(gold[idxs] for gold in targets.values()))
+    args = (*head_apply(pnodes, enc_cfg, cls, tape), *(gold[idxs] for gold in targets.values()))
     if enc_cfg.head_kind == "classify7":
         return loss_cross_entropy(tape, *args)
     if enc_cfg.head_kind == "regression_dual":
@@ -265,14 +267,13 @@ def _model_outputs(params, enc_cfg, labels, ids, lengths) -> dict[str, np.ndarra
     out: dict[str, np.ndarray] = {}
     for idx in _eval_chunks(lengths):
         chunk = run_model(params, enc_cfg, ids[idx], lengths[idx])
-        for name, values in zip(labels, chunk if isinstance(chunk, tuple) else (chunk,)):
+        for name, values in zip(labels, chunk):
             if name not in out:
                 out[name] = np.empty((len(lengths), *values.shape[1:]))
             out[name][idx] = values
     return out
 
 
-@np.errstate(over="raise", invalid="raise")  # a forward that overflows float64 has no meaningful output
 def _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets) -> dict[str, float]:
     out = _model_outputs(params, enc_cfg, dev_targets, dev_ids, dev_lengths)
     if "emotion" in out:
@@ -280,6 +281,9 @@ def _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets) -> dict[str
     return M.score(out, dev_targets)
 
 
+# One float64 rule for every forward, backward and AdamW step of train() and predict(): an overflow,
+# invalid value or division by zero raises FloatingPointError, as its result means nothing.
+@np.errstate(over="raise", invalid="raise", divide="raise")
 @blas.single_thread()
 def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) -> tuple[Checkpoint, TrainReport]:
     """Run the configured number of epochs and keep the best-on-dev snapshot.
@@ -327,19 +331,17 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, epoch, batch_idx])))
             tape = Tape(rng=rng)
             pnodes = wrap_params(params)
-            # A diverging run overflows long before it fails a check; the checks below report it.
-            with np.errstate(over="ignore", invalid="ignore"):
+            try:
                 loss = _batch_loss(pnodes, enc_cfg, ids, lengths, targets, idxs, tape)
                 tape.backward(loss)
-                try:
-                    optimizer.step(params, collect_grads(pnodes, params))
-                    if not math.isfinite(loss.value):
-                        raise DivergenceError("non-finite training loss")
-                except DivergenceError as exc:
-                    raise DivergenceError(
-                        f"training diverged in epoch {epoch + 1} of {cfg.epochs},"
-                        f" batch {batch_idx + 1} of {len(batches)}: {exc}"
-                    ) from None
+                optimizer.step(params, collect_grads(pnodes, params))
+                if not math.isfinite(loss.value):
+                    raise DivergenceError("non-finite training loss")
+            except (FloatingPointError, DivergenceError) as exc:
+                raise DivergenceError(
+                    f"training diverged in epoch {epoch + 1} of {cfg.epochs},"
+                    f" batch {batch_idx + 1} of {len(batches)}: {exc}"
+                ) from None
             loss_sum += float(loss.value) * len(idxs)
 
         try:
@@ -356,6 +358,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     return Checkpoint(config=run_cfg, vocab_hash=vocab.sha256, params=best_params), report
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")  # the float64 rule above train()
 @blas.single_thread()
 def predict(
     ckpt: Checkpoint, d: Dataset, vocab: Vocab, clamp: bool = False
@@ -376,7 +379,10 @@ def predict(
     enc_cfg = ckpt.config.encoder
     ids, lengths = encode_dataset(d, vocab, enc_cfg.max_len)
     rec_ids = [r.id for r in d.records]
-    out = _model_outputs(ckpt.params, enc_cfg, _TASKS[ckpt.config.task].labels, ids, lengths)
+    try:
+        out = _model_outputs(ckpt.params, enc_cfg, _TASKS[ckpt.config.task].labels, ids, lengths)
+    except FloatingPointError as exc:
+        raise ValidationError(f"prediction stopped: {exc} in the model's forward pass") from None
     if "emotion" not in out:
         return RegressionPredictions(ids=rec_ids, **{k: np.clip(v, 1.0, 7.0) if clamp else v for k, v in out.items()})
     probs = softmax(out["emotion"], axis=1)
@@ -423,7 +429,10 @@ def seed_sweep(
         configs.append(replace(cfg, seed=seed))
     entries = []
     for run_cfg in configs:
-        _, report = train(train_set, dev_set, vocab, run_cfg)
+        try:
+            _, report = train(train_set, dev_set, vocab, run_cfg)
+        except DivergenceError as exc:
+            raise DivergenceError(f"seed {run_cfg.seed}: {exc}") from None
         entries.append(SweepEntry(seed=run_cfg.seed, best_metric=report.best_metric, best_epoch=report.best_epoch))
     values = np.array([e.best_metric for e in entries], dtype=np.float64)
     return SweepReport(

@@ -358,3 +358,11 @@ def full_width_forward(
 
     x = ad.layer_norm(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
     return ad.take(tape, x, (slice(None), 0))
+
+
+def backward_keeping_grads(tape: Tape, loss: Node) -> None:
+    """Tape.backward as it was before it freed op outputs' gradients: every node keeps its own."""
+    loss.grad = np.ones_like(loss.value)
+    for out, fn in reversed(tape._ops):
+        if out.grad is not None:
+            fn(ad.dense(out.grad))

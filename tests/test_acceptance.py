@@ -94,11 +94,11 @@ def test_criterion_01_gradient_correctness(monkeypatch):
                 cls = forward(pnodes, cfg, ids, lengths, tape, train_mode=True)
                 out = head_apply(pnodes, cfg, cls, tape)
                 if head_kind == "regression_single":
-                    node = loss_mse(tape, out, targets[0])
+                    node = loss_mse(tape, out[0], targets[0])
                 elif head_kind == "regression_dual":
                     node = loss_multitask(tape, out[0], out[1], targets[0], targets[1])
                 else:
-                    node = loss_cross_entropy(tape, out, targets[0])
+                    node = loss_cross_entropy(tape, out[0], targets[0])
                 return node, tape, pnodes
 
             loss, tape, pnodes = build_loss(params)

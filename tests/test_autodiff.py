@@ -714,7 +714,11 @@ def _zero_then_add(node, g):
 
 
 def _fanout_graph():
-    """Grads of x through add(x, x) and of y through two view-passing consumers."""
+    """Grads of x through add(x, x) and of y through two view-passing consumers.
+
+    backward frees an op output's gradient once its closure has run, so the
+    three op outputs' gradients are taken as their closures receive them.
+    """
     rng = np.random.default_rng(13)
     c1, c2 = rng.standard_normal((3, 4)), rng.standard_normal((4, 3))
     tape = Tape()
@@ -724,20 +728,30 @@ def _fanout_graph():
     r = reshape(tape, y, (4, 3))
     t = transpose(tape, y, (1, 0))
     loss = ad.add(tape, ad.mse(tape, doubled, c1), ad.mse(tape, ad.add(tape, r, t), c2))
+    received = {}
+
+    def receiving(out, fn):
+        def closure(g):
+            received[out] = g
+            fn(g)
+
+        return closure
+
+    tape._ops = [(out, receiving(out, fn)) for out, fn in tape._ops]
     tape.backward(loss)
-    return [x, y, doubled, r, t]
+    return [x.grad, y.grad, *(received[node] for node in (doubled, r, t))]
 
 
 def test_first_write_grads_match_zero_then_add_without_aliasing(monkeypatch):
-    nodes = _fanout_graph()
+    grads = _fanout_graph()
     with monkeypatch.context() as m:
         m.setattr(Node, "accumulate", _zero_then_add)
         reference = _fanout_graph()
-    for node, ref in zip(nodes, reference):
-        assert np.array_equal(node.grad, ref.grad)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            assert not np.shares_memory(a.grad, b.grad)
+    for grad, ref in zip(grads, reference):
+        assert np.array_equal(grad, ref)
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 def test_take_into_node_with_grad_accumulates_repeats():

@@ -62,7 +62,7 @@ def test_thread_count_does_not_change_encoder_outputs():
     ids = rng.integers(3, cfg.vocab_size, size=(16, cfg.max_len))
     ids[:, 0] = 2
     lengths = np.full(16, cfg.max_len)
-    threaded = run_model(params, cfg, ids, lengths)
+    (threaded,) = run_model(params, cfg, ids, lengths)
     with blas.single_thread():
-        single = run_model(params, cfg, ids, lengths)
+        (single,) = run_model(params, cfg, ids, lengths)
     assert np.array_equal(threaded, single)

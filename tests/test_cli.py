@@ -27,7 +27,7 @@ from miniaffect.predictions import read_predictions
 from miniaffect.text import load_vocab
 from miniaffect.train import Checkpoint, TrainConfig, load_checkpoint, make_config, save_checkpoint
 
-from corpus import keyword_classification_corpus, tiny_encoder_kwargs
+from corpus import keyword_classification_corpus, keyword_regression_corpus, tiny_encoder_kwargs
 
 
 def _no_constant(name):
@@ -459,19 +459,43 @@ def test_predict_checkpoint_with_non_finite_tensor_exits_1(tmp_path, corpora, na
     assert not (tmp_path / "preds").exists() or not any((tmp_path / "preds").iterdir())
 
 
-def test_train_divergence_exits_1_naming_epoch_batch_and_tensor(tmp_path, capsys):
+def test_predict_of_a_checkpoint_whose_forward_overflows_exits_1_writing_nothing(tmp_path, capsys):
+    # Finite but huge tensors, which load_checkpoint accepts: the forward overflows float64.
+    train_path, dev_path, out = tmp_path / "train.tsv", tmp_path / "dev.tsv", tmp_path / "run"
+    save_dataset(keyword_regression_corpus(40, "train", 1), train_path)
+    save_dataset(keyword_regression_corpus(14, "dev", 2), dev_path)
+    assert run("train", "--train", train_path, "--dev", dev_path, "--task", "empathy", "--epochs", 1,
+               "--seed", 0, "--out", out, "--quiet") == 0
+    ckpt = load_checkpoint(out / "model.ckpt")
+    for name, arr in ckpt.params.items():
+        if name == "tok_emb" or name.endswith(("attn.wv", "ff.w1")):
+            arr *= 1e160
+    save_checkpoint(ckpt, out / "huge.ckpt")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("predict", "--model", out / "huge.ckpt", "--vocab", out / "vocab.tsv",
+                   "--input", dev_path, "--split", "dev", "--out", tmp_path / "preds", "--quiet")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: prediction stopped: overflow encountered in multiply in the model's forward pass\n"
+    )
+    assert not (tmp_path / "preds" / "predictions.tsv").exists()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_train_divergence_exits_1_naming_epoch_batch_and_fault(tmp_path, capsys):
     train_path, dev_path, cfg_path = tmp_path / "train.tsv", tmp_path / "dev.tsv", tmp_path / "cfg.json"
     save_dataset(keyword_classification_corpus(40, "train", 1), train_path)
     save_dataset(keyword_classification_corpus(14, "dev", 2), dev_path)
     cfg_path.write_text(json.dumps({"optimizer": {"lr": 1e300}, "epochs": 3}), encoding="utf-8")
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # the overflow on the way there stays silent
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow stops the run without a warning
         code = run("train", "--train", train_path, "--dev", dev_path, "--task", "emotion",
                    "--config", cfg_path, "--out", tmp_path / "out", "--quiet")
     assert code == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
-    assert "training diverged in epoch 1 of 3, batch 2 of 5: non-finite gradient for tensor 'tok_emb'" in err
+    assert "training diverged in epoch 1 of 3, batch 2 of 5: overflow encountered in multiply" in err
 
 
 def test_train_seed_defaulting_noted(tmp_path, corpora):
@@ -636,6 +660,18 @@ def test_seed_sweep_cli(tmp_path, corpora):
     assert manifest["seeds"] == [1, 2, 3]
     assert manifest["seed_defaulted"] is False
     assert "seed" not in manifest["config"]  # only the swept seeds are recorded
+
+
+def test_seed_sweep_divergence_exits_1_naming_the_seed(tmp_path, corpora, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"encoder": tiny_encoder_kwargs(), "optimizer": {"lr": 1e300}}), encoding="utf-8")
+    code = run("seed-sweep", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
+               "--task", "emotion", "--epochs", 2, "--seeds", "3,4",
+               "--config", cfg_path, "--out", tmp_path / "out", "--quiet")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed 3: training diverged in epoch 1 of 2, batch 2 of 3: overflow encountered in multiply\n"
+    assert not (tmp_path / "out" / "sweep.json").exists()
 
 
 # Every config key, as its path in the config file's object.

@@ -23,7 +23,7 @@ from miniaffect.nn.encoder import (
 from miniaffect.nn.losses import loss_cross_entropy, loss_mse, loss_multitask
 from miniaffect.train import make_config
 
-from oracles import fd_gradients, full_width_forward, max_relative_error
+from oracles import backward_keeping_grads, fd_gradients, full_width_forward, max_relative_error
 
 @pytest.fixture(autouse=True)
 def row_sparse_token_gradients(monkeypatch):
@@ -104,7 +104,7 @@ def test_peak_bytes_training_term_tracks_a_measured_step(seq):
     try:
         tape = Tape(rng=np.random.default_rng(0))
         pnodes = wrap_params(params)
-        logits = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
+        (logits,) = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
         tape.backward(loss_cross_entropy(tape, logits, np.zeros(8, dtype=np.int64)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -176,7 +176,7 @@ def test_forward_all_pad_after_cls_finite():
     ids = np.zeros((1, TINY.max_len), dtype=np.int64)
     ids[0, 0] = 2
     lengths = np.array([1])
-    out = run_model(params, TINY, ids, lengths)
+    (out,) = run_model(params, TINY, ids, lengths)
     assert np.isfinite(out).all()
 
 
@@ -194,7 +194,7 @@ def test_forward_duplicate_examples_identical_rows():
 def test_forward_eval_deterministic():
     params = init_params(TINY, seed=4)
     ids, lengths = batch_inputs(seed=6)
-    assert np.array_equal(run_model(params, TINY, ids, lengths), run_model(params, TINY, ids, lengths))
+    assert np.array_equal(run_model(params, TINY, ids, lengths)[0], run_model(params, TINY, ids, lengths)[0])
 
 
 def test_run_model_matches_a_recorded_eval_forward():
@@ -202,8 +202,8 @@ def test_run_model_matches_a_recorded_eval_forward():
     ids, lengths = batch_inputs(seed=6)
     tape = Tape()
     pnodes = wrap_params(params)
-    recorded = head_apply(pnodes, TINY, forward(pnodes, TINY, ids, lengths, tape, train_mode=False), tape)
-    assert np.array_equal(run_model(params, TINY, ids, lengths), recorded.value)
+    (recorded,) = head_apply(pnodes, TINY, forward(pnodes, TINY, ids, lengths, tape, train_mode=False), tape)
+    assert np.array_equal(run_model(params, TINY, ids, lengths)[0], recorded.value)
 
 
 def test_forward_padding_trim_is_exact():
@@ -216,8 +216,8 @@ def test_forward_padding_trim_is_exact():
     ids, lengths = batch_inputs(seed=7)
     long_ids = np.concatenate([ids, np.zeros((3, 6), dtype=np.int64)], axis=1)
     assert np.array_equal(
-        run_model(params, short_cfg, ids, lengths),
-        run_model(long_params, long_cfg, long_ids, lengths),
+        run_model(params, short_cfg, ids, lengths)[0],
+        run_model(long_params, long_cfg, long_ids, lengths)[0],
     )
 
 
@@ -262,13 +262,10 @@ def test_zero_cls_and_zero_bias_heads_output_zero():
         pnodes = wrap_params(params)
         zero_cls = Node(np.zeros((2, cfg.d_model)))
         out = head_apply(pnodes, cfg, zero_cls, tape)
-        if kind == "regression_dual":
-            assert np.all(out[0].value == 0.0) and np.all(out[1].value == 0.0)
-        elif kind == "classify7":
-            assert out.value.shape == (2, 7)
-            assert np.all(out.value == 0.0)
-        else:
-            assert np.all(out.value == 0.0)
+        assert len(out) == (2 if kind == "regression_dual" else 1)
+        if kind == "classify7":
+            assert out[0].value.shape == (2, 7)
+        assert all(np.all(node.value == 0.0) for node in out)
 
 
 def test_dual_head_parameter_independence():
@@ -331,10 +328,10 @@ HEAD_KINDS = ["regression_single", "regression_dual", "classify7"]
 
 def head_loss(tape, cfg, out, targets):
     if cfg.head_kind == "regression_single":
-        return loss_mse(tape, out, targets[0])
+        return loss_mse(tape, out[0], targets[0])
     if cfg.head_kind == "regression_dual":
         return loss_multitask(tape, out[0], out[1], targets[0], targets[1])
-    return loss_cross_entropy(tape, out, targets[0])
+    return loss_cross_entropy(tape, out[0], targets[0])
 
 
 def random_targets(head_kind, batch, seed):
@@ -390,7 +387,7 @@ def test_forward_matches_full_width_reference(head_kind, n_layers, train_mode):
         pnodes = wrap_params(params)
         out = head_apply(pnodes, cfg, encode(pnodes, cfg, ids, lengths, tape, train_mode=train_mode), tape)
         tape.backward(head_loss(tape, cfg, out, targets))
-        values = [o.value for o in out] if isinstance(out, tuple) else [out.value]
+        values = [o.value for o in out]
         return values + [tape.rng.random(3)], dense_grads(pnodes, params)
 
     values, grads = run(forward, params)
@@ -473,3 +470,27 @@ def test_training_step_parameter_gradients_share_no_memory(head_kind):
     for i, a in enumerate(grads):
         for b in grads[i + 1 :]:
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("head_kind", HEAD_KINDS)
+def test_backward_frees_op_output_grads_and_leaves_parameter_grads_bit_identical(head_kind):
+    cfg = EncoderConfig(vocab_size=50, head_kind=head_kind)  # default dims, dropout on
+    ids, lengths = batch_inputs(seed=9, batch=8, cfg=cfg)
+    targets = random_targets(head_kind, 8, seed=0)
+    params = init_params(cfg, seed=0)
+
+    def step(backward):
+        tape = Tape(rng=np.random.Generator(np.random.PCG64(0)))
+        pnodes = wrap_params(params)
+        out = head_apply(pnodes, cfg, forward(pnodes, cfg, ids, lengths, tape, train_mode=True), tape)
+        backward(tape, head_loss(tape, cfg, out, targets))
+        return tape, pnodes
+
+    tape, pnodes = step(Tape.backward)
+    ref_tape, ref_pnodes = step(backward_keeping_grads)
+    assert all(out.grad is None for out, _ in tape._ops)
+    assert all(out.grad is not None for out, _ in ref_tape._ops)
+    for name, node in pnodes.items():
+        grad, ref = node.grad, ref_pnodes[name].grad
+        assert type(grad) is type(ref)
+        assert ad.dense(grad).tobytes() == ad.dense(ref).tobytes(), name

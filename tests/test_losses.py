@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from miniaffect.nn.autodiff import Node, Tape
-from miniaffect.nn.losses import loss_cross_entropy, loss_mse, loss_multitask, softmax
+from miniaffect.nn.autodiff import Node, Tape, softmax
+from miniaffect.nn.losses import loss_cross_entropy, loss_mse, loss_multitask
 
 
 def test_softmax_uniform_on_zeros():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import miniaffect.text as text_module
 from miniaffect.data import Dataset, EssayRecord
 from miniaffect.errors import FormatError, RowError, ValidationError
+from miniaffect.train import encode_dataset
 from miniaffect.text import (
     CLS_ID,
     PAD_ID,
@@ -84,34 +85,38 @@ def test_build_vocab_deterministic():
 
 def test_encode_empty_text():
     vocab = build_vocab(corpus("a b"))
-    seq = encode("", vocab, max_len=8)
-    assert seq.ids == (CLS_ID,) + (PAD_ID,) * 7
-    assert seq.true_length == 1
+    assert encode("", vocab, max_len=8) == [CLS_ID]
+    ids, lengths = encode_dataset(corpus(""), vocab, max_len=8)
+    assert ids.tolist() == [[CLS_ID] + [PAD_ID] * 7]
+    assert lengths.tolist() == [1]
 
 
 def test_encode_oov_maps_to_unk():
     vocab = build_vocab(corpus("a b"))
     seq = encode("a zzz b", vocab, max_len=8)
-    assert seq.ids[1] == vocab.lookup("a")
-    assert seq.ids[2] == UNK_ID
-    assert seq.ids[3] == vocab.lookup("b")
+    assert seq[1] == vocab.lookup("a")
+    assert seq[2] == UNK_ID
+    assert seq[3] == vocab.lookup("b")
 
 
 def test_encode_truncation():
     words = " ".join(f"w{i}" for i in range(100))
     vocab = build_vocab(corpus(words))
     seq = encode(words, vocab, max_len=16)
-    assert len(seq.ids) == 16
-    assert seq.true_length == 16
+    assert len(seq) == 16
     # count-based check: 15 token slots after CLS, so 85 of 100 drop
-    assert sum(1 for i in seq.ids if i != PAD_ID and i != CLS_ID) == 15
+    assert sum(1 for i in seq if i != PAD_ID and i != CLS_ID) == 15
 
 
 def test_encode_starts_with_cls_and_pads():
     vocab = build_vocab(corpus("a b c"))
     seq = encode("a b", vocab, max_len=6)
-    assert seq.ids[0] == CLS_ID
-    assert all(i == PAD_ID for i in seq.ids[seq.true_length:])
+    assert seq[0] == CLS_ID
+    ids, lengths = encode_dataset(corpus("a b", "c a b a", ""), vocab, max_len=6)
+    assert lengths.tolist() == [3, 5, 1]
+    for row, length, text in zip(ids.tolist(), lengths.tolist(), ["a b", "c a b a", ""]):
+        assert row[:length] == encode(text, vocab, max_len=6)
+        assert all(i == PAD_ID for i in row[length:])
 
 
 def test_encode_rejects_max_len_below_two():
@@ -135,9 +140,7 @@ def test_encode_equals_tokenize_then_truncate(pieces, tail, max_len, vocab_cut):
     # A vocabulary that knows only some of the tokens, so that UNK shows up too.
     vocab = build_vocab(corpus(" ".join(expected_tokens[vocab_cut::2]) or "x"))
     kept = [vocab.lookup(token) for token in expected_tokens[: max_len - 1]]
-    seq = encode(text, vocab, max_len)
-    assert seq.ids == (CLS_ID, *kept) + (PAD_ID,) * (max_len - 1 - len(kept))
-    assert seq.true_length == 1 + len(kept)
+    assert encode(text, vocab, max_len) == [CLS_ID, *kept]
 
 
 def test_vocab_serialization_round_trip(tmp_path):

@@ -19,9 +19,8 @@ from miniaffect.data import Dataset, EssayRecord
 from miniaffect.errors import DivergenceError, FormatError, ValidationError
 from miniaffect.metrics import build_report
 from miniaffect.nn import autodiff as ad
-from miniaffect.nn.autodiff import Node
+from miniaffect.nn.autodiff import Node, softmax
 from miniaffect.nn.encoder import init_params, param_shapes, peak_bytes, run_model
-from miniaffect.nn.losses import softmax
 from miniaffect.text import build_vocab
 from miniaffect.train import (
     CHECKPOINT_VERSION,
@@ -194,7 +193,7 @@ def test_single_step_decreases_fixed_batch_loss():
             tape = Tape()
             pnodes = wrap_params(params)
             cls = forward(pnodes, enc, ids, lengths, tape, train_mode=True)
-            return loss_cross_entropy(tape, head_apply(pnodes, enc, cls, tape), gold), tape, pnodes
+            return loss_cross_entropy(tape, head_apply(pnodes, enc, cls, tape)[0], gold), tape, pnodes
 
         loss0, tape, pnodes = batch_loss()
         tape.backward(loss0)
@@ -624,6 +623,63 @@ def test_dev_evaluation_that_overflows_stops_training(emotion_data):
         train(train_set, dev_set, build_vocab(train_set), cfg)
 
 
+def test_training_step_that_overflows_stops_at_its_batch():
+    # Weight decay at lr * weight_decay = 2**80 scales the weights by about -2**80 a step; the first step
+    # whose forward overflows float64 stops the run, one batch before AdamW would see a non-finite gradient.
+    train_set = keyword_classification_corpus(40, "train", 1)
+    dev_set = keyword_classification_corpus(14, "dev", 2)
+    cfg = make_config(task="emotion", epochs=3, seed=0, optimizer={"lr": 2.0**40, "weight_decay": 2.0**40})
+    message = r"^training diverged in epoch 1 of 3, batch 4 of 5: overflow encountered in multiply$"
+    with pytest.raises(DivergenceError, match=message):
+        train(train_set, dev_set, build_vocab(train_set), cfg)
+
+
+@pytest.mark.parametrize("entry", ["train", "predict", "seed_sweep"])
+def test_every_model_pass_raises_on_overflow_invalid_and_divide(emotion_data, monkeypatch, entry):
+    train_set, dev_set = emotion_data
+    vocab = build_vocab(train_set)
+    cfg = tiny_config(epochs=1)
+    ckpt, _ = train(train_set, dev_set, vocab, cfg)
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            seen.append((fn.__name__, np.geterr()))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("_batch_loss", "_model_outputs"):
+        monkeypatch.setattr(train_module, name, spy(getattr(train_module, name)))
+    before = np.geterr()
+    if entry == "train":
+        train(train_set, dev_set, vocab, cfg)
+    elif entry == "predict":
+        predict(ckpt, dev_set, vocab)
+    else:
+        seed_sweep(train_set, dev_set, vocab, cfg, [1, 2])
+    assert {name for name, _ in seen} == ({"_model_outputs"} if entry == "predict" else {"_batch_loss", "_model_outputs"})
+    assert all((err["over"], err["invalid"], err["divide"]) == ("raise", "raise", "raise") for _, err in seen)
+    assert np.geterr() == before
+
+
+def test_seed_sweep_names_the_seed_whose_run_diverged(emotion_data, monkeypatch):
+    train_set, dev_set = emotion_data
+    runs = []
+
+    def diverging_for_seed_5(train_set, dev_set, vocab, cfg):
+        runs.append(cfg.seed)
+        if cfg.seed == 5:
+            raise DivergenceError("training diverged in epoch 1 of 1, batch 2 of 3: overflow encountered in multiply")
+        return train(train_set, dev_set, vocab, cfg)
+
+    monkeypatch.setattr(train_module, "train", diverging_for_seed_5)
+    message = r"^seed 5: training diverged in epoch 1 of 1, batch 2 of 3: overflow encountered in multiply$"
+    with pytest.raises(DivergenceError, match=message):
+        seed_sweep(train_set, dev_set, build_vocab(train_set), tiny_config(epochs=1), [4, 5, 6])
+    assert runs == [4, 5]
+
+
 def test_non_finite_loss_stops_training_naming_epoch_and_batch(emotion_data, monkeypatch):
     # A loss that is non-finite while every gradient stays finite (here: zero).
     train_set, dev_set = emotion_data
@@ -730,7 +786,7 @@ def test_equal_length_essays_run_in_file_order_spans():
     starts = range(0, 40, 16)
     assert [g.tolist() for g in train_module._eval_chunks(lengths)] == [list(range(a, min(a + 16, 40))) for a in starts]
     with blas.single_thread():  # as predict runs
-        logits = np.concatenate([run_model(ckpt.params, cfg, ids[a : a + 16], lengths[a : a + 16]) for a in starts])
+        logits = np.concatenate([run_model(ckpt.params, cfg, ids[a : a + 16], lengths[a : a + 16])[0] for a in starts])
     assert np.array_equal(predict(ckpt, d, vocab).scores, softmax(logits, axis=1))
 
 
@@ -752,4 +808,4 @@ def test_desk_scale_eval_hands_attention_at_most_the_token_budget(monkeypatch):
     assert all(rows * width <= train_module._EVAL_TOKENS for rows, width in shapes)
     assert sum(rows for rows, _ in shapes) == 64 * cfg.n_layers
     monkeypatch.setattr(ad, "attention", attention)
-    assert np.abs(out - run_model(params, cfg, ids, lengths)).max() < 1e-12
+    assert np.abs(out - run_model(params, cfg, ids, lengths)[0]).max() < 1e-12

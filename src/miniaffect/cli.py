@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, blas
 from .augment import AugmentationSpec, balanced_augment, random_augment
-from .data import SPLITS, class_histogram, load_pool_tsv, load_task_tsv, save_dataset
+from .data import class_histogram, load_pool_tsv, load_task_tsv, save_dataset
 from .ensemble import ensemble_classification, ensemble_regression
 from .errors import FormatError, ValidationError
 from .metrics import build_report, confusion_csv, histogram_csv
@@ -142,9 +142,9 @@ def _resolve_seed(run: _Run, seed: int | None) -> int:
 
 def cmd_ingest(run: _Run, args) -> None:
     path = run.add_input(args.input)
-    dataset = load_task_tsv(path, args.split)
+    dataset = load_task_tsv(path, "train")
     run.write("dataset.tsv", save_dataset, dataset)
-    run.config = {"split": args.split, "records": len(dataset)}
+    run.config = {"records": len(dataset)}
     if all(r.emotion is not None for r in dataset.records):
         hist = class_histogram(dataset)
         run.write("histogram.csv", _write_text, histogram_csv(dataset))
@@ -232,7 +232,7 @@ def cmd_train(run: _Run, args) -> None:
 def cmd_predict(run: _Run, args) -> None:
     ckpt = load_checkpoint(run.add_input(args.model))
     vocab = load_vocab(run.add_input(args.vocab))
-    dataset = load_task_tsv(run.add_input(args.input), args.split)
+    dataset = load_task_tsv(run.add_input(args.input), "test")
     preds = predict(ckpt, dataset, vocab, clamp=args.clamp)
     run.write("predictions.tsv", write_predictions, preds)
     run.config = {"task": ckpt.config.task, "clamp": args.clamp, "records": len(dataset)}
@@ -268,7 +268,7 @@ def cmd_ensemble(run: _Run, args) -> None:
 
 def cmd_eval(run: _Run, args) -> None:
     preds = read_predictions(run.add_input(args.pred))
-    gold = load_task_tsv(run.add_input(args.gold), args.split)
+    gold = load_task_tsv(run.add_input(args.gold), "dev")
     report = build_report(args.task, preds, gold)
     run.write("report.json", _write_text, report.to_json())
     if args.task == "classification":
@@ -301,7 +301,7 @@ _REPORT_COLUMNS = ("pearson_empathy", "pearson_distress", "pearson_avg", "accura
 
 
 def _load_report(path: Path) -> dict:
-    """An eval report's JSON object; FormatError if it is not JSON, not an object or a metric is not a number."""
+    """An eval report's JSON object; FormatError if it is not JSON, not an object or a metric is not a finite number."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -310,8 +310,9 @@ def _load_report(path: Path) -> dict:
         raise FormatError(f"report {path} must hold a JSON object")
     for column in _REPORT_COLUMNS:
         value = payload.get(column)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise FormatError(f"report {path}: {column} must be a number, got {value!r}")
+        # A bool is no number here; nan, the infinities and ints beyond float64 fail the bound.
+        if value is not None and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+            raise FormatError(f"report {path}: {column} must be a number and finite, got {value!r}")
     return payload
 
 
@@ -331,10 +332,6 @@ def cmd_report(run: _Run, args) -> None:
     run.write("report.md", _write_text, table)
     run.config = {"reports": len(rows)}
     run.say(table.rstrip("\n"))
-
-
-# Splits a task TSV can carry; pool files load only through augment.
-_TASK_SPLITS = tuple(split for split in SPLITS if split != "pool")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -370,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("ingest", "validate a TSV and emit its class histogram")
     p.add_argument("--input", required=True)
-    p.add_argument("--split", choices=_TASK_SPLITS, default="train")
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
@@ -394,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--split", choices=_TASK_SPLITS, default="test")
     p.add_argument("--clamp", action="store_true", help="clip regression outputs into [1, 7]")
     _add_common(p)
     p.set_defaults(func=cmd_predict)
@@ -411,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["regression", "classification"], required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--split", choices=_TASK_SPLITS, default="dev")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -171,7 +171,7 @@ def read_table(path, key: str = "id") -> tuple[list[str], list[list[str]]]:
     ``key`` column, for an empty or repeated key.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # a leading byte-order mark is no part of the header
             # A carriage return before a newline is part of the line ending.
             lines = fh.read().replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError as exc:

@@ -3,9 +3,9 @@
 Architecture: learned token + position embeddings, then n_layers of pre-norm
 blocks (multi-head self-attention with PAD masking, residual; GELU feed-forward,
 residual), a final layer norm, and the position-0 (CLS) hidden state as the
-sequence summary; the last block computes only that CLS row. Heads map that
-vector to one scalar (regression_single), two independent scalars
-(regression_dual) or 7 class logits (classify7).
+sequence summary; the last block computes only that CLS row. The caller names
+the linear heads on that vector as (tensor name prefix, output width) pairs; a
+width-1 head yields one scalar per example.
 
 Parameters live in a plain name -> float64 ndarray dict so the optimizer and
 checkpoint code can stay shape-agnostic.
@@ -22,16 +22,8 @@ from ..errors import ValidationError, check_field_types
 from . import autodiff as ad
 from .autodiff import EvalTape, Node, RowSparse, Tape
 
-# Each head kind's linear heads as (tensor name prefix, output width); a
-# width-1 head yields one scalar per example.
-HEADS = {
-    "regression_single": (("head", 1),),
-    "regression_dual": (("head_empathy", 1), ("head_distress", 1)),
-    "classify7": (("head", 7),),
-}
-HEAD_KINDS = tuple(HEADS)
-
 Parameters = dict[str, np.ndarray]
+Heads = tuple[tuple[str, int], ...]  # (tensor name prefix, output width) per head, in output order
 
 
 @dataclass(frozen=True)
@@ -43,7 +35,6 @@ class EncoderConfig:
     d_ff: int = 128
     max_len: int = 64
     dropout_rate: float = 0.1
-    head_kind: str = "classify7"
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -58,11 +49,9 @@ class EncoderConfig:
             raise ValidationError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
-        if self.head_kind not in HEAD_KINDS:
-            raise ValidationError(f"unknown head_kind {self.head_kind!r}")
 
 
-def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
+def param_shapes(cfg: EncoderConfig, heads: Heads) -> list[tuple[str, tuple[int, ...], str]]:
     """Ordered (name, shape, init kind) manifest; kinds: xavier, zeros, ones."""
     d, f = cfg.d_model, cfg.d_ff
     shapes: list[tuple[str, tuple[int, ...], str]] = [
@@ -92,18 +81,18 @@ def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
         ("final_norm.gain", (d,), "ones"),
         ("final_norm.bias", (d,), "zeros"),
     ]
-    for prefix, width in HEADS[cfg.head_kind]:
+    for prefix, width in heads:
         shapes += [(prefix + ".w", (d, width), "xavier"), (prefix + ".b", (width,), "zeros")]
     return shapes
 
 
-def init_params(cfg: EncoderConfig, seed: int) -> Parameters:
+def init_params(cfg: EncoderConfig, heads: Heads, seed: int) -> Parameters:
     """Seeded Xavier-uniform weights (PCG64); biases zero, norm gains one."""
     if cfg.vocab_size == 0:
         raise ValidationError("vocab_size must be positive to build a model, got 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     params: Parameters = {}
-    for name, shape, kind in param_shapes(cfg):
+    for name, shape, kind in param_shapes(cfg, heads):
         if kind == "xavier":
             fan_in, fan_out = shape[0], shape[-1]
             a = np.sqrt(6.0 / (fan_in + fan_out))
@@ -132,7 +121,7 @@ def collect_grads(pnodes: dict[str, Node], params: Parameters) -> dict[str, np.n
     }
 
 
-def peak_bytes(cfg: EncoderConfig, batch_size: int, eval_rows: int) -> dict[str, int]:
+def peak_bytes(cfg: EncoderConfig, heads: Heads, batch_size: int, eval_rows: int) -> dict[str, int]:
     """Estimated peak bytes of a training run by term, with B = batch_size and S = max_len.
 
     Parameters count five copies (values, m, v, gradient, best snapshot). A
@@ -142,7 +131,8 @@ def peak_bytes(cfg: EncoderConfig, batch_size: int, eval_rows: int) -> dict[str,
     costs 240 bytes besides its values, as tracemalloc measured on width-1 layers.
     """
     per_array = 240
-    one_layer = [(name, 8 * math.prod(shape) + per_array) for name, shape, _ in param_shapes(replace(cfg, n_layers=1))]
+    shapes = param_shapes(replace(cfg, n_layers=1), heads)
+    one_layer = [(name, 8 * math.prod(shape) + per_array) for name, shape, _ in shapes]
     layer = sum(size for name, size in one_layer if name.startswith("layers."))
     b, s, d, f, h = batch_size, cfg.max_len, cfg.d_model, cfg.d_ff, cfg.n_heads
     return {
@@ -222,23 +212,24 @@ def forward(
     return ad.take(tape, x, (slice(None), 0))
 
 
-def head_apply(pnodes: dict[str, Node], cfg: EncoderConfig, cls_vectors: Node, tape: Tape) -> tuple[Node, ...]:
-    """Map CLS vectors to raw head outputs: one Node per head, in ``HEADS`` order.
+def head_apply(pnodes: dict[str, Node], heads: Heads, cls_vectors: Node, tape: Tape) -> tuple[Node, ...]:
+    """Map CLS vectors to raw head outputs: one Node per head, in ``heads`` order.
 
-    regression_single -> (score [batch],); regression_dual -> (empathy
-    [batch], distress [batch]); classify7 -> (logits [batch, 7],).
-    Regression outputs are raw and unclipped.
+    A width-1 head gives [batch] scores, raw and unclipped; a wider one gives
+    [batch, width] logits.
     """
     outs = []
-    for prefix, width in HEADS[cfg.head_kind]:
+    for prefix, width in heads:
         out = ad.linear(tape, cls_vectors, pnodes[prefix + ".w"], pnodes[prefix + ".b"])
         outs.append(ad.take(tape, out, (slice(None), 0)) if width == 1 else out)
     return tuple(outs)
 
 
-def run_model(params: Parameters, cfg: EncoderConfig, ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+def run_model(
+    params: Parameters, cfg: EncoderConfig, heads: Heads, ids: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Eval-mode forward + head on raw parameter arrays: ``head_apply``'s outputs as plain ndarrays."""
     tape = EvalTape()
     pnodes = wrap_params(params)
     cls = forward(pnodes, cfg, ids, lengths, tape, train_mode=False)
-    return tuple(out.value for out in head_apply(pnodes, cfg, cls, tape))
+    return tuple(out.value for out in head_apply(pnodes, heads, cls, tape))

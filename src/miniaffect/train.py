@@ -24,6 +24,7 @@ from .errors import DivergenceError, FormatError, ValidationError, check_field_t
 from .nn.autodiff import Tape, softmax
 from .nn.encoder import (
     EncoderConfig,
+    Heads,
     Parameters,
     collect_grads,
     forward,
@@ -40,7 +41,7 @@ from .predictions import ClassificationPredictions, RegressionPredictions
 from .text import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, PAD_ID, Vocab, encode
 
 CHECKPOINT_MAGIC = b"MTAF"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 # Tokens (rows × longest true length) one eval forward may take. At 64 tokens a
 # chunk is 16 essays, whose [rows, heads, S, S] attention scores take 2 MB, the
@@ -56,24 +57,24 @@ MAX_BYTES = 2**34
 
 @dataclass(frozen=True)
 class _Task:
-    head_kind: str
     labels: tuple[str, ...]  # record fields the task trains on and evaluates against
+    heads: Heads  # the model's heads, one per label field, in the same order
     batch_size: int  # default batch size
     snapshots: tuple[str, ...]  # snapshot metrics it allows; the first is the default
 
 
 _TASKS = {
-    "empathy": _Task("regression_single", ("empathy",), 16, ("pearson_empathy",)),
-    "distress": _Task("regression_single", ("distress",), 16, ("pearson_distress",)),
+    "empathy": _Task(("empathy",), (("head", 1),), 16, ("pearson_empathy",)),
+    "distress": _Task(("distress",), (("head", 1),), 16, ("pearson_distress",)),
     "multitask": _Task(
-        "regression_dual", ("empathy", "distress"), 8, ("pearson_avg", "pearson_empathy", "pearson_distress")
+        ("empathy", "distress"), (("head_empathy", 1), ("head_distress", 1)), 8,
+        ("pearson_avg", "pearson_empathy", "pearson_distress"),
     ),
-    "emotion": _Task("classify7", ("emotion",), 8, ("macro_f1",)),
+    "emotion": _Task(("emotion",), (("head", 7),), 8, ("macro_f1",)),
 }
 TASKS = tuple(_TASKS)
-PRESETS = ("paper_faithful", "desk_scale")
-
-_PRESET_LR = {"paper_faithful": 1e-5, "desk_scale": 1e-3}
+_PRESET_LR = {"paper_faithful": 1e-5, "desk_scale": 1e-3}  # a preset picks the default lr and nothing else
+PRESETS = tuple(_PRESET_LR)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,6 @@ class TrainConfig:
     snapshot_metric: str
     optimizer: AdamWConfig
     encoder: EncoderConfig
-    preset: str
     vocab_max_size: int
     vocab_min_freq: int
 
@@ -94,8 +94,6 @@ class TrainConfig:
         check_field_types(self)
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r} (expected one of {', '.join(TASKS)})")
-        if self.preset not in PRESETS:
-            raise ValidationError(f"unknown preset {self.preset!r}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
@@ -109,9 +107,7 @@ class TrainConfig:
         spec = _TASKS[self.task]
         if self.snapshot_metric not in spec.snapshots:
             raise ValidationError(f"snapshot metric {self.snapshot_metric!r} is incompatible with task {self.task!r}")
-        if self.encoder.head_kind != spec.head_kind:
-            raise ValidationError(f"head_kind {self.encoder.head_kind!r} does not fit task {self.task!r}")
-        terms = peak_bytes(self.encoder, self.batch_size, max(1, _EVAL_TOKENS // self.encoder.max_len))
+        terms = peak_bytes(self.encoder, spec.heads, self.batch_size, max(1, _EVAL_TOKENS // self.encoder.max_len))
         if (total := sum(terms.values())) > MAX_BYTES:
             largest = max(terms, key=terms.get)
             raise ValidationError(
@@ -148,7 +144,8 @@ def make_config(task: str, epochs: int, preset: str | None = None, **settings) -
     A top-level None keeps the default, and ``optimizer`` and ``encoder`` merge
     key by key. The presets differ only in the default lr: ``desk_scale``
     (default) uses 1e-3 so the randomly initialized micro encoder trains in
-    minutes, and ``paper_faithful`` the finetuning-style 1e-5.
+    minutes, and ``paper_faithful`` the finetuning-style 1e-5. The config does
+    not record which preset picked its lr.
     """
     preset = "desk_scale" if preset is None else preset
     if task not in TASKS:
@@ -164,8 +161,7 @@ def make_config(task: str, epochs: int, preset: str | None = None, **settings) -
         "shuffle": True,
         "snapshot_metric": spec.snapshots[0],
         "optimizer": asdict(AdamWConfig(lr=_PRESET_LR[preset])),
-        "encoder": asdict(EncoderConfig(head_kind=spec.head_kind)),
-        "preset": preset,
+        "encoder": asdict(EncoderConfig()),
         "vocab_max_size": DEFAULT_MAX_SIZE,
         "vocab_min_freq": DEFAULT_MIN_FREQ,
     }
@@ -232,13 +228,13 @@ def encode_dataset(d: Dataset, vocab: Vocab, max_len: int) -> tuple[np.ndarray, 
     return ids, lengths
 
 
-def _batch_loss(pnodes, enc_cfg, ids, lengths, targets, idxs, tape):
-    cls = forward(pnodes, enc_cfg, ids[idxs], lengths[idxs], tape, train_mode=True)
+def _batch_loss(pnodes, cfg, ids, lengths, targets, idxs, tape):
+    cls = forward(pnodes, cfg.encoder, ids[idxs], lengths[idxs], tape, train_mode=True)
     # One head output per label field, then the gold values in the same order.
-    args = (*head_apply(pnodes, enc_cfg, cls, tape), *(gold[idxs] for gold in targets.values()))
-    if enc_cfg.head_kind == "classify7":
+    args = (*head_apply(pnodes, _TASKS[cfg.task].heads, cls, tape), *(gold[idxs] for gold in targets.values()))
+    if cfg.task == "emotion":
         return loss_cross_entropy(tape, *args)
-    if enc_cfg.head_kind == "regression_dual":
+    if cfg.task == "multitask":
         return loss_multitask(tape, *args)
     return loss_mse(tape, *args)
 
@@ -262,20 +258,21 @@ def _eval_chunks(lengths: np.ndarray) -> list[np.ndarray]:
     return [*groups, order[start:]] if widths else []
 
 
-def _model_outputs(params, enc_cfg, labels, ids, lengths) -> dict[str, np.ndarray]:
+def _model_outputs(params, cfg, ids, lengths) -> dict[str, np.ndarray]:
     """Eval-mode head outputs over a whole dataset, in file order, keyed by the label field each predicts."""
+    spec = _TASKS[cfg.task]
     out: dict[str, np.ndarray] = {}
     for idx in _eval_chunks(lengths):
-        chunk = run_model(params, enc_cfg, ids[idx], lengths[idx])
-        for name, values in zip(labels, chunk):
+        chunk = run_model(params, cfg.encoder, spec.heads, ids[idx], lengths[idx])
+        for name, values in zip(spec.labels, chunk):
             if name not in out:
                 out[name] = np.empty((len(lengths), *values.shape[1:]))
             out[name][idx] = values
     return out
 
 
-def _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets) -> dict[str, float]:
-    out = _model_outputs(params, enc_cfg, dev_targets, dev_ids, dev_lengths)
+def _dev_metrics(params, cfg, dev_ids, dev_lengths, dev_targets) -> dict[str, float]:
+    out = _model_outputs(params, cfg, dev_ids, dev_lengths)
     if "emotion" in out:
         out["emotion"] = np.argmax(out["emotion"], axis=1)
     return M.score(out, dev_targets)
@@ -293,16 +290,16 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
     """
     if not dev_set.records:
         raise ValidationError("dev set is empty: it is needed to pick the best epoch")
-    targets = gold_values(train_set.records, _TASKS[cfg.task].labels, "train")
-    dev_targets = gold_values(dev_set.records, _TASKS[cfg.task].labels, "dev")
+    spec = _TASKS[cfg.task]
+    targets = gold_values(train_set.records, spec.labels, "train")
+    dev_targets = gold_values(dev_set.records, spec.labels, "dev")
     if cfg.encoder.vocab_size not in (0, len(vocab)):
         raise ValidationError(f"encoder vocab_size {cfg.encoder.vocab_size} must be 0 or the vocabulary size {len(vocab)}")
     run_cfg = replace(cfg, encoder=replace(cfg.encoder, vocab_size=len(vocab)))
-    enc_cfg = run_cfg.encoder
 
     started = time.perf_counter()
-    ids, lengths = encode_dataset(train_set, vocab, enc_cfg.max_len)
-    dev_ids, dev_lengths = encode_dataset(dev_set, vocab, enc_cfg.max_len)
+    ids, lengths = encode_dataset(train_set, vocab, cfg.encoder.max_len)
+    dev_ids, dev_lengths = encode_dataset(dev_set, vocab, cfg.encoder.max_len)
     # Only a run with epochs correlates predictions against dev gold.
     for name, gold in dev_targets.items():
         if cfg.epochs and name != "emotion" and (gold.size < 2 or np.all(gold == gold[0])):
@@ -318,7 +315,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
             " is the same: the pearson correlation that picks the best epoch is undefined"
         )
 
-    params = init_params(enc_cfg, cfg.seed)
+    params = init_params(run_cfg.encoder, spec.heads, cfg.seed)
     optimizer = AdamW(cfg.optimizer)
     report = TrainReport(task=cfg.task, seed=cfg.seed, snapshot_metric=cfg.snapshot_metric)
 
@@ -332,7 +329,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
             tape = Tape(rng=rng)
             pnodes = wrap_params(params)
             try:
-                loss = _batch_loss(pnodes, enc_cfg, ids, lengths, targets, idxs, tape)
+                loss = _batch_loss(pnodes, run_cfg, ids, lengths, targets, idxs, tape)
                 tape.backward(loss)
                 optimizer.step(params, collect_grads(pnodes, params))
                 if not math.isfinite(loss.value):
@@ -345,7 +342,7 @@ def train(train_set: Dataset, dev_set: Dataset, vocab: Vocab, cfg: TrainConfig) 
             loss_sum += float(loss.value) * len(idxs)
 
         try:
-            dev = _dev_metrics(params, enc_cfg, dev_ids, dev_lengths, dev_targets)
+            dev = _dev_metrics(params, run_cfg, dev_ids, dev_lengths, dev_targets)
         except FloatingPointError as exc:
             raise DivergenceError(f"training diverged in epoch {epoch + 1} of {cfg.epochs}: {exc} in the dev evaluation") from None
         report.epochs.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(train_set), dev=dev))
@@ -368,7 +365,7 @@ def predict(
     ``clamp`` clips regression outputs into the [1, 7] score range; raw
     outputs are the default. A classification checkpoint refuses it.
     """
-    if clamp and ckpt.config.encoder.head_kind == "classify7":
+    if clamp and ckpt.config.task == "emotion":
         raise ValidationError(f"clamp clips regression scores; task {ckpt.config.task!r} predicts classes")
     if vocab.sha256 != ckpt.vocab_hash:
         raise ValidationError("vocabulary hash does not match the one used to train this checkpoint")
@@ -376,11 +373,10 @@ def predict(
         raise ValidationError(f"checkpoint vocab_size {ckpt.config.encoder.vocab_size} is not the vocabulary's {len(vocab)}")
     if not d.records:
         raise ValidationError("cannot predict on an empty dataset")
-    enc_cfg = ckpt.config.encoder
-    ids, lengths = encode_dataset(d, vocab, enc_cfg.max_len)
+    ids, lengths = encode_dataset(d, vocab, ckpt.config.encoder.max_len)
     rec_ids = [r.id for r in d.records]
     try:
-        out = _model_outputs(ckpt.params, enc_cfg, _TASKS[ckpt.config.task].labels, ids, lengths)
+        out = _model_outputs(ckpt.params, ckpt.config, ids, lengths)
     except FloatingPointError as exc:
         raise ValidationError(f"prediction stopped: {exc} in the model's forward pass") from None
     if "emotion" not in out:
@@ -446,16 +442,17 @@ def seed_sweep(
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the binary checkpoint format, version 5.
+    """Write the binary checkpoint format, version 6.
 
     Layout: magic ``MTAF``, little-endian u32 format version, little-endian
     u64 JSON header length, the UTF-8 JSON header (config echo and vocab
     hash), then the tensors as raw little-endian float64, back to back in
-    the config's ``param_shapes`` order: the config alone names and shapes
-    them. ValidationError, before the file is opened, for a checkpoint that
-    would not load: a missing, misshapen or extra tensor.
+    the config's ``param_shapes`` order: the config alone (its encoder and
+    its task's heads) names and shapes them. ValidationError, before the
+    file is opened, for a checkpoint that would not load: a missing,
+    misshapen or extra tensor.
     """
-    shapes = {name: shape for name, shape, _ in param_shapes(ckpt.config.encoder)}
+    shapes = {name: shape for name, shape, _ in param_shapes(ckpt.config.encoder, _TASKS[ckpt.config.task].heads)}
     for name, shape in shapes.items():
         if name not in ckpt.params:
             raise ValidationError(f"checkpoint lacks tensor {name!r}, which its config needs")
@@ -492,7 +489,7 @@ def load_checkpoint(path) -> Checkpoint:
             config = TrainConfig.from_dict(echo)
         except ValidationError as exc:
             raise FormatError(f"{path}: invalid config echo: {exc}") from None
-        shapes = param_shapes(config.encoder)
+        shapes = param_shapes(config.encoder, _TASKS[config.task].heads)
         expected = sum(math.prod(shape) * 8 for _, shape, _ in shapes)
         if section != expected:
             raise FormatError(f"{path}: tensor section is {section} bytes, expected {expected}")

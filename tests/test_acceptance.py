@@ -27,6 +27,7 @@ from miniaffect.optim import AdamW, AdamWConfig
 from miniaffect.predictions import ClassificationPredictions, RegressionPredictions, format_predictions
 from miniaffect.text import build_vocab
 from miniaffect.train import (
+    _TASKS,
     load_checkpoint,
     make_config,
     predict,
@@ -79,23 +80,24 @@ def test_criterion_01_gradient_correctness(monkeypatch):
         for b in range(batch):
             ids[b, 1:lengths[b]] = rng.integers(3, base["vocab_size"], size=lengths[b] - 1)
 
-        for head_kind in ("regression_single", "regression_dual", "classify7"):
-            cfg = EncoderConfig(**base, head_kind=head_kind)
-            params = init_params(cfg, seed=21)
+        # One task for each head layout: one score, two scores, 7 logits.
+        for task in ("empathy", "multitask", "emotion"):
+            cfg, heads = EncoderConfig(**base), _TASKS[task].heads
+            params = init_params(cfg, heads, seed=21)
             targets = {
-                "regression_single": (rng.uniform(1, 7, batch),),
-                "regression_dual": (rng.uniform(1, 7, batch), rng.uniform(1, 7, batch)),
-                "classify7": (rng.integers(0, 7, batch),),
-            }[head_kind]
+                "empathy": (rng.uniform(1, 7, batch),),
+                "multitask": (rng.uniform(1, 7, batch), rng.uniform(1, 7, batch)),
+                "emotion": (rng.integers(0, 7, batch),),
+            }[task]
 
             def build_loss(p):
                 tape = Tape()
                 pnodes = wrap_params(p)
                 cls = forward(pnodes, cfg, ids, lengths, tape, train_mode=True)
-                out = head_apply(pnodes, cfg, cls, tape)
-                if head_kind == "regression_single":
+                out = head_apply(pnodes, heads, cls, tape)
+                if task == "empathy":
                     node = loss_mse(tape, out[0], targets[0])
-                elif head_kind == "regression_dual":
+                elif task == "multitask":
                     node = loss_multitask(tape, out[0], out[1], targets[0], targets[1])
                 else:
                     node = loss_cross_entropy(tape, out[0], targets[0])
@@ -106,7 +108,7 @@ def test_criterion_01_gradient_correctness(monkeypatch):
             ad_grads = {name: dense(g) for name, g in collect_grads(pnodes, params).items()}
             fd = fd_gradients(lambda p: float(build_loss(p)[0].value), params, eps=1e-5)
             worst = max_relative_error(ad_grads, fd)
-            assert worst < 1e-4, f"{head_kind}: max relative error {worst}"
+            assert worst < 1e-4, f"{task}: max relative error {worst}"
         assert time.perf_counter() - started < 30.0
 
 

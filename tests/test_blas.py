@@ -55,14 +55,14 @@ def test_train_and_predict_run_on_one_thread(monkeypatch):
 def test_thread_count_does_not_change_encoder_outputs():
     # desk_scale widths and 16 x 64 tokens: the products are large enough for
     # OpenBLAS to split them across threads outside single_thread().
-    cfg = EncoderConfig(vocab_size=50, d_model=64, n_layers=2, n_heads=4, d_ff=128,
-                        max_len=64, dropout_rate=0.0, head_kind="classify7")
-    params = init_params(cfg, 3)
+    cfg = EncoderConfig(vocab_size=50, d_model=64, n_layers=2, n_heads=4, d_ff=128, max_len=64, dropout_rate=0.0)
+    heads = mt._TASKS["emotion"].heads
+    params = init_params(cfg, heads, 3)
     rng = np.random.default_rng(0)
     ids = rng.integers(3, cfg.vocab_size, size=(16, cfg.max_len))
     ids[:, 0] = 2
     lengths = np.full(16, cfg.max_len)
-    (threaded,) = run_model(params, cfg, ids, lengths)
+    (threaded,) = run_model(params, cfg, heads, ids, lengths)
     with blas.single_thread():
-        (single,) = run_model(params, cfg, ids, lengths)
+        (single,) = run_model(params, cfg, heads, ids, lengths)
     assert np.array_equal(threaded, single)

@@ -25,7 +25,7 @@ from miniaffect.nn.encoder import EncoderConfig, init_params
 from miniaffect.optim import AdamWConfig
 from miniaffect.predictions import read_predictions
 from miniaffect.text import load_vocab
-from miniaffect.train import Checkpoint, TrainConfig, load_checkpoint, make_config, save_checkpoint
+from miniaffect.train import _TASKS, Checkpoint, TrainConfig, load_checkpoint, make_config, save_checkpoint
 
 from corpus import keyword_classification_corpus, keyword_regression_corpus, tiny_encoder_kwargs
 
@@ -88,7 +88,7 @@ def corpora(tmp_path_factory):
 
 def test_ingest_valid_file(tmp_path, corpora, capsys):
     out = tmp_path / "out"
-    assert run("ingest", "--input", corpora / "train.tsv", "--split", "train", "--out", out) == 0
+    assert run("ingest", "--input", corpora / "train.tsv", "--out", out) == 0
     assert (out / "dataset.tsv").exists()
     hist_lines = (out / "histogram.csv").read_text().strip().split("\n")
     assert hist_lines[0] == "class,count"
@@ -97,6 +97,7 @@ def test_ingest_valid_file(tmp_path, corpora, capsys):
     assert total == 21
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "ingest"
+    assert manifest["config"] == {"records": 21}
     assert len(manifest["inputs"]) == 1
 
 
@@ -183,8 +184,7 @@ def test_augment_other_schemes_size_flag_exits_1_before_reading_input(tmp_path, 
 
 def test_ingest_train_predict_eval_pipeline(tmp_path, corpora):
     ingest_dir = tmp_path / "ingested"
-    assert run("ingest", "--input", corpora / "train.tsv", "--split", "train",
-               "--out", ingest_dir, "--quiet") == 0
+    assert run("ingest", "--input", corpora / "train.tsv", "--out", ingest_dir, "--quiet") == 0
     out = tmp_path / "run"
     code = run("train", "--train", ingest_dir / "dataset.tsv", "--dev", corpora / "dev.tsv",
                "--task", "emotion", "--epochs", 60, "--seed", 0,
@@ -202,7 +202,7 @@ def test_ingest_train_predict_eval_pipeline(tmp_path, corpora):
 
     pred_dir = tmp_path / "preds"
     code = run("predict", "--model", out / "model.ckpt", "--vocab", out / "vocab.tsv",
-               "--input", corpora / "train.tsv", "--split", "train", "--out", pred_dir, "--quiet")
+               "--input", corpora / "train.tsv", "--out", pred_dir, "--quiet")
     assert code == 0
     preds = read_predictions(pred_dir / "predictions.tsv")
     assert np.abs(preds.scores.sum(axis=1) - 1.0).max() < 1e-9
@@ -210,7 +210,7 @@ def test_ingest_train_predict_eval_pipeline(tmp_path, corpora):
 
     eval_dir = tmp_path / "eval"
     code = run("eval", "--task", "classification", "--pred", pred_dir / "predictions.tsv",
-               "--gold", corpora / "train.tsv", "--split", "train", "--out", eval_dir, "--quiet")
+               "--gold", corpora / "train.tsv", "--out", eval_dir, "--quiet")
     assert code == 0
     payload = json.loads((eval_dir / "report.json").read_text())
     assert payload["macro_f1"] == 1.0  # separable corpus memorized
@@ -255,7 +255,7 @@ def test_train_bad_config_is_validation_error(tmp_path, corpora, config, capsys)
     ("weight_decay", {"optimizer": {"weight_decay": float("inf")}}),
     ("largest term is training activations", {"encoder": {"max_len": 100000000000}}),
     ("epoch, learning_rate", {"epoch": 50, "learning_rate": 5}),
-    ("head_kind 'regression_single'", {"encoder": {"head_kind": "regression_single"}}),
+    ("unknown encoder key(s): head_kind", {"encoder": {"head_kind": "regression_single"}}),
     ("vocab_size 5", {"encoder": {"vocab_size": 5}}),
     ("vocab_size must be an integer", {"encoder": {"vocab_size": None}}),
     ("max_len 1 leaves no room after the CLS position", {"encoder": {"max_len": 1}}),
@@ -317,7 +317,7 @@ def test_predict_empty_input_is_validation_error(tmp_path, corpora, capsys):
                "--out", out, "--quiet") == 0
     empty = _header_only(corpora / "train.tsv", tmp_path / "empty.tsv")
     assert run("predict", "--model", out / "model.ckpt", "--vocab", out / "vocab.tsv",
-               "--input", empty, "--split", "train", "--out", tmp_path / "preds", "--quiet") == 1
+               "--input", empty, "--out", tmp_path / "preds", "--quiet") == 1
     assert "empty dataset" in capsys.readouterr().err
 
 
@@ -351,13 +351,14 @@ def _with_layers(n_layers):
     ("dropout_rate 5.0", _with_config("encoder", dropout_rate=5.0)),
     ("lr must be positive", _with_config("optimizer", lr=-1.0)),
     ("epochs must be >= 0", _with_config(epochs=-4)),
-    ("does not fit task 'emotion'", _with_config("encoder", head_kind="regression_single")),
+    ("unknown encoder key(s): head_kind", _with_config("encoder", head_kind="classify7")),
+    ("unknown config key(s): preset", _with_config(preset="desk_scale")),
     ("max_len 1 leaves no room after the CLS position", _with_config("encoder", max_len=1)),
     ("vocab_max_size 2 cannot hold the 3 reserved ids", _with_config(vocab_max_size=2)),
     ("vocab_min_freq must be >= 1", _with_config(vocab_min_freq=0)),
 ], ids=["n_layers_1e10", "n_layers_past_manifest", "n_layers_2_of_1", "n_layers_not_int",
         "n_heads_not_dividing_d_model", "dropout_rate_5", "lr_negative", "epochs_negative",
-        "head_kind_not_fitting_task", "max_len_1", "vocab_max_size_2", "vocab_min_freq_0"])
+        "head_kind_key", "preset_key", "max_len_1", "vocab_max_size_2", "vocab_min_freq_0"])
 def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, message, edit, capsys):
     out = tmp_path / "run"
     assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv",
@@ -365,7 +366,7 @@ def test_predict_checkpoint_not_matching_config_exits_1(tmp_path, corpora, messa
                "--out", out, "--quiet") == 0
     _edit_header(out / "model.ckpt", out / "bad.ckpt", edit)
     assert run("predict", "--model", out / "bad.ckpt", "--vocab", out / "vocab.tsv",
-               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+               "--input", corpora / "dev.tsv", "--out", tmp_path / "preds", "--quiet") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert message in err
@@ -381,7 +382,7 @@ def test_predict_checkpoint_header_fault_exits_1(tmp_path, corpora, message, edi
                "--out", out, "--quiet") == 0
     _edit_header(out / "model.ckpt", out / "bad.ckpt", edit)
     assert run("predict", "--model", out / "bad.ckpt", "--vocab", out / "vocab.tsv",
-               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+               "--input", corpora / "dev.tsv", "--out", tmp_path / "preds", "--quiet") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert message in err
@@ -397,13 +398,13 @@ def trained_model(tmp_path_factory, corpora):
     return out
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_predict_older_checkpoint_version_exits_1(tmp_path, corpora, trained_model, version, capsys):
     # The version is read from bytes 4-8 before anything else in the file, so an old header adds nothing.
     raw = (trained_model / "model.ckpt").read_bytes()
     (tmp_path / "old.ckpt").write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
     assert run("predict", "--model", tmp_path / "old.ckpt", "--vocab", trained_model / "vocab.tsv",
-               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+               "--input", corpora / "dev.tsv", "--out", tmp_path / "preds", "--quiet") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert f"unsupported checkpoint version {version}" in err
@@ -423,7 +424,7 @@ def test_predict_json_header_vocabulary_exits_1_naming_it(tmp_path, corpora, hea
     old = out / "old_vocab.tsv"
     old.write_text(header + "\n" + "".join(f"{tok}\t{i}\n" for i, tok in enumerate(tokens, start=3)), encoding="utf-8")
     assert run("predict", "--model", out / "model.ckpt", "--vocab", old,
-               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+               "--input", corpora / "dev.tsv", "--out", tmp_path / "preds", "--quiet") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert f"error: {old}: " in err
@@ -436,7 +437,7 @@ def test_predict_clamp_on_classification_checkpoint_exits_1(tmp_path, corpora, c
                "--task", "emotion", "--epochs", 0, "--config", corpora / "tiny.json",
                "--out", out, "--quiet") == 0
     assert run("predict", "--model", out / "model.ckpt", "--vocab", out / "vocab.tsv", "--clamp",
-               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+               "--input", corpora / "dev.tsv", "--out", tmp_path / "preds", "--quiet") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "task 'emotion'" in err
@@ -453,7 +454,7 @@ def test_predict_checkpoint_with_non_finite_tensor_exits_1(tmp_path, corpora, na
     ckpt.params[name].flat[-1] = value
     save_checkpoint(ckpt, out / "bad.ckpt")
     assert run("predict", "--model", out / "bad.ckpt", "--vocab", out / "vocab.tsv",
-               "--input", corpora / "dev.tsv", "--split", "dev", "--out", tmp_path / "preds", "--quiet") == 1
+               "--input", corpora / "dev.tsv", "--out", tmp_path / "preds", "--quiet") == 1
     err = capsys.readouterr().err
     assert f"{out / 'bad.ckpt'}: tensor {name!r} holds a non-finite value" in err
     assert not (tmp_path / "preds").exists() or not any((tmp_path / "preds").iterdir())
@@ -474,7 +475,7 @@ def test_predict_of_a_checkpoint_whose_forward_overflows_exits_1_writing_nothing
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run("predict", "--model", out / "huge.ckpt", "--vocab", out / "vocab.tsv",
-                   "--input", dev_path, "--split", "dev", "--out", tmp_path / "preds", "--quiet")
+                   "--input", dev_path, "--out", tmp_path / "preds", "--quiet")
     assert code == 1
     assert capsys.readouterr().err == (
         "error: prediction stopped: overflow encountered in multiply in the model's forward pass\n"
@@ -518,6 +519,20 @@ def test_flag_overrides_config_file(tmp_path, corpora):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["batch_size"] == 2
     assert manifest["config"]["epochs"] == 1
+
+
+@pytest.mark.parametrize("given", [["--preset", "paper_faithful"], []], ids=["flag", "config_file"])
+def test_preset_picks_the_default_lr_and_is_not_echoed(tmp_path, corpora, given):
+    cfg_path = tmp_path / "cfg.json"
+    settings = {"encoder": tiny_encoder_kwargs(), **({} if given else {"preset": "paper_faithful"})}
+    cfg_path.write_text(json.dumps(settings), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("train", "--train", corpora / "train.tsv", "--dev", corpora / "dev.tsv", "--task", "emotion",
+               "--epochs", 0, "--config", cfg_path, *given, "--out", out, "--quiet") == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["optimizer"]["lr"] == 1e-5
+    assert "preset" not in config and "head_kind" not in config["encoder"]
+    assert load_checkpoint(out / "model.ckpt").config.to_dict() == config
 
 
 def test_manifest_config_reproduces_run(tmp_path, corpora):
@@ -745,7 +760,7 @@ def test_train_config_of_extreme_numbers_exits_0_or_1(corpora, values):
 def _tiny_checkpoint_bytes() -> bytes:
     cfg = make_config("emotion", 1, encoder=tiny_encoder_kwargs(vocab_size=12, d_model=4, n_heads=1, d_ff=4))
     with tempfile.TemporaryDirectory() as tmp:
-        save_checkpoint(Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, 0)),
+        save_checkpoint(Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, _TASKS["emotion"].heads, 0)),
                         Path(tmp) / "model.ckpt")
         return (Path(tmp) / "model.ckpt").read_bytes()
 
@@ -910,6 +925,13 @@ def test_output_path_taken_by_a_directory_exits_1_naming_it(tmp_path, corpora, m
     ("[0.5, 0.25]", "must hold a JSON object"),
     ('{"task": "classification", "macro_f1": "high"}', "macro_f1 must be a number"),
     ('{"task": "classification", "accuracy": true}', "accuracy must be a number"),
+    # json reads NaN and the Infinity literals, and 1e400 as an infinity; eval writes none of them.
+    ('{"task": "regression", "pearson_avg": NaN}', "pearson_avg must be a number and finite, got nan"),
+    ('{"task": "regression", "pearson_empathy": Infinity}', "pearson_empathy must be a number and finite, got inf"),
+    ('{"task": "classification", "accuracy": -Infinity}', "accuracy must be a number and finite, got -inf"),
+    ('{"task": "classification", "macro_f1": 1e400}', "macro_f1 must be a number and finite, got inf"),
+    pytest.param('{"macro_f1": 1%s}' % ("0" * 400), "macro_f1 must be a number and finite, got 1000",
+                 id="int_past_float64"),
 ])
 def test_report_bad_file_exits_1(tmp_path, content, message, capsys):
     path = tmp_path / "report.json"
@@ -933,6 +955,8 @@ def test_report_rows_named_by_path_tell_runs_apart(tmp_path):
     "command, flag",
     [(c, f) for c in ("ensemble", "eval", "ingest", "predict", "report") for f in ("--seed", "--config")]
     + [("augment", "--config"), ("seed-sweep", "--seed")]
+    # a task file's split tag changes nothing outside augment's pool, so no command takes one
+    + [(c, "--split") for c in ("ingest", "predict", "eval")]
     # abbreviations of flags the command does read (--epochs, --seed, --count)
     + [("train", "--epoch"), ("train", "--se"), ("augment", "--co")],
 )

@@ -27,6 +27,8 @@ from miniaffect.data import (
     unescape_field,
 )
 from miniaffect.errors import FormatError, RowError, ValidationError
+from miniaffect.predictions import read_predictions
+from miniaffect.text import load_vocab
 
 from oracles import loop_unescape
 
@@ -191,6 +193,22 @@ def test_load_task_unknown_columns_to_extras(tmp_path):
     path = write(tmp_path, "t.tsv", "essay\tage\tincome\nhello\t33\t40000\n")
     ds = load_task_tsv(path, "train")
     assert ds.records[0].extras == {"age": "33", "income": "40000"}
+
+
+def test_a_byte_order_mark_is_no_part_of_any_header(tmp_path):
+    # Some editors start a UTF-8 file with U+FEFF; each table reads as it would without it.
+    def both(name, text, load):
+        return load(write(tmp_path, name, text)), load(write(tmp_path, "bom-" + name, "\ufeff" + text))
+
+    plain, marked = both("t.tsv", "id\tessay\tempathy\na7\thello there\t3.5\nb9\tanother\t1\n",
+                         lambda path: load_task_tsv(path, "train"))
+    assert [r.id for r in marked.records] == ["a7", "b9"]
+    assert all(r.extras == {} for r in marked.records)
+    assert marked.records == plain.records
+    plain, marked = both("p.tsv", "id\tempathy\na7\t3.25\nb9\t1.5\n", read_predictions)
+    assert marked.ids == plain.ids == ["a7", "b9"] and np.array_equal(marked.empathy, plain.empathy)
+    plain, marked = both("vocab.tsv", "token\nhello\nthere\n", load_vocab)
+    assert marked.id_to_token == plain.id_to_token
 
 
 def test_load_task_explicit_ids_and_duplicates(tmp_path):

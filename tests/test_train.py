@@ -23,7 +23,9 @@ from miniaffect.nn.autodiff import Node, softmax
 from miniaffect.nn.encoder import init_params, param_shapes, peak_bytes, run_model
 from miniaffect.text import build_vocab
 from miniaffect.train import (
+    _TASKS,
     CHECKPOINT_VERSION,
+    TASKS,
     Checkpoint,
     TrainConfig,
     load_checkpoint,
@@ -46,6 +48,11 @@ from corpus import (
 def tiny_config(task="emotion", epochs=2, seed=0, **overrides):
     return make_config(task=task, epochs=epochs, preset="desk_scale", seed=seed,
                        encoder=tiny_encoder_kwargs(), **overrides)
+
+
+def heads(cfg):
+    """The heads of the model a TrainConfig describes, which its task names."""
+    return _TASKS[cfg.task].heads
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +78,11 @@ def test_make_config_presets():
     assert faithful.optimizer.weight_decay == 0.0
     assert make_config(task="multitask", epochs=1, preset="paper_faithful").batch_size == 8
     assert make_config(task="emotion", epochs=1, preset="paper_faithful").batch_size == 8
+    # A preset picks the default lr and nothing else, and the config does not record it.
+    assert replace(faithful, optimizer=desk.optimizer) == make_config(task="empathy", epochs=1)
+    assert "preset" not in faithful.to_dict()
+    with pytest.raises(ValidationError, match="unknown preset 'fast' "):
+        make_config(task="emotion", epochs=1, preset="fast")
     assert desk.encoder.d_model == 64
     assert desk.encoder.n_layers == 2
     assert desk.encoder.n_heads == 4
@@ -128,7 +140,7 @@ def test_train_zero_epochs_returns_initialization(emotion_data):
     assert report.best_metric is None and report.best_epoch is None
     from miniaffect.nn.encoder import init_params
 
-    fresh = init_params(ckpt.config.encoder, ckpt.config.seed)
+    fresh = init_params(ckpt.config.encoder, heads(ckpt.config), ckpt.config.seed)
     for name in fresh:
         assert np.array_equal(ckpt.params[name], fresh[name])
 
@@ -175,10 +187,10 @@ def test_single_step_decreases_fixed_batch_loss():
 
     train_set = keyword_classification_corpus(8, "train", 7)
     vocab = build_vocab(train_set)
-    cfg = tiny_config().encoder
+    cfg = tiny_config()
     from dataclasses import replace
 
-    enc = replace(cfg, vocab_size=len(vocab), head_kind="classify7", dropout_rate=0.0)
+    enc = replace(cfg.encoder, vocab_size=len(vocab), dropout_rate=0.0)
     ids, lengths = encode_dataset(train_set, vocab, enc.max_len)
     from miniaffect.data import emotion_id
 
@@ -186,14 +198,14 @@ def test_single_step_decreases_fixed_batch_loss():
 
     wins = 0
     for seed in range(20):
-        params = init_params(enc, seed)
+        params = init_params(enc, heads(cfg), seed)
         opt = AdamW(AdamWConfig(lr=1e-3))
 
         def batch_loss():
             tape = Tape()
             pnodes = wrap_params(params)
             cls = forward(pnodes, enc, ids, lengths, tape, train_mode=True)
-            return loss_cross_entropy(tape, head_apply(pnodes, enc, cls, tape)[0], gold), tape, pnodes
+            return loss_cross_entropy(tape, head_apply(pnodes, heads(cfg), cls, tape)[0], gold), tape, pnodes
 
         loss0, tape, pnodes = batch_loss()
         tape.backward(loss0)
@@ -222,7 +234,7 @@ def _small_checkpoint() -> Checkpoint:
     """A freshly initialised two-layer multitask checkpoint, small enough to build per example."""
     encoder = tiny_encoder_kwargs(vocab_size=20, d_model=8, d_ff=8, n_layers=2)
     cfg = make_config(task="multitask", epochs=2, seed=5, encoder=encoder)
-    return Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, 5))
+    return Checkpoint(config=cfg, vocab_hash="0" * 64, params=init_params(cfg.encoder, heads(cfg), 5))
 
 
 @functools.cache
@@ -267,17 +279,14 @@ def test_checkpoint_mutation_loads_finite_tensors_or_raises_format_error(kind, s
             assert kind != "tensor_bits" or not all(np.isfinite(np.frombuffer(blob[header_end:], "<f8")))
             return
     assert kind != "tensor_exponent"
-    shapes = {name: shape for name, shape, _ in param_shapes(loaded.config.encoder)}
+    shapes = {name: shape for name, shape, _ in param_shapes(loaded.config.encoder, heads(loaded.config))}
     assert {name: arr.shape for name, arr in loaded.params.items()} == shapes
     assert all(np.isfinite(arr).all() for arr in loaded.params.values())
 
 
-_TASK_OF_HEAD = {"regression_single": "empathy", "regression_dual": "multitask", "classify7": "emotion"}
-
-
 @settings(max_examples=100)
 @given(
-    head_kind=st.sampled_from(sorted(_TASK_OF_HEAD)),
+    task=st.sampled_from(TASKS),
     n_heads=st.integers(1, 3),
     head_dim=st.integers(1, 3),
     n_layers=st.integers(1, 3),
@@ -288,12 +297,12 @@ _TASK_OF_HEAD = {"regression_single": "empathy", "regression_dual": "multitask",
     seed=st.integers(0, 2**31),
     planted=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
-def test_checkpoint_round_trip_property(head_kind, n_heads, head_dim, n_layers, d_ff, vocab_size, max_len,
+def test_checkpoint_round_trip_property(task, n_heads, head_dim, n_layers, d_ff, vocab_size, max_len,
                                         dropout_rate, seed, planted):
     encoder = dict(vocab_size=vocab_size, d_model=n_heads * head_dim, n_layers=n_layers, n_heads=n_heads,
                    d_ff=d_ff, max_len=max_len, dropout_rate=dropout_rate)
-    cfg = make_config(task=_TASK_OF_HEAD[head_kind], epochs=1, seed=seed, encoder=encoder)
-    params = init_params(cfg.encoder, seed)
+    cfg = make_config(task=task, epochs=1, seed=seed, encoder=encoder)
+    params = init_params(cfg.encoder, heads(cfg), seed)
     params["tok_emb"][-1, -1] = planted  # any float64, signed zeros, subnormals, infinities and nans included
     ckpt = Checkpoint(config=cfg, vocab_hash="0" * 64, params=params)
     with tempfile.TemporaryDirectory() as tmp:
@@ -344,12 +353,13 @@ def test_checkpoint_short_tensor_read_is_a_format_error(tmp_path):
 
 def test_checkpoint_header_holds_each_fact_once():
     raw, header_end = _saved_checkpoint()
-    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (5,)
+    assert raw[:4] == b"MTAF" and struct.unpack_from("<I", raw, 4) == (CHECKPOINT_VERSION,) == (6,)
     header = json.loads(raw[16:header_end])
     # The config echo names and shapes every tensor, so there is no tensor manifest; the best dev metric
     # and epoch are the train report's. The checkpoint holds only what loading needs.
     assert set(header) == {"config", "vocab_hash"}
-    shapes = [shape for _, shape, _ in param_shapes(TrainConfig.from_dict(header["config"]).encoder)]
+    config = TrainConfig.from_dict(header["config"])
+    shapes = [shape for _, shape, _ in param_shapes(config.encoder, heads(config))]
     assert len(raw) - header_end == sum(8 * math.prod(shape) for shape in shapes)
 
 
@@ -360,7 +370,8 @@ def test_checkpoint_bytes_do_not_depend_on_dict_order(tmp_path):
     raw = (tmp_path / "ordered.ckpt").read_bytes()
     assert (tmp_path / "reversed.ckpt").read_bytes() == raw
     # The tensors lie back to back in the config's param_shapes order.
-    section = b"".join(ckpt.params[name].tobytes() for name, _, _ in param_shapes(ckpt.config.encoder))
+    shapes = param_shapes(ckpt.config.encoder, heads(ckpt.config))
+    section = b"".join(ckpt.params[name].tobytes() for name, _, _ in shapes)
     assert raw.endswith(section) and len(raw) == 16 + int.from_bytes(raw[8:16], "little") + len(section)
 
 
@@ -607,7 +618,8 @@ def test_train_checks_the_memory_bound_at_the_vocabulary_size(emotion_data, monk
     train_set, dev_set = emotion_data
     cfg = tiny_config()
     eval_rows = train_module._EVAL_TOKENS // cfg.encoder.max_len
-    monkeypatch.setattr(train_module, "MAX_BYTES", sum(peak_bytes(cfg.encoder, cfg.batch_size, eval_rows).values()))
+    bound = sum(peak_bytes(cfg.encoder, heads(cfg), cfg.batch_size, eval_rows).values())
+    monkeypatch.setattr(train_module, "MAX_BYTES", bound)
     monkeypatch.setattr(train_module, "init_params", lambda *args: pytest.fail("built a model over the bound"))
     assert replace(cfg) == cfg  # exactly at the bound is allowed
     with pytest.raises(ValidationError, match="for 1 layers, more than the limit"):
@@ -786,13 +798,15 @@ def test_equal_length_essays_run_in_file_order_spans():
     starts = range(0, 40, 16)
     assert [g.tolist() for g in train_module._eval_chunks(lengths)] == [list(range(a, min(a + 16, 40))) for a in starts]
     with blas.single_thread():  # as predict runs
-        logits = np.concatenate([run_model(ckpt.params, cfg, ids[a : a + 16], lengths[a : a + 16])[0] for a in starts])
+        chunks = [run_model(ckpt.params, cfg, heads(ckpt.config), ids[a : a + 16], lengths[a : a + 16]) for a in starts]
+    logits = np.concatenate([out for (out,) in chunks])
     assert np.array_equal(predict(ckpt, d, vocab).scores, softmax(logits, axis=1))
 
 
 def test_desk_scale_eval_hands_attention_at_most_the_token_budget(monkeypatch):
-    cfg = replace(make_config(task="emotion", epochs=1).encoder, vocab_size=50)
-    params = init_params(cfg, 3)
+    config = make_config(task="emotion", epochs=1, encoder={"vocab_size": 50})
+    cfg = config.encoder
+    params = init_params(cfg, heads(config), 3)
     rng = np.random.default_rng(0)
     ids = np.concatenate([np.full((64, 1), 2), rng.integers(3, 50, (64, cfg.max_len - 1))], axis=1)
     lengths = np.full(64, cfg.max_len)
@@ -803,9 +817,9 @@ def test_desk_scale_eval_hands_attention_at_most_the_token_budget(monkeypatch):
         return attention(tape, q, k, v, *args, **kwargs)
 
     monkeypatch.setattr(ad, "attention", spy)
-    out = train_module._model_outputs(params, cfg, ("emotion",), ids, lengths)["emotion"]
+    out = train_module._model_outputs(params, config, ids, lengths)["emotion"]
     assert len(shapes) > cfg.n_layers  # more than one chunk
     assert all(rows * width <= train_module._EVAL_TOKENS for rows, width in shapes)
     assert sum(rows for rows, _ in shapes) == 64 * cfg.n_layers
     monkeypatch.setattr(ad, "attention", attention)
-    assert np.abs(out - run_model(params, cfg, ids, lengths)[0]).max() < 1e-12
+    assert np.abs(out - run_model(params, cfg, heads(config), ids, lengths)[0]).max() < 1e-12

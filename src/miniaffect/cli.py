@@ -26,11 +26,10 @@ from . import __version__, blas
 from .augment import AugmentationSpec, balanced_augment, random_augment
 from .data import class_histogram, load_pool_tsv, load_task_tsv, save_dataset
 from .ensemble import ensemble_classification, ensemble_regression
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, parse_json
 from .metrics import build_report, confusion_csv, histogram_csv
 from .predictions import (
     ClassificationPredictions,
-    RegressionPredictions,
     format_predictions,
     read_predictions,
     write_predictions,
@@ -156,44 +155,28 @@ def cmd_ingest(run: _Run, args) -> None:
 
 
 def cmd_augment(run: _Run, args) -> None:
-    size, other = ("total", "count") if args.scheme == "ba" else ("count", "total")
-    if getattr(args, size) is None:
-        raise ValidationError(f"--scheme {args.scheme} requires --{size}")
-    if getattr(args, other) is not None:
-        raise ValidationError(f"--{other} does not apply to --scheme {args.scheme}, which reads only --{size}")
     base = load_task_tsv(run.add_input(args.base), "train")
     pool = load_pool_tsv(run.add_input(args.pool))
     seed = _resolve_seed(run, args.seed)
     run.seeds = [seed]
-    if args.scheme == "ba":
-        out = balanced_augment(base, pool, AugmentationSpec(scheme="ba", total_target=args.total, seed=seed))
+    if args.total is not None:  # the parser takes exactly one of --total (ba) and --count (ra)
+        scheme, out = "ba", balanced_augment(base, pool, AugmentationSpec("ba", total_target=args.total, seed=seed))
     else:
-        out = random_augment(base, pool, AugmentationSpec(scheme="ra", sample_count=args.count, seed=seed))
+        scheme, out = "ra", random_augment(base, pool, AugmentationSpec("ra", sample_count=args.count, seed=seed))
     run.write("augmented.tsv", save_dataset, out)
-    run.config = {"scheme": args.scheme, "total": args.total, "count": args.count, "seed": seed}
+    run.config = {"scheme": scheme, "total": args.total, "count": args.count, "seed": seed}
     run.notes.update(out.meta)
     run.notes["records"] = len(out)
-    run.say(f"wrote {len(out)} records ({args.scheme}, seed {seed})")
-
-
-def _load_file_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from None
-    if not isinstance(loaded, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
-    return loaded
+    run.say(f"wrote {len(out)} records ({scheme}, seed {seed})")
 
 
 def _resolve_train_config(args, run: _Run):
     """The config file's settings overlaid with the flags that were given; make_config fills in the rest."""
-    settings = _load_file_config(args.config)
+    settings = {}
     if args.config:
-        run.add_input(args.config)
+        settings = parse_json(run.add_input(args.config).read_bytes(), f"cannot read config file {args.config}")
+        if not isinstance(settings, dict):
+            raise ValidationError(f"config file {args.config} must hold a JSON object")
     if args.command == "seed-sweep" and settings.get("seed") is not None:
         raise ValidationError(
             f"config file {args.config} sets seed, which seed-sweep replaces: give the seeds with --seeds"
@@ -239,17 +222,23 @@ def cmd_predict(run: _Run, args) -> None:
     run.say(f"wrote predictions for {len(dataset)} records ({ckpt.config.task})")
 
 
+def _kind(preds) -> str:
+    """The evaluation task a prediction file's header decided: regression or classification."""
+    return "classification" if isinstance(preds, ClassificationPredictions) else "regression"
+
+
 def cmd_ensemble(run: _Run, args) -> None:
-    if args.task == "regression" and args.space is not None:
-        raise ValidationError("--space does not apply to --task regression, which averages the member scores")
-    space = None if args.task == "regression" else args.space or "probability"
     members = [read_predictions(run.add_input(p)) for p in args.files]
-    kind = RegressionPredictions if args.task == "regression" else ClassificationPredictions
-    if not all(isinstance(m, kind) for m in members):
-        raise ValidationError(f"{args.task} ensemble requires {args.task} prediction files")
-    if args.task == "regression":
-        outputs = {"ensemble.tsv": ensemble_regression(members)}
+    task = _kind(members[0])
+    for path, member in zip(args.files, members):
+        if _kind(member) != task:
+            raise ValidationError(f"{path} holds {_kind(member)} predictions, but {args.files[0]} holds {task} ones")
+    if task == "regression":
+        if args.space is not None:
+            raise ValidationError("--space does not apply to regression members, which are averaged")
+        space, outputs = None, {"ensemble.tsv": ensemble_regression(members)}
     else:
+        space = args.space or "probability"
         combined = ensemble_classification(members, score_space=space)
         scores = {"ensemble.tsv": combined.normalized, "ensemble_summed.tsv": combined.summed}
         outputs = {name: ClassificationPredictions(combined.ids, values, combined.labels) for name, values in scores.items()}
@@ -262,20 +251,20 @@ def cmd_ensemble(run: _Run, args) -> None:
             raise ValidationError(f"{name}: {exc}") from None
     for name, text in texts.items():
         run.write(name, _write_text, text)
-    run.config = {"task": args.task, "space": space, "members": len(members)}
+    run.config = {"task": task, "space": space, "members": len(members)}
     run.say(f"combined {len(members)} member files")
 
 
 def cmd_eval(run: _Run, args) -> None:
     preds = read_predictions(run.add_input(args.pred))
     gold = load_task_tsv(run.add_input(args.gold), "dev")
-    report = build_report(args.task, preds, gold)
+    report = build_report(_kind(preds), preds, gold)
     run.write("report.json", _write_text, report.to_json())
-    if args.task == "classification":
+    if report.task == "classification":
         run.write("confusion.csv", _write_text, confusion_csv(report.confusion))
         run.write("confusion_normalized.csv", _write_text, confusion_csv(report.confusion_normalized))
         run.write("histogram.csv", _write_text, histogram_csv(gold))
-    run.config = {"task": args.task, "n": report.n}
+    run.config = {"task": report.task, "n": report.n}
     summary = {k: v for k, v in report.to_dict().items() if isinstance(v, float)}
     run.say(f"eval over {report.n} records: " + json.dumps(summary, sort_keys=True))
 
@@ -302,10 +291,7 @@ _REPORT_COLUMNS = ("pearson_empathy", "pearson_distress", "pearson_avg", "accura
 
 def _load_report(path: Path) -> dict:
     """An eval report's JSON object; FormatError if it is not JSON, not an object or a metric is not a finite number."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"report {path} is not JSON: {exc}") from None
+    payload = parse_json(path.read_bytes(), f"report {path} is not JSON")
     if not isinstance(payload, dict):
         raise FormatError(f"report {path} must hold a JSON object")
     for column in _REPORT_COLUMNS:
@@ -371,11 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = command("augment", "combine a base set with an external pool")
-    p.add_argument("--scheme", choices=["ba", "ra"], required=True, help="ba: balanced top-up, ra: random draw")
     p.add_argument("--base", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--total", type=int, default=None, help="balanced output size (ba)")
-    p.add_argument("--count", type=int, default=None, help="number of pool records to append (ra)")
+    size = p.add_mutually_exclusive_group(required=True)  # the size flag given picks the scheme
+    size.add_argument("--total", type=int, help="ba: balanced top-up to this output size")
+    size.add_argument("--count", type=int, help="ra: random draw of this many pool records to append")
     _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_augment)
@@ -394,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_predict)
 
-    p = command("ensemble", "combine member prediction files")
-    p.add_argument("--task", choices=["regression", "classification"], required=True)
+    p = command("ensemble", "combine member prediction files of one kind")
     p.add_argument("--space", choices=["probability", "logit"], default=None,
                    help="score space of a classification ensemble (default: probability)")
     p.add_argument("files", nargs="+")
@@ -403,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ensemble)
 
     p = command("eval", "score predictions against gold labels")
-    p.add_argument("--task", choices=["regression", "classification"], required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     _add_common(p)

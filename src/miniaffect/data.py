@@ -250,12 +250,9 @@ def format_table(header, rows, key: str = "id") -> str:
     return text
 
 
-def _load_tsv(path, split: str, text_column: str) -> Dataset:
-    return _table_dataset(*read_table(path), split, text_column, path)
-
-
-def _table_dataset(header, rows, split: str, text_column: str, path=None) -> Dataset:
-    """The Dataset a task or pool table's ``read_table`` header and rows hold; ``path`` names its file in errors."""
+def _table_dataset(header, rows, split: str, path=None) -> Dataset:
+    """The Dataset a ``read_table`` header and rows hold, its text in column ``text`` for a pool, else ``essay``."""
+    text_column = "text" if split == "pool" else "essay"
     if text_column not in header:
         raise FormatError(f"{path}: header has no {text_column!r} column (got {header})")
     if split == "pool" and "emotion" not in header:
@@ -291,13 +288,13 @@ def _table_dataset(header, rows, split: str, text_column: str, path=None) -> Dat
 
 
 def load_task_tsv(path, split: str) -> Dataset:
-    """Load a task TSV (labeled essays) into a Dataset tagged ``split``."""
-    return _load_tsv(path, split, "essay")
+    """Load a task TSV (labeled essays) into a Dataset tagged ``split``; a ``"pool"`` split reads a pool TSV."""
+    return _table_dataset(*read_table(path), split, path)
 
 
 def load_pool_tsv(path) -> Dataset:
     """Load an augmentation-pool TSV; records never carry scores."""
-    return _load_tsv(path, "pool", "text")
+    return load_task_tsv(path, "pool")
 
 
 def serialize_dataset(d: Dataset) -> str:
@@ -323,7 +320,7 @@ def serialize_dataset(d: Dataset) -> str:
             row.append("" if value is None else value if name == "emotion" else repr(float(value)))
         rows.append(row + [r.extras.get(key, "") for key in extra_keys])
     text = format_table(header, rows)
-    loaded = _table_dataset(header, rows, d.split, text_column)
+    loaded = _table_dataset(header, rows, d.split)
     for r, back in zip(d.records, loaded.records):
         if r != back:
             name = next(f.name for f in fields(r) if getattr(r, f.name) != getattr(back, f.name))

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the config field check that raises them."""
+"""Exception types shared across the toolkit, and the JSON parse and config field check that raise them."""
 
 import functools
+import json
 import math
 import numbers
 import typing
@@ -27,6 +28,15 @@ class RowError(ValidationError):
         self.line = line
         self.message = message
         self.path = path
+
+
+def parse_json(raw: bytes, where: str):
+    """The value of UTF-8 JSON ``raw``; FormatError starting with ``where`` for anything json refuses: bytes that
+    are not UTF-8 JSON, an int of over 4300 digits, or nesting past the recursion limit (a RecursionError)."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 # int fields take any integer and float fields any finite real number; bools pass only bool fields.

@@ -20,7 +20,7 @@ import numpy as np
 from . import blas
 from . import metrics as M
 from .data import EMOTIONS, Dataset, gold_values
-from .errors import DivergenceError, FormatError, ValidationError, check_field_types
+from .errors import DivergenceError, FormatError, ValidationError, check_field_types, parse_json
 from .nn.autodiff import Tape, softmax
 from .nn.encoder import (
     EncoderConfig,
@@ -481,9 +481,9 @@ def load_checkpoint(path) -> Checkpoint:
         if section < 0:
             raise FormatError(f"{path}: truncated checkpoint header")
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = parse_json(fh.read(header_len), f"{path}: corrupt checkpoint header")
             echo, vocab_hash = header["config"], header["vocab_hash"]
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
         try:
             config = TrainConfig.from_dict(echo)

@@ -115,7 +115,7 @@ def test_ingest_usage_error_exit_code():
 
 def test_augment_ba_balances(tmp_path, corpora):
     out = tmp_path / "out"
-    code = run("augment", "--scheme", "ba", "--base", corpora / "train.tsv",
+    code = run("augment", "--base", corpora / "train.tsv",
                "--pool", corpora / "pool.tsv", "--total", 28, "--seed", 5, "--out", out)
     assert code == 0
     augmented = load_task_tsv(out / "augmented.tsv", "derived")
@@ -129,7 +129,7 @@ def test_augment_ba_balances(tmp_path, corpora):
 
 def test_augment_ra_count_zero_identity(tmp_path, corpora):
     out = tmp_path / "out"
-    assert run("augment", "--scheme", "ra", "--base", corpora / "train.tsv",
+    assert run("augment", "--base", corpora / "train.tsv",
                "--pool", corpora / "pool.tsv", "--count", 0, "--seed", 1, "--out", out) == 0
     assert load_task_tsv(out / "augmented.tsv", "train").records == load_task_tsv(corpora / "train.tsv", "train").records
 
@@ -137,7 +137,7 @@ def test_augment_ra_count_zero_identity(tmp_path, corpora):
 def test_augment_same_seed_byte_identical(tmp_path, corpora):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert run("augment", "--scheme", "ba", "--base", corpora / "train.tsv",
+        assert run("augment", "--base", corpora / "train.tsv",
                    "--pool", corpora / "pool.tsv", "--total", 28, "--seed", 9, "--out", out) == 0
     assert (out1 / "augmented.tsv").read_bytes() == (out2 / "augmented.tsv").read_bytes()
 
@@ -148,7 +148,7 @@ def test_augment_pool_column_repeating_essay_exits_1_writing_nothing(tmp_path, c
     pool = tmp_path / "pool.tsv"
     pool.write_text("\n".join([header + "\tessay", *(row + "\tx" for row in rows)]) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run("augment", "--scheme", "ra", "--base", corpora / "train.tsv", "--pool", pool,
+    assert run("augment", "--base", corpora / "train.tsv", "--pool", pool,
                "--count", 3, "--seed", 1, "--out", out) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
@@ -156,30 +156,29 @@ def test_augment_pool_column_repeating_essay_exits_1_writing_nothing(tmp_path, c
     assert not (out / "augmented.tsv").exists()
 
 
-@pytest.mark.parametrize("scheme_flags", [("ba", "--total", 28), ("ra", "--count", 3)], ids=["ba", "ra"])
-def test_augment_negative_seed_exits_1_naming_it(tmp_path, corpora, capsys, scheme_flags):
-    scheme, *size = scheme_flags
-    assert run("augment", "--scheme", scheme, "--base", corpora / "train.tsv", "--pool", corpora / "pool.tsv",
+@pytest.mark.parametrize("size", [("--total", 28), ("--count", 3)], ids=["ba", "ra"])
+def test_augment_negative_seed_exits_1_naming_it(tmp_path, corpora, capsys, size):
+    assert run("augment", "--base", corpora / "train.tsv", "--pool", corpora / "pool.tsv",
                *size, "--seed", -1, "--out", tmp_path / "x") == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "seed must be >= 0, got -1" in err
 
 
-def test_augment_missing_flag_is_validation_error(tmp_path, corpora):
-    assert run("augment", "--scheme", "ba", "--base", corpora / "train.tsv",
-               "--pool", corpora / "pool.tsv", "--out", tmp_path / "x") == 1
-
-
-@pytest.mark.parametrize("scheme, size, other", [("ba", ("--total", 14), ("--count", 5)),
-                                                 ("ra", ("--count", 3), ("--total", 700))], ids=["ba", "ra"])
-def test_augment_other_schemes_size_flag_exits_1_before_reading_input(tmp_path, scheme, size, other, capsys):
+# The size flag picks the scheme (--total ba, --count ra), so exactly one must be given.
+@pytest.mark.parametrize("sizes, message", [
+    (("--total", 14, "--count", 5), "argument --count: not allowed with argument --total"),
+    (("--count", 3, "--total", 700), "argument --total: not allowed with argument --count"),
+    ((), "one of the arguments --total --count is required"),
+], ids=["total_then_count", "count_then_total", "neither"])
+def test_augment_size_flags_both_or_neither_exit_2_before_reading_input(tmp_path, sizes, message, capsys):
     missing = tmp_path / "missing.tsv"  # reading it would fail with another message
-    assert run("augment", "--scheme", scheme, *size, *other, "--base", missing, "--pool", missing,
-               "--out", tmp_path / "x") == 1
+    out = tmp_path / "x"
+    assert run("augment", *sizes, "--base", missing, "--pool", missing, "--out", out) == 2
     err = capsys.readouterr().err
-    assert f"{other[0]} does not apply to --scheme {scheme}" in err
+    assert message in err
     assert str(missing) not in err
+    assert not out.exists()
 
 
 def test_ingest_train_predict_eval_pipeline(tmp_path, corpora):
@@ -209,7 +208,7 @@ def test_ingest_train_predict_eval_pipeline(tmp_path, corpora):
     assert preds.labels == [EMOTIONS[int(i)] for i in preds.scores.argmax(axis=1)]
 
     eval_dir = tmp_path / "eval"
-    code = run("eval", "--task", "classification", "--pred", pred_dir / "predictions.tsv",
+    code = run("eval", "--pred", pred_dir / "predictions.tsv",
                "--gold", corpora / "train.tsv", "--out", eval_dir, "--quiet")
     assert code == 0
     payload = json.loads((eval_dir / "report.json").read_text())
@@ -550,7 +549,7 @@ def test_ensemble_idempotent_on_duplicate_regression_file(tmp_path):
     pred = tmp_path / "m.tsv"
     pred.write_text("id\tempathy\na\t2.5\nb\t6.25\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run("ensemble", "--task", "regression", pred, pred, "--out", out) == 0
+    assert run("ensemble", pred, pred, "--out", out) == 0
     merged = read_predictions(out / "ensemble.tsv")
     assert merged.empathy.tolist() == [2.5, 6.25]
 
@@ -566,7 +565,7 @@ def test_ensemble_classification_writes_both_files(tmp_path):
     member = tmp_path / "m.tsv"
     member.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run("ensemble", "--task", "classification", member, member, "--out", out) == 0
+    assert run("ensemble", member, member, "--out", out) == 0
     combined = read_predictions(out / "ensemble.tsv")
     assert np.abs(combined.scores.sum(axis=1) - 1.0).max() < 1e-9
     summed = read_predictions(out / "ensemble_summed.tsv")
@@ -584,7 +583,7 @@ def test_ensemble_classification_logit_space_writes_both_files(tmp_path):
         members.append(tmp_path / f"m{k}.tsv")
         members[-1].write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run("ensemble", "--task", "classification", "--space", "logit", *members, "--out", out) == 0
+    assert run("ensemble", "--space", "logit", *members, "--out", out) == 0
     summed = read_predictions(out / "ensemble_summed.tsv")
     assert np.allclose(summed.scores, logits.sum(axis=0))
     combined = read_predictions(out / "ensemble.tsv")
@@ -599,16 +598,30 @@ def test_ensemble_regression_with_space_exits_1_before_writing(tmp_path, space, 
     pred = tmp_path / "m.tsv"
     pred.write_text("id\tempathy\na\t2.5\nb\t6.25\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run("ensemble", "--task", "regression", "--space", space, pred, pred, "--out", out) == 1
+    assert run("ensemble", "--space", space, pred, pred, "--out", out) == 1
     err = capsys.readouterr().err
-    assert "--space does not apply to --task regression" in err
+    assert "error: --space does not apply to regression members, which are averaged" in err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("first", ["regression", "classification"])
+def test_ensemble_of_mixed_kinds_exits_1_naming_the_first_other_member(tmp_path, first, capsys):
+    regression, classification = tmp_path / "r.tsv", tmp_path / "c.tsv"
+    regression.write_text("id\tempathy\na\t2.5\nb\t6.25\n", encoding="utf-8")
+    classification.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t{_UNIFORM}\tjoy\n", encoding="utf-8")
+    members = [regression, classification] if first == "regression" else [classification, regression]
+    other = "classification" if first == "regression" else "regression"
+    out = tmp_path / "out"
+    assert run("ensemble", members[0], members[0], members[1], members[0], "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"error: {members[1]} holds {other} predictions, but {members[0]} holds {first} ones" in err
+    assert not list(out.glob("ensemble*.tsv"))
 
 
 def test_ensemble_manifest_records_the_space_used(tmp_path):
     pred = tmp_path / "m.tsv"
     pred.write_text("id\tempathy\na\t2.5\n", encoding="utf-8")
-    assert run("ensemble", "--task", "regression", pred, "--out", tmp_path / "reg") == 0
+    assert run("ensemble", pred, "--out", tmp_path / "reg") == 0
     assert json.loads((tmp_path / "reg" / "manifest.json").read_text())["config"]["space"] is None
 
 
@@ -621,20 +634,19 @@ def _logit_member(p_anger):
     return _PROB_HEADER + f"a\t{p_anger}{rest}b\t1.0{rest}"
 
 
-@pytest.mark.parametrize("task, space, member, fault", [
-    ("regression", None, "id\tempathy\na\t1e308\nb\t2.0\n", "ensemble.tsv: line 2, column 'empathy': inf"),
+@pytest.mark.parametrize("space, member, fault", [
+    (None, "id\tempathy\na\t1e308\nb\t2.0\n", "ensemble.tsv: line 2, column 'empathy': inf"),
     # the softmax of the mean turns the summed infinity into NaN
-    ("classification", "logit", _logit_member("1e308"), "ensemble.tsv: line 2, column 'p_anger': nan"),
+    ("logit", _logit_member("1e308"), "ensemble.tsv: line 2, column 'p_anger': nan"),
     # here ensemble.tsv, the softmax, is finite, and only ensemble_summed.tsv holds the infinity
-    ("classification", "logit", _logit_member("-1e308"), "ensemble_summed.tsv: line 2, column 'p_anger': -inf"),
+    ("logit", _logit_member("-1e308"), "ensemble_summed.tsv: line 2, column 'p_anger': -inf"),
 ], ids=["regression_mean_overflows", "logit_softmax_of_an_infinity", "logit_sum_overflows_alone"])
-def test_ensemble_of_finite_members_that_overflows_exits_1_writing_nothing(tmp_path, task, space, member, fault,
-                                                                           capsys):
+def test_ensemble_of_finite_members_that_overflows_exits_1_writing_nothing(tmp_path, space, member, fault, capsys):
     path = tmp_path / "m.tsv"
     path.write_text(member, encoding="utf-8")
     out = tmp_path / "out"
     flags = ["--space", space] if space else []
-    assert run("ensemble", "--task", task, *flags, path, path, "--out", out) == 1
+    assert run("ensemble", *flags, path, path, "--out", out) == 1
     assert f"error: {fault} would not read back" in capsys.readouterr().err
     assert not list(out.glob("ensemble*.tsv"))
 
@@ -643,7 +655,7 @@ def test_ensemble_of_a_member_that_is_no_probability_vector_prints_its_sum_as_a_
     path = tmp_path / "m.tsv"
     path.write_text(_logit_member("1e308"), encoding="utf-8")
     out = tmp_path / "out"
-    assert run("ensemble", "--task", "classification", path, path, "--out", out) == 1
+    assert run("ensemble", path, path, "--out", out) == 1
     message = "member 1 row for id 'a' is not a probability vector (sums to 1e+308)"
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not list(out.glob("ensemble*.tsv"))
@@ -654,7 +666,7 @@ def test_eval_on_predictions_whose_sums_overflow_exits_1_writing_nothing(tmp_pat
     pred.write_text("id\tempathy\na\t1e308\nb\t1.7e308\nc\t-1e308\n", encoding="utf-8")
     gold.write_text("id\tessay\tempathy\na\tx\t1.0\nb\ty\t2.0\nc\tz\t4.0\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert run("eval", "--task", "regression", "--pred", pred, "--gold", gold, "--out", out) == 1
+    assert run("eval", "--pred", pred, "--gold", gold, "--out", out) == 1
     assert "error: pearson undefined: the values overflow float64 sums" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
@@ -860,11 +872,11 @@ def test_version_flag():
 BAD = object()
 _COMMAND_ARGS = {
     "ingest": ["ingest", "--input", BAD],
-    "augment": ["augment", "--scheme", "ra", "--count", 1, "--base", "train.tsv", "--pool", BAD],
+    "augment": ["augment", "--count", 1, "--base", "train.tsv", "--pool", BAD],
     "train": ["train", "--train", BAD, "--dev", "dev.tsv", "--task", "emotion", "--epochs", 1],
     "predict": ["predict", "--model", BAD, "--vocab", "train.tsv", "--input", "dev.tsv"],
-    "ensemble": ["ensemble", "--task", "classification", BAD],
-    "eval": ["eval", "--task", "classification", "--pred", BAD, "--gold", "dev.tsv"],
+    "ensemble": ["ensemble", BAD],
+    "eval": ["eval", "--pred", BAD, "--gold", "dev.tsv"],
     "seed-sweep": ["seed-sweep", "--seeds", "1,2", "--train", "train.tsv", "--dev", BAD,
                    "--task", "emotion", "--epochs", 1],
     "report": ["report", BAD],
@@ -899,7 +911,7 @@ _WRITING_COMMANDS = {
                "--config", "tiny.json"], "model.ckpt"),
     "predict": (["predict", "--model", "run/model.ckpt", "--vocab", "run/vocab.tsv", "--input", "dev.tsv"],
                 "predictions.tsv"),
-    "ensemble": (["ensemble", "--task", "classification", "preds/predictions.tsv"], "ensemble.tsv"),
+    "ensemble": (["ensemble", "preds/predictions.tsv"], "ensemble.tsv"),
 }
 
 
@@ -941,6 +953,39 @@ def test_report_bad_file_exits_1(tmp_path, content, message, capsys):
     assert message in err and str(path) in err
 
 
+# JSON that Python's parser refuses with something other than a JSONDecodeError.
+_JSON_FAULTS = {
+    "int_of_5001_digits": ('{"epochs": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    "nested_100000_deep": ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_JSON_FAULTS))
+@pytest.mark.parametrize("reader", ["report", "train_config", "predict_checkpoint_header"])
+def test_json_the_parser_refuses_exits_1_naming_the_file(tmp_path, trained_model, reader, fault, capsys):
+    text, message = _JSON_FAULTS[fault]
+    missing = tmp_path / "missing.tsv"  # the JSON is read first, so no data file is
+    if reader == "predict_checkpoint_header":
+        raw = (trained_model / "model.ckpt").read_bytes()
+        (length,) = struct.unpack_from("<Q", raw, 8)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text.encode("utf-8") + raw[16 + length :])
+        argv = ["predict", "--model", path, "--vocab", missing, "--input", missing]
+        prefix = f"{path}: corrupt checkpoint header"
+    else:
+        path = tmp_path / "file.json"
+        path.write_text(text, encoding="utf-8")
+        argv, prefix = {
+            "report": (["report", path], f"report {path} is not JSON"),
+            "train_config": (["train", "--train", missing, "--dev", missing, "--task", "emotion", "--config", path],
+                             f"cannot read config file {path}"),
+        }[reader]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"error: {prefix}: {message}" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_report_rows_named_by_path_tell_runs_apart(tmp_path):
     paths = [tmp_path / name / "report.json" for name in ("e1", "e2")]
     for accuracy, path in zip((0.5, 0.75), paths):
@@ -957,6 +1002,8 @@ def test_report_rows_named_by_path_tell_runs_apart(tmp_path):
     + [("augment", "--config"), ("seed-sweep", "--seed")]
     # a task file's split tag changes nothing outside augment's pool, so no command takes one
     + [(c, "--split") for c in ("ingest", "predict", "eval")]
+    # a prediction file's header decides its kind, and augment's size flag its scheme
+    + [("eval", "--task"), ("ensemble", "--task"), ("augment", "--scheme")]
     # abbreviations of flags the command does read (--epochs, --seed, --count)
     + [("train", "--epoch"), ("train", "--se"), ("augment", "--co")],
 )
@@ -974,8 +1021,8 @@ def test_repeated_prediction_id_exits_1_naming_line_and_id(tmp_path, command, ca
     pred = tmp_path / "pred.tsv"
     pred.write_text("id\tempathy\na\t1.0\na\t1.0\nc\t3.0\n", encoding="utf-8")
     argv = {
-        "eval": ["eval", "--task", "regression", "--pred", pred, "--gold", gold],
-        "ensemble": ["ensemble", "--task", "regression", pred, pred],
+        "eval": ["eval", "--pred", pred, "--gold", gold],
+        "ensemble": ["ensemble", pred, pred],
     }[command]
     assert run(*argv, "--out", tmp_path / "out") == 1
     assert "line 3: duplicate id 'a'" in capsys.readouterr().err
@@ -1010,8 +1057,8 @@ def test_non_finite_prediction_value_exits_1_naming_its_line(tmp_path, command, 
     member.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t" + "\t".join([raw] * 7) + "\tanger\n",
                       encoding="utf-8")
     argv = {
-        "eval": ["eval", "--task", "regression", "--pred", pred, "--gold", gold],
-        "ensemble": ["ensemble", "--task", "classification", member, member],
+        "eval": ["eval", "--pred", pred, "--gold", gold],
+        "ensemble": ["ensemble", member, member],
     }[command]
     assert run(*argv, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
@@ -1026,7 +1073,7 @@ def test_ensemble_row_fault_names_the_member_file(tmp_path, capsys):
     good.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t{_UNIFORM}\tjoy\n", encoding="utf-8")
     bad.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t" + "\t".join(["nan"] * 7) + "\tanger\n",
                    encoding="utf-8")
-    assert run("ensemble", "--task", "classification", good, bad, "--out", tmp_path / "out") == 1
+    assert run("ensemble", good, bad, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert f"error: {bad}: line 3: p_anger value 'nan' is not finite" in err
     assert str(good) not in err
@@ -1037,8 +1084,8 @@ def test_unknown_prediction_label_exits_1_naming_its_line(tmp_path, corpora, com
     member = tmp_path / "member.tsv"
     member.write_text(_PROB_HEADER + f"a\t{_UNIFORM}\tjoy\nb\t{_UNIFORM}\thappy\n", encoding="utf-8")
     argv = {
-        "eval": ["eval", "--task", "classification", "--pred", member, "--gold", corpora / "dev.tsv"],
-        "ensemble": ["ensemble", "--task", "classification", member],
+        "eval": ["eval", "--pred", member, "--gold", corpora / "dev.tsv"],
+        "ensemble": ["ensemble", member],
     }[command]
     assert run(*argv, "--out", tmp_path / "out") == 1
     assert f"error: {member}: line 3: unknown emotion label 'happy'" in capsys.readouterr().err

@@ -258,6 +258,14 @@ def test_pool_scores_ignored_even_if_present(tmp_path):
     assert ds.records[0].extras == {}
 
 
+def test_the_pool_split_alone_picks_the_text_column(tmp_path):
+    path = write(tmp_path, "p.tsv", "id\ttext\temotion\na\tsome pool text\tjoy\nb\tmore pool text\tFear\n")
+    pool = load_task_tsv(path, "pool")
+    assert pool == load_pool_tsv(path)
+    save_dataset(pool, tmp_path / "saved.tsv")
+    assert load_task_tsv(tmp_path / "saved.tsv", "pool") == pool
+
+
 def test_escape_round_trip():
     tricky = "line one\nline\ttwo \\ backslash \\t literal"
     assert unescape_field(escape_field(tricky)) == tricky
@@ -333,7 +341,7 @@ _RECORD_FAULTS = {
 )
 def test_save_dataset_refuses_or_writes_what_loads_back_equal(records, split, faults):
     """save_dataset either raises ValidationError and leaves no file, or writes a file that
-    load_task_tsv or load_pool_tsv reads back equal; only a faulty record is refused."""
+    load_task_tsv reads back equal under the same split; only a faulty record is refused."""
     if split == "pool":  # a valid pool record has an emotion and no scores
         records = [replace(r, empathy=None, distress=None, emotion=r.emotion or "fear") for r in records]
     for kind, pick in faults:
@@ -348,7 +356,7 @@ def test_save_dataset_refuses_or_writes_what_loads_back_equal(records, split, fa
             assert not path.exists()
             assert faulty
             return
-        loaded = load_pool_tsv(path) if split == "pool" else load_task_tsv(path, split)
+        loaded = load_task_tsv(path, split)
     assert loaded.records == records
 
 

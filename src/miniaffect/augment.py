@@ -20,6 +20,13 @@ import numpy as np
 
 from .data import EMOTIONS, Dataset, EssayRecord, gold_values
 from .errors import ValidationError
+from .train import MAX_BYTES
+
+# Most records a balanced set may hold. Each record drawn from the pool costs
+# about 260 bytes (record, id and extras, as tracemalloc measured over 7000
+# draws), so a larger total would pass the memory bound of a training run
+# before it was ever trained on.
+MAX_TOTAL = MAX_BYTES // 256
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,8 @@ def balanced_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Da
     without replacement while the pool lasts and with replacement once it is
     exhausted (the output's ``with_replacement_used`` meta flag records which).
     Selected base records come first, in their original order, followed by
-    pool picks in selection order.
+    pool picks in selection order. A total over ``MAX_TOTAL`` is refused before
+    any draw.
     """
     if spec.scheme != "ba":
         raise ValidationError(f"balanced_augment requires scheme 'ba', got {spec.scheme!r}")
@@ -74,6 +82,11 @@ def balanced_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Da
         raise ValidationError("balanced augmentation requires a positive total_target")
     if spec.total_target % 7 != 0:
         raise ValidationError(f"total_target {spec.total_target} is not divisible by 7")
+    if spec.total_target > MAX_TOTAL:
+        raise ValidationError(
+            f"total_target {spec.total_target} is over {MAX_TOTAL}, the most records a balanced set may hold"
+            f" within the {MAX_BYTES >> 20} MiB memory bound"
+        )
     base_groups = _by_class(base, "base")
     pool_groups = _by_class(pool, "pool")
 

@@ -24,6 +24,8 @@ import contextlib
 import ctypes
 import functools
 
+from numpy._core import _multiarray_umath
+
 # (getter, setter) pairs; OpenBLAS exports them under a build-specific name.
 _SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -36,10 +38,6 @@ _SYMBOLS = (
 @functools.cache
 def _openblas_controls():
     """numpy's OpenBLAS (get, set) thread-count functions, or None."""
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
     try:
         # A symbol lookup through the extension module's handle also searches
         # the libraries it links, numpy's BLAS among them.

@@ -63,7 +63,7 @@ def _environment() -> dict:
     """The interpreter, numpy and its BLAS, and the machine a command ran on."""
     try:
         blas_build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+    except KeyError:  # a numpy built without a BLAS
         blas_build = {}
     return {
         "python": platform.python_version(),

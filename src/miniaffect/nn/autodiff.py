@@ -157,21 +157,40 @@ def matmul(tape: Tape, a: Node, b) -> Node:
     return out
 
 
-def linear(tape: Tape, x: Node, w: Node, b: Node | None) -> Node:
-    """Affine map ``x @ w + b`` over the last axis of x, recorded as one node; ``b`` None adds no bias."""
+def linear(tape: Tape, x: Node, w: Node, b: Node | None, gain: Node | None = None, shift: Node | None = None) -> Node:
+    """Affine map ``x @ w + b`` over the last axis of x, recorded as one node; ``b`` None adds no bias.
+
+    With ``gain`` and ``shift``, the affine of the layer norm that made x, the
+    map is ``(x * gain + shift) @ w + b``. It runs as ``x @ w' + b'`` with
+    ``w' = gain[:, None] * w`` and ``b' = shift @ w + b``, so the affine costs
+    weight-sized work instead of passes over x; the gradients of gain and
+    shift come back from those of w' and b'. Either may be None.
+    """
     xv = x.value
     flat = xv.reshape(-1, xv.shape[-1])
-    y = flat @ w.value
-    if b is not None:
-        y += b.value
+    w_fold = w.value if gain is None else gain.value[:, None] * w.value
+    b_fold = None if b is None else b.value
+    if shift is not None:
+        b_fold = shift.value @ w.value if b is None else shift.value @ w.value + b_fold
+    y = flat @ w_fold
+    if b_fold is not None:
+        y += b_fold
     out = Node(y.reshape(*xv.shape[:-1], y.shape[-1]))
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        x.accumulate((g2 @ w.value.T).reshape(xv.shape))
-        w.accumulate(flat.T @ g2)
+        x.accumulate((g2 @ w_fold.T).reshape(xv.shape))
+        gw = flat.T @ g2
+        gb = g2.sum(axis=0) if b is not None or shift is not None else None
+        if gain is not None:
+            gain.accumulate(np.einsum("ij,ij->i", gw, w.value))
+            gw *= gain.value[:, None]
+        if shift is not None:
+            shift.accumulate(w.value @ gb)
+            gw += np.multiply.outer(shift.value, gb)
+        w.accumulate(gw)
         if b is not None:
-            b.accumulate(g2.sum(axis=0))
+            b.accumulate(gb)
 
     tape.record(out, backward)
     return out
@@ -216,38 +235,36 @@ def take(tape: Tape, a: Node, index) -> Node:
     return out
 
 
-def layer_norm(tape: Tape, x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
-    """Normalise the last axis of x to zero mean and unit variance, then scale by gain and shift by bias.
+def layer_norm(tape: Tape, x: Node, gain: Node | None = None, bias: Node | None = None, eps: float = 1e-5) -> Node:
+    """Normalise the last axis of x to zero mean and unit variance; with gain and bias, then scale and shift.
 
-    Forward and backward run in place on two full-size arrays each, with the
-    operations and operand order of the plain expressions, so the bits are
-    theirs: the variance is ``ndarray.var``'s, the sum of the squared centred
-    values divided by d.
+    The encoder passes no affine where a ``linear`` reads the norm, which folds
+    it into its weights. The row means are products with a ones vector divided
+    by d, and the sums of squares row-wise ``einsum`` products, so no squared
+    array is formed; the variance is the mean of the squared centred values.
     """
     xv = x.value
-    xhat = xv - xv.mean(axis=-1, keepdims=True)
-    out = np.multiply(xhat, xhat)
-    inv_std = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / xv.shape[-1] + eps)
+    d = xv.shape[-1]
+    ones = np.ones(d)
+    flat = xv.reshape(-1, d)
+    xhat = flat - (flat @ ones / d)[:, None]
+    inv_std = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps)[:, None]
     xhat *= inv_std
-    np.multiply(xhat, gain.value, out=out)
-    out += bias.value
-    result = Node(out)
+    out = xhat if gain is None else xhat * gain.value + bias.value
+    result = Node(out.reshape(xv.shape))
 
     def backward(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        scratch = np.multiply(g, xhat)
-        gain.accumulate(scratch.sum(axis=reduce_axes))
-        bias.accumulate(g.sum(axis=reduce_axes))
         # d/dx of (x - mean)/std with mean/var over the last axis:
         # inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain
-        gx = np.multiply(g, gain.value)
-        mean_gx = gx.mean(axis=-1, keepdims=True)
-        np.multiply(gx, xhat, out=scratch)
-        mean_gx_xhat = scratch.mean(axis=-1, keepdims=True)
-        gx -= mean_gx
-        gx -= np.multiply(xhat, mean_gx_xhat, out=scratch)
-        gx *= inv_std
-        x.accumulate(gx)
+        gx = g.reshape(-1, d)
+        if gain is not None:
+            gain.accumulate(np.einsum("ij,ij->j", gx, xhat))
+            bias.accumulate(gx.sum(axis=0))
+            gx = gx * gain.value
+        grad = gx - (gx @ ones / d)[:, None]
+        grad -= np.multiply(xhat, (np.einsum("ij,ij->i", gx, xhat) / d)[:, None])
+        grad *= inv_std
+        x.accumulate(grad.reshape(xv.shape))
 
     tape.record(result, backward)
     return result
@@ -255,39 +272,41 @@ def layer_norm(tape: Tape, x: Node, gain: Node, bias: Node, eps: float = 1e-5) -
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
+# Cap on GELU's exponent -2z: exp(700) is finite, and where the cap binds,
+# x / (1 + exp(-2z)) is below |x| * 1e-304 either way.
+GELU_EXP_CAP = 700.0
+
 
 def gelu(tape: Tape, x: Node) -> Node:
-    """Tanh-form GELU ``0.5 x (1 + tanh(C (x + 0.044715 x^3)))``; the backward differentiates this form exactly.
+    """Tanh-form GELU ``0.5 x (1 + tanh z)``, z = C (x + 0.044715 x^3); the backward differentiates this form exactly.
 
-    Both passes run in place on two full-size arrays. They keep the plain
-    expressions' operations and operand order up to commutativity and
-    exact scalings by 0.5, so the bits are the same.
+    Since 0.5 (1 + tanh z) = 1 / (1 + exp(-2z)) = s, the forward runs as
+    ``x / (1 + exp(-2z))``, with -2z capped at ``GELU_EXP_CAP`` so that no exp
+    overflows. The backward takes tanh z = 2s - 1, so that
+    0.5 (1 - tanh^2 z) = 2 s (1 - s).
     """
     xv = x.value
-    tanh = np.multiply(xv, xv)
-    tanh *= xv
-    tanh *= 0.044715
-    tanh += xv
-    tanh *= _GELU_C
-    np.tanh(tanh, out=tanh)
-    out = np.add(tanh, 1.0)
-    out *= xv
-    out *= 0.5
-    result = Node(out)
+    denom = np.multiply(xv, xv)
+    denom *= -2.0 * _GELU_C * 0.044715
+    denom += -2.0 * _GELU_C
+    denom *= xv
+    np.minimum(denom, GELU_EXP_CAP, out=denom)
+    np.exp(denom, out=denom)
+    denom += 1.0
+    result = Node(np.divide(xv, denom))
 
     def backward(g):
-        # g * (0.5 (1 + tanh) + 0.5 x (1 - tanh^2) d_inner), d_inner = C (1 + 3 * 0.044715 x^2),
-        # with the two exact halvings taken once, after the sum
+        # g * (s + x * 2 s (1 - s) * dz/dx), dz/dx = C (1 + 3 * 0.044715 x^2)
+        s = np.reciprocal(denom)
         d_inner = np.multiply(xv, xv)
         d_inner *= 3 * 0.044715
         d_inner += 1.0
-        d_inner *= _GELU_C
-        grad = np.multiply(tanh, tanh)
-        np.subtract(1.0, grad, out=grad)
+        d_inner *= 2.0 * _GELU_C
+        grad = np.subtract(1.0, s)
+        grad *= s
         grad *= xv
         grad *= d_inner
-        grad += np.add(tanh, 1.0, out=d_inner)
-        grad *= 0.5
+        grad += s
         grad *= g
         x.accumulate(grad)
 
@@ -353,8 +372,9 @@ def attention(
     scores are S = (scale q) k^T, and the scores of padded keys are set to
     -inf (only when some key is padded). E = exp(S - shift) and its row sums
     l, taken as one product with a ones vector, give the output as
-    ((E * mask) V) / l, so the division runs on the [B, H, Sq, d/H] context
-    instead of on the H * S / (d/H) times larger probabilities. The shift
+    ((E * mask) V) / l, so the division runs on the context, in its
+    contiguous [B, Sq, H, d/H] layout, instead of on the H * S / (d/H) times
+    larger probabilities. The shift
     cancels in E / l, so either choice gives P up to rounding:
 
     - 0, when the Cauchy-Schwarz bound c = max_i |scale q_i| * max_j |k_j|
@@ -388,9 +408,9 @@ def attention(
     mask = _dropout_mask(tape, rate, exps.shape) if rate > 0.0 else None
     dropped = exps if mask is None else exps * mask
     out = np.empty((batch, n_q, d))
-    out_heads = heads(out, n_q)
-    np.matmul(dropped, vh, out=out_heads)
-    out_heads /= sums
+    merged = out.reshape(batch, n_q, n_heads, d // n_heads)  # [B, Sq, H, d/H], contiguous
+    np.matmul(dropped, vh, out=merged.transpose(0, 2, 1, 3))
+    merged /= sums.transpose(0, 2, 1, 3)
 
     def backward(g):
         g_over_sums = heads(g, n_q) / sums
@@ -411,6 +431,102 @@ def attention(
         k.accumulate(gk)
 
     result = Node(out)
+    tape.record(result, backward)
+    return result
+
+
+def cls_attention(
+    tape: Tape,
+    xhat: Node,
+    q: Node,
+    gain: Node,
+    shift: Node,
+    wk: Node,
+    wv: Node,
+    bv: Node,
+    key_mask: np.ndarray,
+    scale: float,
+    n_heads: int,
+    rate: float = 0.0,
+) -> Node:
+    """``attention`` for one query row per example, whose keys and values come from normed rows, as one node.
+
+    xhat [B, S, d] holds the rows of a layer norm without its affine, which
+    is ``gain`` and ``shift``; q [B, 1, d] is the query. The keys would be
+    ``(xhat * gain + shift) wk`` and the values ``(xhat * gain + shift) wv + bv``,
+    but neither is formed. Per head h, with u_h = gain * (wk_h scale q_h), the
+    scores are ``xhat u_h``: the shift's share, ``shift wk_h scale q_h``, is
+    the same for every key, and the softmax cancels it. With the dropped-out
+    probabilities p = (E * mask) / l and sigma = rowsum(p), the context is
+    ``((p xhat) * gain + shift * sigma) wv_h + bv_h * sigma``.
+
+    Masking, the shift by the row max under the score bound (here
+    max |u_h| * max_j |xhat_j|), the dropout draw at [B, H, 1, S] and the
+    stable softmax backward are ``attention``'s.
+    """
+    batch, n_k, d = xhat.value.shape
+    xv = xhat.value
+    ones = np.ones(n_k)
+    wk_heads = wk.value.reshape(d, n_heads, -1).transpose(1, 0, 2)  # [H, d, d/H]
+    wv_heads = wv.value.reshape(d, n_heads, -1).transpose(1, 0, 2)
+    bv_heads = bv.value.reshape(n_heads, -1)
+    q_scaled = (q.value * scale).reshape(batch, n_heads, -1)  # [B, H, d/H]
+
+    def per_head(a, w):  # a [B, H, m] times w [H, m, n], one product per head: [B, H, n]
+        return (a.transpose(1, 0, 2) @ w).transpose(1, 0, 2)
+
+    def weight_grad(a, g):  # the [d, d] gradient of w in per_head(a, w's heads) with output gradient g
+        return np.ascontiguousarray((a.transpose(1, 2, 0) @ g.transpose(1, 0, 2)).transpose(1, 0, 2)).reshape(d, d)
+
+    u = per_head(q_scaled, wk_heads.transpose(0, 2, 1))  # [B, H, d]
+    u_gain = u * gain.value
+    exps = u_gain @ xv.transpose(0, 2, 1)  # [B, H, S]
+    padded_rows, padded_keys = np.nonzero(~key_mask)
+    if padded_rows.size:
+        exps.transpose(0, 2, 1)[padded_rows, padded_keys] = -np.inf
+    if not _max_sq_norm(u_gain) * _max_sq_norm(xv) <= EXP_BOUND**2:
+        exps -= np.fmax.reduce(exps, axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    sums = (exps.reshape(-1, n_k) @ ones).reshape(batch, n_heads, 1)
+    mask = _dropout_mask(tape, rate, (batch, n_heads, 1, n_k)).reshape(exps.shape) if rate > 0.0 else None
+    dropped = exps if mask is None else exps * mask
+    mixed = dropped @ xv  # [B, H, d]
+    mixed /= sums
+    sigma = (dropped.reshape(-1, n_k) @ ones).reshape(batch, n_heads, 1) / sums
+    z = mixed * gain.value
+    z += sigma * shift.value
+    ctx = per_head(z, wv_heads)
+    ctx += sigma * bv_heads
+    result = Node(ctx.reshape(batch, 1, d))
+
+    def backward(g):
+        g_heads = g.reshape(batch, n_heads, -1)
+        bv.accumulate((g_heads * sigma).sum(axis=0).reshape(d))
+        wv.accumulate(weight_grad(z, g_heads))
+        gz = per_head(g_heads, wv_heads.transpose(0, 2, 1))  # [B, H, d]
+        gsigma = (g_heads * bv_heads).sum(axis=-1, keepdims=True) + gz @ shift.value[:, None]
+        shift.accumulate((gz * sigma).sum(axis=(0, 1)))
+        gain_grad = (gz * mixed).sum(axis=(0, 1))
+        gz *= gain.value
+        gz /= sums  # the gradient of p xhat, over l
+        gx = dropped.transpose(0, 2, 1) @ gz  # [B, S, d]
+        ds = gz @ xv.transpose(0, 2, 1)
+        ds += gsigma / sums
+        if mask is not None:
+            ds *= mask
+        ds -= np.einsum("...i,...i->...", ds, exps)[..., None] / sums
+        ds *= exps
+        gx += ds.transpose(0, 2, 1) @ u_gain
+        xhat.accumulate(gx)
+        gu = ds @ xv
+        gain_grad += (gu * u).sum(axis=(0, 1))
+        gain.accumulate(gain_grad)
+        gu *= gain.value
+        gq = per_head(gu, wk_heads)
+        gq *= scale
+        q.accumulate(gq.reshape(batch, 1, d))
+        wk.accumulate(weight_grad(gu, q_scaled))
+
     tape.record(result, backward)
     return result
 

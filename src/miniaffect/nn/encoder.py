@@ -125,7 +125,7 @@ def peak_bytes(cfg: EncoderConfig, heads: Heads, batch_size: int, eval_rows: int
     """Estimated peak bytes of a training run by term, with B = batch_size and S = max_len.
 
     Parameters count five copies (values, m, v, gradient, best snapshot). A
-    step keeps 16 [B, S, d], 3 [B, S, d_ff] and 3 [B, H, S, S] arrays a layer
+    step keeps 14 [B, S, d], 3 [B, S, d_ff] and 3 [B, H, S, S] arrays a layer
     (the CLS-only last layer at full width, no gradients); one eval chunk's scores
     sit beside 2 [eval_rows, S, d] and 3 [eval_rows, S, d_ff] arrays. Each array
     costs 240 bytes besides its values, as tracemalloc measured on width-1 layers.
@@ -137,7 +137,7 @@ def peak_bytes(cfg: EncoderConfig, heads: Heads, batch_size: int, eval_rows: int
     b, s, d, f, h = batch_size, cfg.max_len, cfg.d_model, cfg.d_ff, cfg.n_heads
     return {
         "parameters": 5 * (sum(size for _, size in one_layer) + (cfg.n_layers - 1) * layer),
-        "training activations": cfg.n_layers * (8 * b * s * (16 * d + 3 * f + 3 * h * s) + 22 * per_array),
+        "training activations": cfg.n_layers * (8 * b * s * (14 * d + 3 * f + 3 * h * s) + 22 * per_array),
         "eval forward": 8 * eval_rows * s * (h * s + 2 * d + 3 * f),
     }
 
@@ -156,9 +156,9 @@ def forward(
     masked out of every attention row, so positions beyond the longest real
     token cannot influence any output and dropping them is exact.
 
-    The last layer computes only the CLS row. Its keys and values still span
-    every position, but no output reads any other row of its queries,
-    attention, feed-forward or final norm, so dropping them is exact too.
+    The last layer computes only the CLS row. Its attention still reads every
+    position, but no output reads any other row of its queries, attention,
+    feed-forward or final norm, so dropping them is exact too.
 
     With train_mode, dropout (rate cfg.dropout_rate) is applied to the embedding
     sum, the attention probabilities and each sublayer output, drawing noise
@@ -189,21 +189,28 @@ def forward(
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        h = ad.layer_norm(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
-        # Keys carry no bias: it would add q·b to every score of a row, which the softmax cancels.
-        k = ad.linear(tape, h, pnodes[p + "attn.wk"], None)
-        v = ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"])
-        if i == cfg.n_layers - 1:
-            # Keys and values above span every row; from the queries on, only the CLS row.
+        # Each norm's gain and bias fold into the projections that read it.
+        gain, shift = pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"]
+        h = ad.layer_norm(tape, x)
+        wk, wv, bv = pnodes[p + "attn.wk"], pnodes[p + "attn.wv"], pnodes[p + "attn.bv"]
+        if i < cfg.n_layers - 1:
+            # Keys carry no bias and no norm shift: either would add q·c to every score of a row,
+            # which the softmax cancels.
+            k = ad.linear(tape, h, wk, None, gain)
+            v = ad.linear(tape, h, wv, bv, gain, shift)
+            q = ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"], gain, shift)
+            ctx = ad.attention(tape, q, k, v, key_mask, scale, cfg.n_heads, attn_rate)
+        else:
+            # From here on, only the CLS row; its attention reads keys and values off every normed row.
             x = ad.take(tape, x, cls_row)
-            h = ad.take(tape, h, cls_row)
-        q = ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"])
-        ctx = ad.attention(tape, q, k, v, key_mask, scale, cfg.n_heads, attn_rate)
+            q = ad.linear(tape, ad.take(tape, h, cls_row), pnodes[p + "attn.wq"], pnodes[p + "attn.bq"], gain, shift)
+            ctx = ad.cls_attention(tape, h, q, gain, shift, wk, wv, bv, key_mask, scale, cfg.n_heads, attn_rate)
         attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
         x = ad.add(tape, x, attn_out)
 
-        h = ad.layer_norm(tape, x, pnodes[p + "ff_norm.gain"], pnodes[p + "ff_norm.bias"])
-        f = ad.linear(tape, h, pnodes[p + "ff.w1"], pnodes[p + "ff.b1"])
+        h = ad.layer_norm(tape, x)
+        gain, shift = pnodes[p + "ff_norm.gain"], pnodes[p + "ff_norm.bias"]
+        f = ad.linear(tape, h, pnodes[p + "ff.w1"], pnodes[p + "ff.b1"], gain, shift)
         f = ad.gelu(tape, f)
         f = ad.linear(tape, f, pnodes[p + "ff.w2"], pnodes[p + "ff.b2"])
         x = ad.add(tape, x, dropped(f))

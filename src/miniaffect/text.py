@@ -85,12 +85,11 @@ def build_vocab(train: Dataset, max_size: int = DEFAULT_MAX_SIZE, min_freq: int 
     for rec in train.records:
         counts.update(tokenize(rec.text))
 
-    ranked = sorted(
-        (tok for tok, freq in counts.items() if freq >= min_freq),
-        key=lambda tok: (-counts[tok], tok),
-    )[: max_size - 3]
-
-    return Vocab([*_RESERVED, *ranked])
+    # Two stable sorts, lexicographic and then by falling count, rank ties lexicographically;
+    # reverse=True keeps stability, and plain-string and int keys are cheaper than tuples.
+    ranked = sorted(tok for tok, freq in counts.items() if freq >= min_freq)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    return Vocab([*_RESERVED, *ranked[: max_size - 3]])
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> list[int]:

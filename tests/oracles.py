@@ -159,7 +159,7 @@ class ReferenceAdamW:
 
 # The layer_norm and GELU kernels as plain whole-array expressions, kept
 # verbatim from before they ran in place; ad.layer_norm and ad.gelu must match
-# them bit for bit, outputs and gradients alike.
+# them to within rounding, outputs and gradients alike.
 
 def layer_norm_reference(tape: Tape, x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     xv = x.value
@@ -303,10 +303,11 @@ def full_width_forward(
 ) -> Node:
     """Encode a [batch, max_len] id matrix to per-example CLS vectors [batch, d_model].
 
-    The encoder forward as it was before its last layer became CLS-only and its
-    attention one node: every layer runs on all rows, through the unfused
-    attention chain. Kept as the reference that the forward must match,
-    outputs, gradients and dropout stream alike.
+    The encoder forward as it was before its last layer became CLS-only, its
+    attention one node and its norms' affine folded into the projections:
+    every layer runs on all rows, through the plain layer norm, the unfused
+    attention chain and the plain GELU. Kept as the reference that the forward
+    must match, outputs, gradients and dropout stream alike.
 
     Internally the batch is trimmed to its longest true length: PAD keys are
     masked out of every attention row, so positions beyond the longest real
@@ -342,7 +343,7 @@ def full_width_forward(
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         last = i == cfg.n_layers - 1
-        h = ad.layer_norm(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
+        h = layer_norm_reference(tape, x, pnodes[p + "attn_norm.gain"], pnodes[p + "attn_norm.bias"])
         q = ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"])
         k = ad.linear(tape, h, pnodes[p + "attn.wk"], pnodes[p + "attn.bk"])
         v = ad.linear(tape, h, pnodes[p + "attn.wv"], pnodes[p + "attn.bv"])
@@ -350,13 +351,13 @@ def full_width_forward(
         attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]), 1 if last else None)
         x = ad.add(tape, x, attn_out)
 
-        h = ad.layer_norm(tape, x, pnodes[p + "ff_norm.gain"], pnodes[p + "ff_norm.bias"])
+        h = layer_norm_reference(tape, x, pnodes[p + "ff_norm.gain"], pnodes[p + "ff_norm.bias"])
         f = ad.linear(tape, h, pnodes[p + "ff.w1"], pnodes[p + "ff.b1"])
-        f = ad.gelu(tape, f)
+        f = gelu_reference(tape, f)
         f = ad.linear(tape, f, pnodes[p + "ff.w2"], pnodes[p + "ff.b2"])
         x = ad.add(tape, x, dropped(f, 1 if last else None))
 
-    x = ad.layer_norm(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
+    x = layer_norm_reference(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
     return ad.take(tape, x, (slice(None), 0))
 
 

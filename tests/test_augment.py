@@ -1,6 +1,8 @@
 import pytest
 
-from miniaffect.augment import AugmentationSpec, balanced_augment, random_augment
+import miniaffect.augment as augment_module
+from miniaffect.augment import MAX_TOTAL, AugmentationSpec, balanced_augment, random_augment
+from miniaffect.train import MAX_BYTES
 from miniaffect.data import EMOTIONS, Dataset, EssayRecord, class_histogram, serialize_dataset
 from miniaffect.errors import ValidationError
 
@@ -107,6 +109,17 @@ def test_ba_exhaustion_falls_back_with_replacement():
     assert len(joy_pool) == 3
     assert len({r.id for r in joy_pool}) == 3
     assert len({r.text for r in joy_pool}) <= 2
+
+
+@pytest.mark.parametrize("total", [7 * 10**20, 7 * 10**10, MAX_TOTAL - MAX_TOTAL % 7 + 7], ids=["7e20", "7e10", "first_over"])
+def test_ba_refuses_a_total_over_the_bound_before_any_draw(monkeypatch, total):
+    # The bound is what the records alone would cost against the run's memory bound.
+    assert 256 * MAX_TOTAL == MAX_BYTES
+    monkeypatch.setattr(augment_module, "_rng", lambda seed: pytest.fail("drew before checking the total"))
+    base = make_dataset("train", uniform(1), "b")
+    pool = make_dataset("pool", uniform(1), "p")
+    with pytest.raises(ValidationError, match=f"total_target {total} is over {MAX_TOTAL}"):
+        balanced_augment(base, pool, AugmentationSpec("ba", total_target=total, seed=0))
 
 
 def test_ba_requires_labels():

@@ -52,9 +52,10 @@ def test_tracer_wraps_one_training_run(task, corpus, loss_op, loss_nodes):
     assert table["optim.step"]["calls"] == 2
     assert table["autodiff.take.bwd"]["calls"] >= 2  # at least the token lookup's, once per step
     # the dropout draws: embedding, attention output and feed-forward of the one
-    # layer in each step, plus the attention node, which draws its own
+    # layer in each step, plus the attention node, which draws its own; the one
+    # layer is the CLS-only last layer, so its attention is cls_attention
     assert table["autodiff.dropout.fwd"]["calls"] == table["autodiff.dropout.bwd"]["calls"] == 6
-    assert table["autodiff.attention.fwd"]["calls"] >= 2  # the dev evaluation runs it too
-    assert table["autodiff.attention.bwd"]["calls"] == 2
+    assert table["autodiff.cls_attention.fwd"]["calls"] >= 2  # the dev evaluation runs it too
+    assert table["autodiff.cls_attention.bwd"]["calls"] == 2
     assert all(getattr(losses, name) is fn and getattr(mt, name) is fn for name, fn in originals.items())
     assert getattr(ad, loss_op) is original_op

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miniaffect import train as train_module
+from miniaffect.augment import MAX_TOTAL
 from miniaffect.cli import main
-from miniaffect.data import EMOTIONS, load_task_tsv, save_dataset, serialize_dataset
+from miniaffect.data import EMOTIONS, load_task_tsv, save_dataset
 from miniaffect.errors import FormatError, ValidationError
 from miniaffect.nn.encoder import EncoderConfig, init_params
 from miniaffect.optim import AdamWConfig
@@ -79,8 +80,7 @@ def corpora(tmp_path_factory):
     pool = keyword_classification_corpus(70, "pool", 3)
     save_dataset(train_set, root / "train.tsv")
     save_dataset(dev_set, root / "dev.tsv")
-    pool_text = serialize_dataset(pool).replace("id\tessay", "id\ttext", 1)
-    (root / "pool.tsv").write_text(pool_text, encoding="utf-8")
+    save_dataset(pool, root / "pool.tsv")  # a pool's header names its text column text
     config = {"encoder": tiny_encoder_kwargs()}
     (root / "tiny.json").write_text(json.dumps(config), encoding="utf-8")
     return root
@@ -163,6 +163,18 @@ def test_augment_negative_seed_exits_1_naming_it(tmp_path, corpora, capsys, size
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "seed must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("total", [7 * 10**20, 7 * 10**10], ids=["7e20", "7e10"])
+def test_augment_total_over_the_bound_exits_1_before_drawing(tmp_path, corpora, capsys, total):
+    # 7e20 overflowed numpy's draw (exit 3); 7e10 would have tried to build that many records.
+    out = tmp_path / "out"
+    assert run("augment", "--base", corpora / "train.tsv", "--pool", corpora / "pool.tsv",
+               "--total", total, "--seed", 1, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"total_target {total} is over {MAX_TOTAL}" in err
+    assert not (out / "augmented.tsv").exists()
 
 
 # The size flag picks the scheme (--total ba, --count ra), so exactly one must be given.

@@ -148,33 +148,52 @@ def test_init_xavier_bounds():
 
 
 def test_forward_attention_rows_sum_to_one(monkeypatch):
-    # Every attention call of a 2-layer forward (full-width, then CLS-only) is
-    # rerun on its own q, k and key mask with probe values: v all ones gives
-    # outputs of 1 when each probability row sums to one, and v zero on
-    # attendable keys and 1 on masked keys gives exactly 0 when masked keys
-    # carry exactly zero attention. Each call is also probed with q scaled by
-    # 1000, whose scores an unshifted exp would overflow.
+    # Both attention calls of a 2-layer forward (full-width, then CLS-only) are
+    # rerun on their own queries, keys and key mask with probe values: values
+    # all one give outputs of 1 when each probability row sums to one. Masked
+    # keys must carry exactly zero attention: values zero on attendable keys
+    # and 1 on masked keys give exactly 0 in the full-width call, and negating
+    # the masked rows of the CLS-only call's normed input, which keeps every
+    # norm and so the score bound, leaves its output bit-identical. Each call
+    # is also probed with q scaled by 1000, whose scores an unshifted exp
+    # would overflow.
     cfg = replace(TINY, n_layers=2)
     params = init_params(cfg, SINGLE, seed=1)
     ids, lengths = batch_inputs(cfg=cfg)
-    calls = []
-    attention = ad.attention
+    calls = {}
+    attention, cls_attention = ad.attention, ad.cls_attention
 
-    def capture(tape, q, k, v, key_mask, scale, n_heads, *args):
-        calls.append((q, k, v, key_mask, scale, n_heads))
-        return attention(tape, q, k, v, key_mask, scale, n_heads, *args)
+    def capture(op):
+        def captured(tape, *args):
+            calls[op.__name__] = args
+            return op(tape, *args)
+        return captured
 
-    monkeypatch.setattr(ad, "attention", capture)
+    monkeypatch.setattr(ad, "attention", capture(attention))
+    monkeypatch.setattr(ad, "cls_attention", capture(cls_attention))
     forward(wrap_params(params), cfg, ids, lengths, Tape())
-    assert [q.value.shape[1] for q, *_ in calls] == [int(lengths.max()), 1]
-    assert not calls[0][3].all()  # some keys are masked
-    for q, k, v, key_mask, scale, n_heads in calls:
-        for probe in (q, Node(q.value * 1000.0)):
-            ones = attention(Tape(), probe, k, Node(np.ones_like(v.value)), key_mask, scale, n_heads)
-            assert np.allclose(ones.value, 1.0, atol=1e-10)
-            masked_keys = np.broadcast_to(~key_mask[:, :, None], v.value.shape).astype(np.float64)
-            zeros = attention(Tape(), probe, k, Node(masked_keys), key_mask, scale, n_heads)
-            assert np.all(zeros.value == 0.0)
+
+    q, k, v, key_mask, scale, n_heads, _ = calls["attention"]
+    assert q.value.shape[1] == int(lengths.max()) and not key_mask.all()  # some keys are masked
+    for probe in (q, Node(q.value * 1000.0)):
+        ones = attention(Tape(), probe, k, Node(np.ones_like(v.value)), key_mask, scale, n_heads)
+        assert np.allclose(ones.value, 1.0, atol=1e-10)
+        masked_keys = np.broadcast_to(~key_mask[:, :, None], v.value.shape).astype(np.float64)
+        zeros = attention(Tape(), probe, k, Node(masked_keys), key_mask, scale, n_heads)
+        assert np.all(zeros.value == 0.0)
+
+    xhat, q, gain, shift, wk, wv, bv, key_mask, scale, n_heads, _ = calls["cls_attention"]
+    assert q.value.shape[1] == 1
+    flipped = np.where(key_mask[:, :, None], xhat.value, -xhat.value)
+    for probe in (q, Node(q.value * 1000.0)):
+        ones = cls_attention(Tape(), xhat, probe, gain, shift, wk, Node(np.zeros_like(wv.value)),
+                             Node(np.ones_like(bv.value)), key_mask, scale, n_heads)
+        assert np.allclose(ones.value, 1.0, atol=1e-10)
+        out, out_flipped = (
+            cls_attention(Tape(), Node(rows), probe, gain, shift, wk, wv, bv, key_mask, scale, n_heads).value
+            for rows in (xhat.value, flipped)
+        )
+        assert np.array_equal(out, out_flipped)
 
 
 def test_forward_all_pad_after_cls_finite():
@@ -433,15 +452,17 @@ def test_forward_without_dropout_draws_nothing(train_mode, dropout_rate, n_layer
     assert np.array_equal(tape.rng.random(4), np.random.Generator(np.random.PCG64(28)).random(4))
 
 
-@pytest.mark.parametrize("task, nodes", [("emotion", 38), ("multitask", 43), ("empathy", 39)])
+@pytest.mark.parametrize("task, nodes", [("emotion", 36), ("multitask", 41), ("empathy", 37)])
 def test_training_step_tape_node_count(task, nodes):
     # desk_scale shapes: d 64, 2 layers, 4 heads, d_ff 128, max_len 64, dropout
-    # on. Every projection is one linear node, each layer's attention, from
-    # q, k and v to merged heads, is one attention node, and each loss is one
-    # node (plus the add that sums the two MSEs); re-expanding any of them into
-    # a chain of ops changes this count. The CLS-only last layer adds its two
-    # row takes (of x and of its attn_norm), and each scalar head one take of
-    # its single output column.
+    # on. Every projection is one linear node, each norm's affine folds into
+    # the projections that read it, the first layer's attention, from q, k and
+    # v to merged heads, is one attention node, and each loss is one node (plus
+    # the add that sums the two MSEs); re-expanding any of them into a chain of
+    # ops changes this count. The CLS-only last layer projects no keys or
+    # values: its attention node reads its normed rows, and its two row takes
+    # (of x and of its normed rows) feed the residual and the query. Each
+    # scalar head adds one take of its single output column.
     cfg, heads = EncoderConfig(vocab_size=50), _TASKS[task].heads
     params = init_params(cfg, heads, seed=0)
     ids, lengths = batch_inputs(seed=9, batch=8, cfg=cfg)

@@ -65,6 +65,26 @@ def test_build_vocab_max_size_truncates():
     assert vocab.lookup("c") == UNK_ID
 
 
+@settings(max_examples=200)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(["a", "b", "c", "ab", "ba", "Zed", "z", "é", "10", "9"]), max_size=12),
+                   min_size=1, max_size=6),
+    min_freq=st.integers(1, 4),
+    max_size=st.integers(3, 14),
+)
+def test_build_vocab_matches_ranking_by_count_then_token(texts, min_freq, max_size):
+    # The order by (-count, token) that build_vocab's two stable sorts replace:
+    # ties, min_freq and max_size truncation all give the same table.
+    records = corpus(*(" ".join(words) for words in texts))
+    counts = {}
+    for rec in records.records:
+        for tok in tokenize(rec.text):
+            counts[tok] = counts.get(tok, 0) + 1
+    kept = sorted((tok for tok, n in counts.items() if n >= min_freq), key=lambda tok: (-counts[tok], tok))
+    vocab = build_vocab(records, max_size=max_size, min_freq=min_freq)
+    assert vocab.id_to_token == ["<pad>", "<unk>", "<cls>", *kept[: max_size - 3]]
+
+
 def test_build_vocab_rejects_tiny_max_size():
     with pytest.raises(ValidationError):
         build_vocab(corpus("a"), max_size=2)

@@ -810,16 +810,19 @@ def test_desk_scale_eval_hands_attention_at_most_the_token_budget(monkeypatch):
     rng = np.random.default_rng(0)
     ids = np.concatenate([np.full((64, 1), 2), rng.integers(3, 50, (64, cfg.max_len - 1))], axis=1)
     lengths = np.full(64, cfg.max_len)
-    attention, shapes = ad.attention, []
+    shapes = []
 
-    def spy(tape, q, k, v, *args, **kwargs):
-        shapes.append(k.value.shape[:2])  # [rows, seq_len]
-        return attention(tape, q, k, v, *args, **kwargs)
+    def spy(op, keys_at):  # keys_at: the argument after the tape whose rows the keys span
+        def spied(tape, *args):
+            shapes.append(args[keys_at].value.shape[:2])  # [rows, seq_len]
+            return op(tape, *args)
+        return spied
 
-    monkeypatch.setattr(ad, "attention", spy)
+    monkeypatch.setattr(ad, "attention", spy(ad.attention, 1))  # full-width layers: k
+    monkeypatch.setattr(ad, "cls_attention", spy(ad.cls_attention, 0))  # the last layer: its normed rows
     out = train_module._model_outputs(params, config, ids, lengths)["emotion"]
     assert len(shapes) > cfg.n_layers  # more than one chunk
     assert all(rows * width <= train_module._EVAL_TOKENS for rows, width in shapes)
     assert sum(rows for rows, _ in shapes) == 64 * cfg.n_layers
-    monkeypatch.setattr(ad, "attention", attention)
+    monkeypatch.undo()
     assert np.abs(out - run_model(params, cfg, heads(config), ids, lengths)[0]).max() < 1e-12

@@ -49,19 +49,24 @@ def _by_class(d: Dataset, role: str) -> dict[str, list[int]]:
     return {name: np.flatnonzero(ids == c).tolist() for c, name in enumerate(EMOTIONS)}
 
 
-def _fresh_pool_id(orig_id: str, seen: set[str]) -> str:
-    candidate = f"pool:{orig_id}"
-    n = 2
-    while candidate in seen:
-        candidate = f"pool:{orig_id}:{n}"
-        n += 1
-    return candidate
+def _with_pool_records(records: list[EssayRecord], pool: Dataset, picks) -> list[EssayRecord]:
+    """records, then the pool records at ``picks``, each under the first free id of ``pool:<id>``, ``pool:<id>:2``, ...
 
-
-def _pool_record(rec: EssayRecord, seen: set[str]) -> EssayRecord:
-    new_id = _fresh_pool_id(rec.id, seen)
-    seen.add(new_id)
-    return EssayRecord(new_id, rec.text, None, None, rec.emotion, dict(rec.extras))
+    The taken ids only grow, so each id's scan resumes where its last one stopped.
+    """
+    seen = {r.id for r in records}
+    next_suffix: dict[str, int] = {}
+    for i in picks:
+        rec = pool.records[i]
+        n = next_suffix.get(rec.id, 1)
+        new_id = f"pool:{rec.id}" if n == 1 else f"pool:{rec.id}:{n}"
+        while new_id in seen:
+            n += 1
+            new_id = f"pool:{rec.id}:{n}"
+        next_suffix[rec.id] = n + 1
+        seen.add(new_id)
+        records.append(EssayRecord(new_id, rec.text, None, None, rec.emotion, dict(rec.extras)))
+    return records
 
 
 def balanced_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Dataset:
@@ -117,13 +122,9 @@ def balanced_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Da
             extra = rng.integers(0, len(pool_idx), size=need - len(pool_idx))
             picked_pool.extend(pool_idx[i] for i in extra)
 
-    records = [base.records[i] for i in sorted(kept_base)]
-    seen = {r.id for r in records}
-    records.extend(_pool_record(pool.records[i], seen) for i in picked_pool)
-
     return Dataset(
         split="derived",
-        records=records,
+        records=_with_pool_records([base.records[i] for i in sorted(kept_base)], pool, picked_pool),
         meta={
             "scheme": "ba",
             "seed": str(spec.seed),
@@ -143,13 +144,9 @@ def random_augment(base: Dataset, pool: Dataset, spec: AugmentationSpec) -> Data
         raise ValidationError(f"sample_count {count} exceeds pool size {len(pool.records)}")
     picks = _rng(spec.seed).permutation(len(pool.records))[:count]
 
-    records = list(base.records)
-    seen = {r.id for r in records}
-    records.extend(_pool_record(pool.records[i], seen) for i in picks)
-
     return Dataset(
         split="derived",
-        records=records,
+        records=_with_pool_records(list(base.records), pool, picks),
         meta={
             "scheme": "ra",
             "seed": str(spec.seed),

@@ -80,8 +80,7 @@ def confusion(preds, golds, k: int = 7) -> tuple[np.ndarray, np.ndarray]:
     preds = np.asarray(preds)
     golds = np.asarray(golds)
     _check_labels(preds, golds, k)
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (golds, preds), 1)
+    counts = np.bincount(golds * k + preds, minlength=k * k).reshape(k, k)
     row_sums = counts.sum(axis=1, keepdims=True)
     normalized = np.divide(counts, row_sums, out=np.zeros((k, k)), where=row_sums > 0)
     return counts, normalized

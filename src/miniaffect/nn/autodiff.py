@@ -13,10 +13,10 @@ its incoming ``g`` or a view of it (``add`` copies ``g`` when it passes it
 through unchanged).
 
 The one exception is a short integer-array ``take`` (the token-embedding
-lookup): when it is the first to reach its input, it leaves a ``RowSparse``
-gradient there, the summed rows its indices touched. Any later contribution
-turns it back into a dense array, and the backward sweep hands ops only dense
-arrays; ``dense`` gives the full array of either kind.
+lookup): it hands its input a ``RowSparse`` gradient, the summed rows its
+indices touched, which a node keeps if it arrives first. Any later addition
+makes the sum dense, and the backward sweep hands ops only dense arrays;
+``dense`` gives the full array of either kind.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ class Node:
             # Kept, not copied: the producer hands over an array no one else
             # holds (see the module docstring), so a later += reaches only this
             # node. asarray only wraps the numpy scalar a full reduction yields.
-            self.grad = np.asarray(g, dtype=np.float64)
+            self.grad = g if isinstance(g, RowSparse) else np.asarray(g, dtype=np.float64)
         else:
             self.grad = dense(self.grad)
-            self.grad += g
+            self.grad += dense(g)
 
 
 class Tape:
@@ -206,42 +206,42 @@ MIN_ROWS_PER_ENTRY = 8
 
 
 def take(tape: Tape, a: Node, index) -> Node:
-    """``a.value[index]`` for any numpy index; the ``np.add.at`` backward accumulates repeats.
+    """``a.value[index]`` for an integer-array index into a's rows, or a basic index (slices and ints).
 
-    A short integer-array index (see ``MIN_ROWS_PER_ENTRY``) that reaches
-    a.grad first leaves a ``RowSparse``: its unique rows, with the repeats
-    summed by ``np.add.at`` in the same order as into a zeroed full table, so
-    every row has the same bits.
+    An integer-array index may repeat rows, and a negative id counts toward
+    the row it aliases. The backward sums the repeats with one ``np.bincount``
+    over (row, column) positions in index order, as adding them one by one
+    into zeros would. A short index (see ``MIN_ROWS_PER_ENTRY``) hands a the
+    unique rows as a ``RowSparse``, a longer one their ``dense`` table. A
+    basic index selects each entry at most once: its gradient is assigned.
     """
     out = Node(a.value[index])
 
     def backward(g):
-        by_rows = (
-            isinstance(index, np.ndarray)
-            and index.dtype.kind in "iu"
-            and index.size * MIN_ROWS_PER_ENTRY <= a.value.shape[0]
-            and not (index < 0).any()  # a negative index would alias a row under a second number
-        )
-        if a.grad is None and by_rows:
-            rows, inverse = np.unique(index, return_inverse=True)
-            values = np.zeros((rows.size, *a.value.shape[1:]))
-            np.add.at(values, inverse.reshape(index.shape), g)
-            a.grad = RowSparse(rows, values, a.value.shape)
-            return
-        a.grad = np.zeros_like(a.value) if a.grad is None else dense(a.grad)
-        np.add.at(a.grad, index, g)
+        if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+            n_rows, *row_shape = a.value.shape
+            width = int(np.prod(row_shape))
+            rows, inverse = np.unique(index % n_rows, return_inverse=True)
+            positions = (inverse.reshape(-1, 1) * width + np.arange(width)).ravel()
+            values = np.bincount(positions, weights=g.ravel(), minlength=rows.size * width)
+            grad = RowSparse(rows, values.reshape(rows.size, *row_shape), a.value.shape)
+            a.accumulate(grad if index.size * MIN_ROWS_PER_ENTRY <= n_rows else dense(grad))
+        else:
+            grad = np.zeros_like(a.value)
+            grad[index] = g
+            a.accumulate(grad)
 
     tape.record(out, backward)
     return out
 
 
-def layer_norm(tape: Tape, x: Node, gain: Node | None = None, bias: Node | None = None, eps: float = 1e-5) -> Node:
-    """Normalise the last axis of x to zero mean and unit variance; with gain and bias, then scale and shift.
+def layer_norm(tape: Tape, x: Node, eps: float = 1e-5) -> Node:
+    """Normalise the last axis of x to zero mean and unit variance, with no gain or bias.
 
-    The encoder passes no affine where a ``linear`` reads the norm, which folds
-    it into its weights. The row means are products with a ones vector divided
-    by d, and the sums of squares row-wise ``einsum`` products, so no squared
-    array is formed; the variance is the mean of the squared centred values.
+    Every norm's affine folds into the ``linear`` that reads it, the heads
+    included. The row means are products with a ones vector divided by d, and
+    the sums of squares row-wise ``einsum`` products, so no squared array is
+    formed; the variance is the mean of the squared centred values.
     """
     xv = x.value
     d = xv.shape[-1]
@@ -250,19 +250,14 @@ def layer_norm(tape: Tape, x: Node, gain: Node | None = None, bias: Node | None 
     xhat = flat - (flat @ ones / d)[:, None]
     inv_std = 1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps)[:, None]
     xhat *= inv_std
-    out = xhat if gain is None else xhat * gain.value + bias.value
-    result = Node(out.reshape(xv.shape))
+    result = Node(xhat.reshape(xv.shape))
 
     def backward(g):
         # d/dx of (x - mean)/std with mean/var over the last axis:
-        # inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain
-        gx = g.reshape(-1, d)
-        if gain is not None:
-            gain.accumulate(np.einsum("ij,ij->j", gx, xhat))
-            bias.accumulate(gx.sum(axis=0))
-            gx = gx * gain.value
-        grad = gx - (gx @ ones / d)[:, None]
-        grad -= np.multiply(xhat, (np.einsum("ij,ij->i", gx, xhat) / d)[:, None])
+        # inv_std * (g - mean(g) - xhat * mean(g * xhat))
+        g2 = g.reshape(-1, d)
+        grad = g2 - (g2 @ ones / d)[:, None]
+        grad -= np.multiply(xhat, (np.einsum("ij,ij->i", g2, xhat) / d)[:, None])
         grad *= inv_std
         x.accumulate(grad.reshape(xv.shape))
 
@@ -344,9 +339,44 @@ def dropout(tape: Tape, x: Node, rate: float) -> Node:
 EXP_BOUND = 64.0
 
 
-def _max_sq_norm(a: np.ndarray) -> float:
-    """Largest squared Euclidean norm over the last axis of a (0 for an empty a)."""
-    return float(np.einsum("...i,...i->...", a, a).max(initial=0.0))
+def _softmax_forward(tape: Tape, scores: np.ndarray, key_mask: np.ndarray, factors, rate: float):
+    """The attention nodes' masked softmax over scores [B, H, Sq, S], in place, up to its division.
+
+    The scores of keys that key_mask [B, S] marks False become -inf, and
+    E = exp(scores - shift). The shift, which E / l cancels, is 0 when the
+    Cauchy-Schwarz bound on every score, the product of the largest row norms
+    of the two ``factors``, is at most ``EXP_BOUND`` (every exp then lies in
+    [e^-64, e^64]), and the row max otherwise (an inf or NaN bound included).
+    Returns the row sums l [B, H, Sq, 1], taken as one product with a ones
+    vector, the dropout mask drawn at the scores' shape (None at rate 0) and
+    the dropped numerators E * mask. No probabilities are formed: each node
+    divides by l later.
+    """
+    padded_rows, padded_keys = np.nonzero(~key_mask)
+    if padded_rows.size:
+        scores.transpose(0, 3, 1, 2)[padded_rows, padded_keys] = -np.inf
+    sq_norm_q, sq_norm_k = (float(np.einsum("...i,...i->...", f, f).max(initial=0.0)) for f in factors)
+    if not sq_norm_q * sq_norm_k <= EXP_BOUND**2:
+        scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    n_k = scores.shape[-1]
+    sums = (scores.reshape(-1, n_k) @ np.ones(n_k)).reshape(*scores.shape[:-1], 1)
+    mask = _dropout_mask(tape, rate, scores.shape) if rate > 0.0 else None
+    return sums, mask, scores if mask is None else scores * mask
+
+
+def _softmax_backward(ds: np.ndarray, exps: np.ndarray, sums: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """In place, the scores' gradient from ds, that of the numerators E * mask with l held fixed.
+
+    Through l = rowsum(E), every entry of E's gradient also gets
+    -rowsum(ds * mask * E) / l, the stable form of -rowsum(dP * P) with
+    P = E / l; the result is E * (ds * mask - rowsum(ds * mask * E) / l).
+    """
+    if mask is not None:
+        ds *= mask
+    ds -= np.einsum("...i,...i->...", ds, exps)[..., None] / sums
+    ds *= exps
+    return ds
 
 
 def attention(
@@ -368,26 +398,17 @@ def attention(
     from tape.rng like ``dropout``, at their shape [B, H, Sq, S]) and weight
     v; the heads are merged back to [B, Sq, d].
 
-    The softmax is never formed as P. The scale is folded into q, so the
-    scores are S = (scale q) k^T, and the scores of padded keys are set to
-    -inf (only when some key is padded). E = exp(S - shift) and its row sums
-    l, taken as one product with a ones vector, give the output as
-    ((E * mask) V) / l, so the division runs on the context, in its
-    contiguous [B, Sq, H, d/H] layout, instead of on the H * S / (d/H) times
-    larger probabilities. The shift
-    cancels in E / l, so either choice gives P up to rounding:
+    The scale is folded into q, so the scores are S = (scale q) k^T, and
+    their bound is max_i |scale q_i| * max_j |k_j| over the full d, which
+    bounds every head's scores. With E, l and Ed = E * mask from
+    ``_softmax_forward``, the output is (Ed V) / l, so the division runs on
+    the context, in its contiguous [B, Sq, H, d/H] layout, instead of on the
+    H * S / (d/H) times larger probabilities.
 
-    - 0, when the Cauchy-Schwarz bound c = max_i |scale q_i| * max_j |k_j|
-      over the full d, which bounds every head's scores, is at most
-      ``EXP_BOUND``: every exp then lies in [e^-64, e^64];
-    - the row max otherwise (an inf or NaN c included), as in any softmax.
-
-    The backward keeps E, the dropout mask, Ed = E * mask and l, but no
-    scores, probabilities or head-split copies. With P = E / l,
-    rowsum(dP * P) = rowsum(dP * E) / l, and the scale goes onto g:
-    dV = Ed^T (g / l), D = ((g * scale / l) V^T) * mask = scale dP / l,
-    dS * scale = E * (D - rowsum(D * E) / l), dQ = (dS * scale) K and
-    dK = (dS * scale)^T q.
+    The backward keeps E, the mask, Ed and l, but no scores, probabilities or
+    head-split copies. The scale goes onto g: dV = Ed^T (g / l),
+    ``_softmax_backward`` of (g * scale / l) V^T gives dS * scale, and
+    dQ = (dS * scale) K and dK = (dS * scale)^T q.
     """
     batch, n_q, d = q.value.shape
     n_k = k.value.shape[1]
@@ -398,15 +419,7 @@ def attention(
     q_scaled = q.value * scale
     qh, kh, vh = heads(q.value, n_q), heads(k.value, n_k), heads(v.value, n_k)
     exps = heads(q_scaled, n_q) @ kh.transpose(0, 1, 3, 2)
-    padded_rows, padded_keys = np.nonzero(~key_mask)
-    if padded_rows.size:
-        exps.transpose(0, 3, 1, 2)[padded_rows, padded_keys] = -np.inf
-    if not _max_sq_norm(q_scaled) * _max_sq_norm(k.value) <= EXP_BOUND**2:
-        exps -= np.fmax.reduce(exps, axis=-1, keepdims=True)
-    np.exp(exps, out=exps)
-    sums = (exps.reshape(-1, n_k) @ np.ones(n_k)).reshape(batch, n_heads, n_q, 1)
-    mask = _dropout_mask(tape, rate, exps.shape) if rate > 0.0 else None
-    dropped = exps if mask is None else exps * mask
+    sums, mask, dropped = _softmax_forward(tape, exps, key_mask, (q_scaled, k.value), rate)
     out = np.empty((batch, n_q, d))
     merged = out.reshape(batch, n_q, n_heads, d // n_heads)  # [B, Sq, H, d/H], contiguous
     np.matmul(dropped, vh, out=merged.transpose(0, 2, 1, 3))
@@ -418,11 +431,7 @@ def attention(
         np.matmul(dropped.swapaxes(-1, -2), g_over_sums, out=heads(gv, n_k))
         v.accumulate(gv)
         g_over_sums *= scale
-        ds = g_over_sums @ vh.swapaxes(-1, -2)
-        if mask is not None:
-            ds *= mask
-        ds -= np.einsum("...i,...i->...", ds, exps)[..., None] / sums
-        ds *= exps
+        ds = _softmax_backward(g_over_sums @ vh.swapaxes(-1, -2), exps, sums, mask)
         gq = np.empty_like(q.value)
         np.matmul(ds, kh, out=heads(gq, n_q))
         q.accumulate(gq)
@@ -452,21 +461,20 @@ def cls_attention(
     """``attention`` for one query row per example, whose keys and values come from normed rows, as one node.
 
     xhat [B, S, d] holds the rows of a layer norm without its affine, which
-    is ``gain`` and ``shift``; q [B, 1, d] is the query. The keys would be
-    ``(xhat * gain + shift) wk`` and the values ``(xhat * gain + shift) wv + bv``,
-    but neither is formed. Per head h, with u_h = gain * (wk_h scale q_h), the
-    scores are ``xhat u_h``: the shift's share, ``shift wk_h scale q_h``, is
-    the same for every key, and the softmax cancels it. With the dropped-out
-    probabilities p = (E * mask) / l and sigma = rowsum(p), the context is
+    is ``gain`` and ``shift``; q [B, d] is the query, and the output is
+    [B, d]. The keys would be ``(xhat * gain + shift) wk`` and the values
+    ``(xhat * gain + shift) wv + bv``, but neither is formed. Per head h, with
+    u_h = gain * (wk_h scale q_h), the scores are ``xhat u_h``: the shift's
+    share, ``shift wk_h scale q_h``, is the same for every key, and the
+    softmax cancels it. With the dropped-out probabilities
+    p = (E * mask) / l and sigma = rowsum(p), the context is
     ``((p xhat) * gain + shift * sigma) wv_h + bv_h * sigma``.
 
-    Masking, the shift by the row max under the score bound (here
-    max |u_h| * max_j |xhat_j|), the dropout draw at [B, H, 1, S] and the
-    stable softmax backward are ``attention``'s.
+    The scores [B, H, S] go through attention's softmax core as a
+    [B, H, 1, S] view, under the bound max |u_h| * max_j |xhat_j|.
     """
     batch, n_k, d = xhat.value.shape
     xv = xhat.value
-    ones = np.ones(n_k)
     wk_heads = wk.value.reshape(d, n_heads, -1).transpose(1, 0, 2)  # [H, d, d/H]
     wv_heads = wv.value.reshape(d, n_heads, -1).transpose(1, 0, 2)
     bv_heads = bv.value.reshape(n_heads, -1)
@@ -481,23 +489,16 @@ def cls_attention(
     u = per_head(q_scaled, wk_heads.transpose(0, 2, 1))  # [B, H, d]
     u_gain = u * gain.value
     exps = u_gain @ xv.transpose(0, 2, 1)  # [B, H, S]
-    padded_rows, padded_keys = np.nonzero(~key_mask)
-    if padded_rows.size:
-        exps.transpose(0, 2, 1)[padded_rows, padded_keys] = -np.inf
-    if not _max_sq_norm(u_gain) * _max_sq_norm(xv) <= EXP_BOUND**2:
-        exps -= np.fmax.reduce(exps, axis=-1, keepdims=True)
-    np.exp(exps, out=exps)
-    sums = (exps.reshape(-1, n_k) @ ones).reshape(batch, n_heads, 1)
-    mask = _dropout_mask(tape, rate, (batch, n_heads, 1, n_k)).reshape(exps.shape) if rate > 0.0 else None
-    dropped = exps if mask is None else exps * mask
+    sums, mask, dropped = _softmax_forward(tape, exps[:, :, None], key_mask, (u_gain, xv), rate)
+    sums, dropped = sums[..., 0], dropped[:, :, 0]  # [B, H, 1] and [B, H, S]
     mixed = dropped @ xv  # [B, H, d]
     mixed /= sums
-    sigma = (dropped.reshape(-1, n_k) @ ones).reshape(batch, n_heads, 1) / sums
+    sigma = (dropped.reshape(-1, n_k) @ np.ones(n_k)).reshape(batch, n_heads, 1) / sums
     z = mixed * gain.value
     z += sigma * shift.value
     ctx = per_head(z, wv_heads)
     ctx += sigma * bv_heads
-    result = Node(ctx.reshape(batch, 1, d))
+    result = Node(ctx.reshape(batch, d))
 
     def backward(g):
         g_heads = g.reshape(batch, n_heads, -1)
@@ -512,10 +513,7 @@ def cls_attention(
         gx = dropped.transpose(0, 2, 1) @ gz  # [B, S, d]
         ds = gz @ xv.transpose(0, 2, 1)
         ds += gsigma / sums
-        if mask is not None:
-            ds *= mask
-        ds -= np.einsum("...i,...i->...", ds, exps)[..., None] / sums
-        ds *= exps
+        _softmax_backward(ds[:, :, None], exps[:, :, None], sums[..., None], mask)
         gx += ds.transpose(0, 2, 1) @ u_gain
         xhat.accumulate(gx)
         gu = ds @ xv
@@ -524,7 +522,7 @@ def cls_attention(
         gu *= gain.value
         gq = per_head(gu, wk_heads)
         gq *= scale
-        q.accumulate(gq.reshape(batch, 1, d))
+        q.accumulate(gq.reshape(batch, d))
         wk.accumulate(weight_grad(gu, q_scaled))
 
     tape.record(result, backward)

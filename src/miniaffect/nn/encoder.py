@@ -150,15 +150,16 @@ def forward(
     tape: Tape,
     train_mode: bool = False,
 ) -> Node:
-    """Encode a [batch, max_len] id matrix to per-example CLS vectors [batch, d_model].
+    """Encode a [batch, max_len] id matrix to CLS vectors [batch, d_model], normed but without the final affine.
 
+    ``head_apply`` folds the final norm's gain and bias into each head.
     Internally the batch is trimmed to its longest true length: PAD keys are
     masked out of every attention row, so positions beyond the longest real
     token cannot influence any output and dropping them is exact.
 
-    The last layer computes only the CLS row. Its attention still reads every
-    position, but no output reads any other row of its queries, attention,
-    feed-forward or final norm, so dropping them is exact too.
+    The last layer computes only the CLS rows, [batch, d_model]. Its attention
+    still reads every position, but no output reads any other row of its
+    queries, attention, feed-forward or final norm, so dropping them is exact.
 
     With train_mode, dropout (rate cfg.dropout_rate) is applied to the embedding
     sum, the attention probabilities and each sublayer output, drawing noise
@@ -185,7 +186,7 @@ def forward(
 
     scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
     attn_rate = cfg.dropout_rate if drop else 0.0
-    cls_row = (slice(None), slice(0, 1))
+    cls_rows = (slice(None), 0)
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
@@ -201,9 +202,9 @@ def forward(
             q = ad.linear(tape, h, pnodes[p + "attn.wq"], pnodes[p + "attn.bq"], gain, shift)
             ctx = ad.attention(tape, q, k, v, key_mask, scale, cfg.n_heads, attn_rate)
         else:
-            # From here on, only the CLS row; its attention reads keys and values off every normed row.
-            x = ad.take(tape, x, cls_row)
-            q = ad.linear(tape, ad.take(tape, h, cls_row), pnodes[p + "attn.wq"], pnodes[p + "attn.bq"], gain, shift)
+            # From here on, only the CLS rows [B, d]; their attention reads keys and values off every normed row.
+            x = ad.take(tape, x, cls_rows)
+            q = ad.linear(tape, ad.take(tape, h, cls_rows), pnodes[p + "attn.wq"], pnodes[p + "attn.bq"], gain, shift)
             ctx = ad.cls_attention(tape, h, q, gain, shift, wk, wv, bv, key_mask, scale, cfg.n_heads, attn_rate)
         attn_out = dropped(ad.linear(tape, ctx, pnodes[p + "attn.wo"], pnodes[p + "attn.bo"]))
         x = ad.add(tape, x, attn_out)
@@ -215,19 +216,19 @@ def forward(
         f = ad.linear(tape, f, pnodes[p + "ff.w2"], pnodes[p + "ff.b2"])
         x = ad.add(tape, x, dropped(f))
 
-    x = ad.layer_norm(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
-    return ad.take(tape, x, (slice(None), 0))
+    return ad.layer_norm(tape, x)
 
 
 def head_apply(pnodes: dict[str, Node], heads: Heads, cls_vectors: Node, tape: Tape) -> tuple[Node, ...]:
-    """Map CLS vectors to raw head outputs: one Node per head, in ``heads`` order.
+    """Map the normed CLS vectors to raw head outputs: one Node per head, in ``heads`` order.
 
-    A width-1 head gives [batch] scores, raw and unclipped; a wider one gives
-    [batch, width] logits.
+    Each head's ``linear`` folds in the final norm's gain and bias. A width-1
+    head gives [batch] scores, raw and unclipped; a wider one [batch, width] logits.
     """
+    gain, shift = pnodes["final_norm.gain"], pnodes["final_norm.bias"]
     outs = []
     for prefix, width in heads:
-        out = ad.linear(tape, cls_vectors, pnodes[prefix + ".w"], pnodes[prefix + ".b"])
+        out = ad.linear(tape, cls_vectors, pnodes[prefix + ".w"], pnodes[prefix + ".b"], gain, shift)
         outs.append(ad.take(tape, out, (slice(None), 0)) if width == 1 else out)
     return tuple(outs)
 

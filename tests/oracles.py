@@ -304,7 +304,8 @@ def full_width_forward(
     """Encode a [batch, max_len] id matrix to per-example CLS vectors [batch, d_model].
 
     The encoder forward as it was before its last layer became CLS-only, its
-    attention one node and its norms' affine folded into the projections:
+    attention one node and its norms' affine folded into the projections and
+    heads (``full_width_head_apply`` reads its output):
     every layer runs on all rows, through the plain layer norm, the unfused
     attention chain and the plain GELU. Kept as the reference that the forward
     must match, outputs, gradients and dropout stream alike.
@@ -359,6 +360,15 @@ def full_width_forward(
 
     x = layer_norm_reference(tape, x, pnodes["final_norm.gain"], pnodes["final_norm.bias"])
     return ad.take(tape, x, (slice(None), 0))
+
+
+def full_width_head_apply(pnodes: dict[str, Node], heads, cls_vectors: Node, tape: Tape) -> tuple[Node, ...]:
+    """The heads on ``full_width_forward``'s CLS vectors, which already carry the final norm's affine."""
+    outs = []
+    for prefix, width in heads:
+        out = ad.linear(tape, cls_vectors, pnodes[prefix + ".w"], pnodes[prefix + ".b"])
+        outs.append(ad.take(tape, out, (slice(None), 0)) if width == 1 else out)
+    return tuple(outs)
 
 
 def backward_keeping_grads(tape: Tape, loss: Node) -> None:

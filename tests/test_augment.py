@@ -111,7 +111,36 @@ def test_ba_exhaustion_falls_back_with_replacement():
     assert len({r.text for r in joy_pool}) <= 2
 
 
-@pytest.mark.parametrize("total", [7 * 10**20, 7 * 10**10, MAX_TOTAL - MAX_TOTAL % 7 + 7], ids=["7e20", "7e10", "first_over"])
+def scanned_pool_ids(taken, source_ids):
+    """Fresh pool ids as a scan from ``pool:<id>`` up through ``pool:<id>:2``, ... gives them."""
+    seen, out = set(taken), []
+    for orig in source_ids:
+        candidate, n = f"pool:{orig}", 2
+        while candidate in seen:
+            candidate, n = f"pool:{orig}:{n}", n + 1
+        seen.add(candidate)
+        out.append(candidate)
+    return out
+
+
+def test_ba_pool_ids_match_a_scan_from_the_first_suffix():
+    # 299 copies of each pool record. A base id and a pool record's own fresh id
+    # take names in p0's sequence, which its copies must skip.
+    base = make_dataset("train", uniform(1), "b")
+    base.records.append(EssayRecord("pool:p0:2", "base text named like a copy", None, None, EMOTIONS[0]))
+    pool = make_dataset("pool", uniform(1), "p")
+    pool.records.append(EssayRecord("p0:3", "pool text named like a copy", None, None, EMOTIONS[0]))
+    out = balanced_augment(base, pool, AugmentationSpec("ba", total_target=7 * 300, seed=5))
+    assert out.meta["with_replacement_used"] == "true"
+    source = {r.text: r.id for r in pool.records}
+    n_base = len(base.records)
+    assert [r.id for r in out.records[:n_base]] == [r.id for r in base.records]
+    expected = scanned_pool_ids([r.id for r in base.records], [source[r.text] for r in out.records[n_base:]])
+    assert [r.id for r in out.records[n_base:]] == expected
+    assert {"pool:p0", "pool:p0:3", "pool:p0:3:2"} <= set(expected) and "pool:p0:2" not in expected
+
+
+@pytest.mark.parametrize("total",[7 * 10**20, 7 * 10**10, MAX_TOTAL - MAX_TOTAL % 7 + 7], ids=["7e20", "7e10", "first_over"])
 def test_ba_refuses_a_total_over_the_bound_before_any_draw(monkeypatch, total):
     # The bound is what the records alone would cost against the run's memory bound.
     assert 256 * MAX_TOTAL == MAX_BYTES

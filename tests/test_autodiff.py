@@ -257,6 +257,38 @@ def test_take_gradient_is_row_sparse_only_for_a_short_index(ids, sparse):
     assert np.array_equal(ad.dense(table.grad), expected)
 
 
+@pytest.mark.parametrize("rows_per_entry", [0, 8], ids=["row_sparse", "dense"])
+@pytest.mark.parametrize(
+    "index, held",
+    [
+        pytest.param(np.array([[3, 7, 3], [0, 3, 7]]), False, id="repeated_ids"),
+        pytest.param(np.array([2, -1, 9, -10, 2, 0]), False, id="negative_ids"),  # -1 is row 9, -10 row 0
+        pytest.param(slice(1, 4), False, id="slice"),
+        pytest.param((slice(None), 1), False, id="slice_int"),
+        pytest.param(np.array([1, 4, 1]), True, id="held_gradient"),
+    ],
+)
+def test_take_gradient_has_the_bits_of_add_at_into_zeros(monkeypatch, index, held, rows_per_entry):
+    # A node that already holds a gradient gets the sum added into it.
+    monkeypatch.setattr(ad, "MIN_ROWS_PER_ENTRY", rows_per_entry)
+    rng = np.random.default_rng(48)
+    table = Node(rng.standard_normal((10, 3)))
+    before = rng.standard_normal((10, 3)) if held else np.zeros((10, 3))
+    if held:
+        table.grad = before.copy()
+    g = rng.standard_normal(table.value[index].shape)
+    tape = Tape()
+    ad.take(tape, table, index)
+    tape._ops[-1][1](g.copy())
+    summed = np.zeros((10, 3))
+    np.add.at(summed, index, g)
+    assert ad.dense(table.grad).tobytes() == (before + summed).tobytes()
+    sparse = isinstance(index, np.ndarray) and not held and index.size * rows_per_entry <= 10
+    assert isinstance(table.grad, ad.RowSparse) == sparse
+    if sparse:
+        assert table.grad.rows.tolist() == sorted(set((index % 10).ravel().tolist()))
+
+
 def test_take_slice_and_cls_index():
     x = Node(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
     tape = Tape()
@@ -277,21 +309,26 @@ def test_take_slice_and_cls_index():
 
 
 def test_layer_norm_gradients_match_fd():
+    # The norm's gain and bias live in the linear that reads it, as in the encoder.
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 3, 6))
     gain = rng.standard_normal(6)
     bias = rng.standard_normal(6)
-    target = rng.standard_normal((2, 3, 6))
+    w = rng.standard_normal((6, 4))
+    target = rng.standard_normal((2, 3, 4))
     params = {"x": x.copy(), "gain": gain.copy(), "bias": bias.copy()}
+
+    def normed(tape, nodes):
+        return ad.linear(tape, ad.layer_norm(tape, nodes["x"]), Node(w), None, nodes["gain"], nodes["bias"])
 
     def value(arrs):
         tape = Tape()
-        out = ad.layer_norm(tape, Node(arrs["x"]), Node(arrs["gain"]), Node(arrs["bias"]))
+        out = normed(tape, {k: Node(v) for k, v in arrs.items()})
         return float(ad.mse(tape, out, target).value)
 
     tape = Tape()
     nodes = {k: Node(v) for k, v in params.items()}
-    out = ad.layer_norm(tape, nodes["x"], nodes["gain"], nodes["bias"])
+    out = normed(tape, nodes)
     loss = ad.mse(tape, out, target)
     tape.backward(loss)
     fd = fd_gradients(value, params, eps=1e-6)
@@ -377,11 +414,14 @@ def test_layer_norm_and_gelu_match_plain_expressions(kind, dims, spread, shift, 
     shape = {"batch_seq": (batch, seq, d), "cls_row": (batch, 1, d), "rows": (batch * seq, d)}[kind]
     rng = np.random.default_rng(seed)
     x = np.clip(rng.standard_normal(shape) * spread + shift, -1e3, 1e3)
-    gain, bias = rng.standard_normal(d), rng.standard_normal(d)
     target = rng.standard_normal(shape)
     kappa = np.abs(x).max() / np.sqrt(x.var(axis=-1) + 1e-5).min()
+
+    def plain_layer_norm(tape, x):  # the reference's affine at gain 1 and bias 0, which change no bits
+        return layer_norm_reference(tape, x, Node(np.ones(d)), Node(np.zeros(d)))
+
     cases = [
-        ((x, gain, bias), ad.layer_norm, layer_norm_reference, max(1e-12, 2e-15 * kappa)),
+        ((x,), ad.layer_norm, plain_layer_norm, max(1e-12, 2e-15 * kappa)),
         ((x,), ad.gelu, gelu_reference, 1e-12),
     ]
     for arrays, op, reference, tol in cases:
@@ -739,7 +779,7 @@ def cls_inputs(rng, batch, seq, d, q_gain=1.0):
     """Arrays for ad.cls_attention: normed-looking rows, a CLS query, a norm affine and the K/V projections."""
     return {
         "xhat": rng.standard_normal((batch, seq, d)),
-        "q": rng.standard_normal((batch, 1, d)) * q_gain,
+        "q": rng.standard_normal((batch, d)) * q_gain,
         "gain": 1.0 + 0.5 * rng.standard_normal(d),
         "shift": 0.5 * rng.standard_normal(d),
         "wk": rng.standard_normal((d, d)) / np.sqrt(d),
@@ -750,7 +790,7 @@ def cls_inputs(rng, batch, seq, d, q_gain=1.0):
 
 def cls_bound(arrs, scale, n_heads):
     """cls_attention's score bound: max over heads of |gain * (wk_h scale q_h)|, times max_j |xhat_j|."""
-    batch, _, d = arrs["q"].shape
+    batch, d = arrs["q"].shape
     q_heads = (arrs["q"] * scale).reshape(batch, n_heads, d // n_heads)
     u = np.einsum("bhk,dhk->bhd", q_heads, arrs["wk"].reshape(d, n_heads, d // n_heads)) * arrs["gain"]
     return np.linalg.norm(u, axis=-1).max() * np.linalg.norm(arrs["xhat"], axis=-1).max()
@@ -772,7 +812,7 @@ def test_cls_attention_gradients_match_fd(rate, q_gain):
     params = cls_inputs(rng, batch, seq, d, q_gain)
     lengths = np.array([5, 3, 1])
     key_mask = np.arange(seq)[None, :] < lengths[:, None]
-    target = rng.standard_normal((batch, 1, d))
+    target = rng.standard_normal((batch, d))
     # over_bound takes the row-max path, under_bound the unshifted exp
     assert (cls_bound(params, scale, n_heads) > ad.EXP_BOUND) == (q_gain > 1.0)
 
@@ -815,7 +855,7 @@ def test_cls_attention_bound_counts_the_norm_gain(rate):
     batch, seq, d, n_heads = 2, 4, 4, 2
     scale = 1 / np.sqrt(2)
     xhat = np.ones((batch, seq, d)) + 0.01 * rng.standard_normal((batch, seq, d))
-    q = np.stack([15.0 / scale * np.ones(d), -15.0 / scale * np.ones(d)])[:, None, :]
+    q = np.stack([15.0 / scale * np.ones(d), -15.0 / scale * np.ones(d)])
     gain, shift, wk = np.full(d, 30.0), np.zeros(d), np.eye(d)
     assert np.abs(q * scale).max() * 2 * np.linalg.norm(xhat, axis=-1).max() < ad.EXP_BOUND
     key_mask = np.arange(seq)[None, :] < np.array([4, 2])[:, None]
@@ -850,7 +890,7 @@ def test_cls_attention_matches_attention_over_projected_keys_and_values(
     d = n_heads * d_head
     rng = np.random.default_rng(seed)
     arrs = cls_inputs(rng, batch, seq, d, q_gain)
-    target = rng.standard_normal((batch, 1, d))
+    target = rng.standard_normal((batch, d))
     scale = 1.0 / np.sqrt(d_head)
 
     def run(projected):
@@ -860,7 +900,8 @@ def test_cls_attention_matches_attention_over_projected_keys_and_values(
         if projected:
             k = ad.linear(tape, xhat, wk, None, gain, shift)
             v = ad.linear(tape, xhat, wv, bv, gain, shift)
-            out = ad.attention(tape, q, k, v, key_mask, scale, n_heads, rate)
+            out = ad.attention(tape, reshape(tape, q, (batch, 1, d)), k, v, key_mask, scale, n_heads, rate)
+            out = reshape(tape, out, (batch, d))
         else:
             out = ad.cls_attention(tape, xhat, q, gain, shift, wk, wv, bv, key_mask, scale, n_heads, rate)
         tape.backward(ad.mse(tape, out, target))
